@@ -62,10 +62,15 @@ def _parse_r(spec: str, c) -> DesignCoefficient:
     if len(parts) != 2:
         raise ValueError(f"--r must be 'auto' or 'u,v', got {spec!r}")
     u, v = float(parts[0]), float(parts[1])
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ValueError(f"--r must be finite, got {spec!r}")
     mod = math.hypot(u, v)
     if mod == 0.0:
         raise ValueError("--r must be nonzero")
     return DesignCoefficient(u=u / mod, v=v / mod, provenance="user")
+
+
+MAX_SNR_POINTS = 10_000
 
 
 def _parse_snr(spec: str) -> tuple:
@@ -73,12 +78,33 @@ def _parse_snr(spec: str) -> tuple:
     if len(parts) != 3:
         raise ValueError(f"--snr must be 'start:step:stop', got {spec!r}")
     start, step, stop = (float(p) for p in parts)
+    if not all(math.isfinite(x) for x in (start, step, stop)):
+        raise ValueError(f"--snr values must be finite, got {spec!r}")
     if step <= 0:
         raise ValueError("--snr step must be positive")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    if count < 1:
+    span = (stop - start) / step + 1e-9
+    if span < 0:
         raise ValueError("--snr grid is empty")
+    if span >= MAX_SNR_POINTS:
+        raise ValueError(f"--snr grid has more than {MAX_SNR_POINTS} points")
+    count = math.floor(span) + 1
     return tuple(round(start + k * step, 9) for k in range(count))
+
+
+def _parse_workers(cfg):
+    """Worker count from --workers, else FDSTBC_WORKERS, else None (serial)."""
+    val, name = cfg.get("workers"), "--workers"
+    if val is None:
+        val, name = os.environ.get("FDSTBC_WORKERS") or None, "FDSTBC_WORKERS"
+        if val is None:
+            return None
+    try:
+        count = int(val)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
+    return count
 
 
 def _emit(lines, out):
@@ -156,9 +182,13 @@ def cmd_constellation(cfg, out):
 
 def cmd_gain(cfg, out):
     c = cs.constellation_by_id(cfg["constellation"], cfg["norm"])
-    r = _parse_r(cfg["r"], c)
     method = None if cfg["method"] == "auto" else cfg["method"]
-    rep = coding_gain(c, r, method=method)
+    if cfg["r"] == "auto" and method is None:
+        # optimize already reports the gain of r under the default method
+        r, rep = opt.optimize(c)
+    else:
+        r = _parse_r(cfg["r"], c)
+        rep = coding_gain(c, r, method=method)
     wit = (rep.argmin.ds1, rep.argmin.ds2, rep.argmin.ds3, rep.argmin.ds4)
     argmin = [x for s in wit for x in (s.real, s.imag)]
     if cfg["emit"] == "csv":
@@ -285,10 +315,7 @@ def cmd_simulate(cfg, out):
                         snr_grid_db=_parse_snr(cfg["snr"]),
                         codewords_per_point=int(cfg["codewords"]),
                         seed=int(cfg["seed"]))
-    workers = cfg.get("workers")
-    if workers is None:
-        env = os.environ.get("FDSTBC_WORKERS")
-        workers = int(env) if env else None
+    workers = _parse_workers(cfg)
     res = run_ber(sim_cfg, workers=workers)
     lines = _echo([("constellation", c.name), ("norm", c.normalization),
                    ("u", _fmt(r.u)), ("v", _fmt(r.v)),

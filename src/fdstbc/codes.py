@@ -45,6 +45,8 @@ class DesignCoefficient:
     t_exact: Fraction | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.u) and math.isfinite(self.v)):
+            raise ValueError(f"r must be finite: u={self.u!r} v={self.v!r}")
         if abs(self.u * self.u + self.v * self.v - 1.0) > UNIT_TOL:
             raise ValueError(f"|r| != 1: u={self.u!r} v={self.v!r}")
         if self.t_exact is not None and abs(self.t - self.t_exact) > UNIT_TOL:

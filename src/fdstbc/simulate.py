@@ -13,11 +13,24 @@ use over the noise variance.  The scaling is folded into an
 effective channel before decoding, so both decoders see the plain
 Y = X^T H + W model.
 
-The fast decoder is exact ML with M^2 hypothesis loops instead of
-M^4: condition on (s3, s4), cancel their contribution, and the
-residual is an Alamouti-type system in (s1, s2) whose equivalent
-channel columns are exactly orthogonal, so s1 and s2 decouple into
-independent matched-filter projections plus nearest-point slicing.
+The fast decoder is exact ML over M^2 hypotheses instead of M^4:
+condition on (s3, s4), cancel their contribution, and the residual
+w = y' - c3*s3 - c4*s4 is an Alamouti-type system in (s1, s2) whose
+equivalent channel columns g1, g2 are exactly orthogonal with
+|g1|^2 = |g2|^2 = ||H||^2.  Everything (s3, s4)-dependent is therefore
+complex-linear and is reduced once per codeword to a few scalars:
+
+* the projections p_i = g_i^H w / ||H||^2 = a_i - b_i3*s3 - b_i4*s4;
+* the part of w outside span(g1, g2), e - f3*s3 - f4*s4, whose squared
+  norm is a quadratic form in (s3, s4) given by six Gram scalars.
+
+The metric of hypothesis (s1, s2, s3, s4) is that form plus
+||H||^2 (|p1 - s1|^2 + |p2 - s2|^2), so s1 and s2 are sliced
+independently.  The decoder loops over s3 only and scores every s4 at
+once on (n, M) arrays.  The slicer is picked from the geometry of the
+points: a full rectangular lattice is sliced by per-axis rounding,
+constellations whose rings are each evenly spaced in angle (PSK, the
+APSKs) by per-ring angle rounding, and anything else by a full scan.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -203,49 +216,169 @@ def _nearest_point(vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return d.argmin(axis=1)
 
 
+_GEOM_TOL = 1e-9
+
+
+def _lattice_slicer(pts: np.ndarray):
+    """Per-axis rounding if pts fill a rectangular lattice, else None."""
+    axes = []
+    for v in (pts.real, pts.imag):
+        lo, hi = v.min(), v.max()
+        count = np.unique(np.round(v, 9)).size
+        step = (hi - lo) / (count - 1) if count > 1 else 1.0
+        k = np.rint((v - lo) / step).astype(np.intp)
+        if np.abs(v - (lo + k * step)).max() > _GEOM_TOL * max(step, 1.0):
+            return None
+        axes.append((lo, step, count, k))
+    (x0, dx, nx, kx), (y0, dy, ny, ky) = axes
+    if nx * ny != pts.size:
+        return None
+    table = np.full((nx, ny), -1, dtype=np.intp)
+    table[kx, ky] = np.arange(pts.size)
+    if (table < 0).any():
+        return None
+
+    def slice_(vals):
+        vr, vi = vals.real, vals.imag
+        ix = np.clip(np.rint((vr - x0) / dx), 0, nx - 1).astype(np.intp)
+        iy = np.clip(np.rint((vi - y0) / dy), 0, ny - 1).astype(np.intp)
+        k = table[ix, iy]
+        dr = vr - pts.real[k]
+        di = vi - pts.imag[k]
+        return k, dr * dr + di * di
+    return slice_
+
+
+def _ring_slicer(pts: np.ndarray):
+    """Per-ring angle rounding if every ring holds >= 2 points evenly
+    spaced in angle, else None.
+
+    On one ring the nearest point is the one nearest in angle, so the
+    nearest of the per-ring candidates is the nearest point overall;
+    equal distances go to the lower index, as in the full scan.
+    """
+    rad = np.abs(pts)
+    order = np.argsort(rad, kind="stable")
+    cuts = np.flatnonzero(np.diff(rad[order]) > _GEOM_TOL) + 1
+    rings = []
+    for members in np.split(order, cuts):
+        size = members.size
+        ang = np.angle(pts[members])
+        pos = (ang - ang[0]) * (size / (2.0 * np.pi))
+        k = np.rint(pos)
+        if size < 2 or np.abs(pos - k).max() > _GEOM_TOL:
+            return None
+        k = np.mod(k.astype(np.intp), size)
+        table = np.full(size, -1, dtype=np.intp)
+        table[k] = members
+        if (table < 0).any():
+            return None
+        rings.append((ang[0], size / (2.0 * np.pi), size, np.tile(table, 3)))
+
+    def slice_(vals):
+        vr, vi = vals.real, vals.imag
+        ang = np.arctan2(vi, vr)
+        best_k = best_d = None
+        for th0, per_rad, size, table in rings:
+            # (ang - th0) * per_rad lies in [-size, size]: no wrap needed
+            k = table[np.rint((ang - th0) * per_rad).astype(np.intp) + size]
+            dr = vr - pts.real[k]
+            di = vi - pts.imag[k]
+            d = dr * dr + di * di
+            if best_k is None:
+                best_k, best_d = k, d
+                continue
+            upd = d <= best_d
+            upd &= (d < best_d) | (k < best_k)
+            np.copyto(best_k, k, where=upd)
+            np.copyto(best_d, d, where=upd)
+        return best_k, best_d
+    return slice_
+
+
+def _full_scan_slicer(pts: np.ndarray):
+    def slice_(vals):
+        # column by column keeps the distance array at (n, M)
+        k = np.stack([_nearest_point(col, pts) for col in vals.T], axis=1)
+        d = vals - pts[k]
+        return k, d.real ** 2 + d.imag ** 2
+    return slice_
+
+
+def _slicer(pts: np.ndarray):
+    """Nearest-point function, chosen by geometry, for values of shape
+    (n, M): -> (indices, squared distances)."""
+    return (_lattice_slicer(pts) or _ring_slicer(pts)
+            or _full_scan_slicer(pts))
+
+
 def _fast_decode_batch(y: np.ndarray, h: np.ndarray, r: complex,
                        pts: np.ndarray):
     """Exact ML via (s3, s4) conditioning for a batch: -> (n, 4) indices.
 
-    The hypothesis loop runs in lexicographic (k3, k4) order with a
-    strict-< running minimum, so among exact metric ties the smallest
-    (k3, k4) wins.
+    Rows k3 are scored in order, each for all k4 at once; argmin keeps
+    the first minimum in a row and a strict < keeps the earlier row, so
+    among exact metric ties the smallest (k3, k4) wins.
     """
-    m = pts.size
     n = y.shape[0]
     g1, g2 = _equivalent_columns(h, r)
     hnorm = (np.abs(h) ** 2).reshape(n, 4).sum(axis=1)
+    # an all-zero channel makes every hypothesis equally likely; any
+    # positive norm keeps its (zero) projections finite for the slicers
+    hnorm[hnorm == 0.0] = 1.0
+    # w = yc - c3*s3 - c4*s4 for the hypothesis (s3, s4)
+    yc = np.stack([y[:, 0, 0], y[:, 0, 1],
+                   np.conj(y[:, 1, 0]), np.conj(y[:, 1, 1])], axis=1)
+    c3 = np.stack([r * h[:, 0, 0], r * h[:, 0, 1],
+                   np.conj(h[:, 1, 0]), np.conj(h[:, 1, 1])], axis=1)
+    c4 = np.stack([r * h[:, 1, 0], r * h[:, 1, 1],
+                   -np.conj(h[:, 0, 0]), -np.conj(h[:, 0, 1])], axis=1)
+
+    def gram(u, v):
+        return (np.conj(u) * v).sum(axis=1) / hnorm
+
+    def project(v):
+        """(g1^H v, g2^H v) / ||H||^2 and the part of v outside span(g1, g2)."""
+        q1, q2 = gram(g1, v), gram(g2, v)
+        return q1, q2, v - g1 * q1[:, None] - g2 * q2[:, None]
+
+    a1, a2, e = project(yc)
+    b13, b23, f3 = project(c3)
+    b14, b24, f4 = project(c4)
+    # |e - f3*s3 - f4*s4|^2 / ||H||^2: the s4-only terms for every s4
+    quad4 = (gram(f4, f4).real[:, None] * (pts.real ** 2 + pts.imag ** 2)
+             - 2.0 * (gram(e, f4)[:, None] * pts).real
+             + gram(e, e).real[:, None])
+    f33 = gram(f3, f3).real
+    e3 = gram(e, f3)
+    cross = 2.0 * gram(f3, f4)[:, None] * pts
+    cross_re, cross_im = cross.real.copy(), cross.imag.copy()
+    bp14 = b14[:, None] * pts
+    bp24 = b24[:, None] * pts
+    slice_ = _slicer(pts)
+    rows = np.arange(n)
     best = np.full(n, np.inf)
     out = np.zeros((n, 4), dtype=np.int64)
-    w = np.empty((n, 4), dtype=np.complex128)
-    for k3 in range(m):
-        s3 = pts[k3]
-        for k4 in range(m):
-            s4 = pts[k4]
-            # cancel X_B = [[r*s3, -conj(s4)], [r*s4, conj(s3)]]
-            b00 = r * s3
-            b10 = r * s4
-            b01 = -np.conj(s4)
-            b11 = np.conj(s3)
-            w[:, 0] = y[:, 0, 0] - (b00 * h[:, 0, 0] + b10 * h[:, 1, 0])
-            w[:, 1] = y[:, 0, 1] - (b00 * h[:, 0, 1] + b10 * h[:, 1, 1])
-            w[:, 2] = np.conj(
-                y[:, 1, 0] - (b01 * h[:, 0, 0] + b11 * h[:, 1, 0]))
-            w[:, 3] = np.conj(
-                y[:, 1, 1] - (b01 * h[:, 0, 1] + b11 * h[:, 1, 1]))
-            p1 = (np.conj(g1) * w).sum(axis=1) / hnorm
-            p2 = (np.conj(g2) * w).sum(axis=1) / hnorm
-            k1 = _nearest_point(p1, pts)
-            k2 = _nearest_point(p2, pts)
-            res = w - g1 * pts[k1][:, None] - g2 * pts[k2][:, None]
-            metric = (np.abs(res) ** 2).sum(axis=1)
-            upd = metric < best
-            if upd.any():
-                best[upd] = metric[upd]
-                out[upd, 0] = k1[upd]
-                out[upd, 1] = k2[upd]
-                out[upd, 2] = k3
-                out[upd, 3] = k4
+    for k3, s3 in enumerate(pts):
+        p1 = (a1 - b13 * s3)[:, None] - bp14
+        p2 = (a2 - b23 * s3)[:, None] - bp24
+        k1, d1 = slice_(p1)
+        k2, d2 = slice_(p2)
+        # the metric over ||H||^2; 2 Re(conj(s3) f3^H f4 s4) is the cross term
+        metric = quad4 + (f33 * abs(s3) ** 2 - 2.0 * (e3 * s3).real)[:, None]
+        metric += s3.real * cross_re
+        metric += s3.imag * cross_im
+        metric += d1
+        metric += d2
+        k4 = metric.argmin(axis=1)
+        mbest = metric[rows, k4]
+        upd = mbest < best
+        if upd.any():
+            best[upd] = mbest[upd]
+            out[upd, 0] = k1[upd, k4[upd]]
+            out[upd, 1] = k2[upd, k4[upd]]
+            out[upd, 2] = k3
+            out[upd, 3] = k4[upd]
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -182,6 +183,85 @@ def test_bad_arguments_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, env, flag", [
+    (("simulate", "--constellation", "qam4", "--r", "nan,1",
+      "--snr", "0:1:1", "--codewords", "1"), None, "--r"),
+    (("gain", "--constellation", "qam4", "--r", "nan,1"), None, "--r"),
+    (("gain", "--constellation", "qam4", "--r", "inf,1"), None, "--r"),
+    (("simulate", "--constellation", "qam4", "--snr", "nan:1:3"), None,
+     "--snr"),
+    (("simulate", "--constellation", "qam4", "--snr", "0:inf:3"), None,
+     "--snr"),
+    # refused from the point count alone; the grid is never built
+    (("simulate", "--constellation", "qam4", "--snr", "0:1:1e7"), None,
+     "--snr"),
+    (("simulate", "--constellation", "qam4", "--snr=-1e308:1e-308:1e308"),
+     None, "--snr"),
+    (("simulate", "--constellation", "qam4", "--workers", "-3",
+      "--codewords", "1"), None, "--workers"),
+    (("simulate", "--constellation", "qam4", "--workers", "0",
+      "--codewords", "1"), None, "--workers"),
+    (("simulate", "--constellation", "qam4", "--codewords", "1"), "x2",
+     "FDSTBC_WORKERS"),
+    (("simulate", "--constellation", "qam4", "--codewords", "1"), "-1",
+     "FDSTBC_WORKERS"),
+])
+def test_malformed_input_one_line_error(capsys, monkeypatch, argv, env, flag):
+    if env is not None:
+        monkeypatch.setenv("FDSTBC_WORKERS", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert flag in err
+    assert "Traceback" not in err
+
+
+def test_gain_auto_runs_the_exact_sweep_once(capsys, monkeypatch):
+    from fdstbc import cli, optimizer
+
+    calls = []
+    for module in (cli, optimizer):
+        inner = module.coding_gain
+
+        def counted(*args, _inner=inner, **kwargs):
+            calls.append(args[0].name)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(module, "coding_gain", counted)
+    for ident in ("qam16", "psk8"):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "gain", "--constellation", ident)
+        assert code == 0
+        assert calls == [ident]
+    # a non-default method still needs its own sweep after optimize's
+    calls.clear()
+    code, _, _ = run_cli(capsys, "gain", "--constellation", "qam4",
+                         "--method", "exhaustive")
+    assert code == 0
+    assert calls == ["qam4", "qam4"]
+
+
+# SHA-256 of `simulate --constellation <id> --emit csv --seed 1
+# --codewords 1000` (r auto, 0:3:21 dB), recorded with the per-(k3, k4)
+# hypothesis loop that the vectorised fast decoder replaced.
+SIMULATE_CSV_SHA256 = {
+    "qam16": "e249a63bf65206ffdc1ef6f58df3c6d112d1da99530b65cca0adcfd7f8bb8621",
+    "psk8": "3b10c677b577835187e4c33e16181a600080a38d316accb133081d976fee6d54",
+    "apsk16": "18f491124783592bae445013c0e639ecc45f66d83d6747fa3f8bdc70ed262add",
+}
+
+
+@pytest.mark.parametrize("ident", sorted(SIMULATE_CSV_SHA256))
+def test_simulate_csv_digest_frozen(capsys, ident):
+    code, out, _ = run_cli(capsys, "simulate", "--constellation", ident,
+                           "--emit", "csv", "--seed", "1",
+                           "--codewords", "1000")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == SIMULATE_CSV_SHA256[ident]
 
 
 def test_out_writes_file(capsys, tmp_path):

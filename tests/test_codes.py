@@ -32,6 +32,14 @@ def test_unit_modulus_is_enforced():
         codes.DesignCoefficient(u=0.6, v=0.8, t_exact=Fraction(1, 2))
 
 
+@pytest.mark.parametrize("u, v", [(math.nan, 1.0), (1.0, math.nan),
+                                  (math.inf, 0.0), (0.0, -math.inf)])
+def test_non_finite_coefficient_is_rejected(u, v):
+    # abs(nan - 1) > tol is False, so the modulus check alone lets NaN in
+    with pytest.raises(ValueError, match="finite"):
+        codes.DesignCoefficient(u=u, v=v)
+
+
 def test_from_complex_round_trip():
     r = codes.DesignCoefficient.from_complex(cmath.exp(0.7j))
     assert abs(r.r - cmath.exp(0.7j)) < 1e-15
