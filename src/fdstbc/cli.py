@@ -58,10 +58,11 @@ def parse_csv(text: str):
 def _parse_r(spec: str, c) -> DesignCoefficient:
     if spec == "auto":
         return opt.optimize(c)[0]
-    parts = spec.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--r must be 'auto' or 'u,v', got {spec!r}")
-    u, v = float(parts[0]), float(parts[1])
+    try:
+        u, v = map(float, spec.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--r must be 'auto' or 'u,v', got {spec!r}") from None
     if not (math.isfinite(u) and math.isfinite(v)):
         raise ValueError(f"--r must be finite, got {spec!r}")
     mod = math.hypot(u, v)
@@ -74,10 +75,11 @@ MAX_SNR_POINTS = 10_000
 
 
 def _parse_snr(spec: str) -> tuple:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--snr must be 'start:step:stop', got {spec!r}")
-    start, step, stop = (float(p) for p in parts)
+    try:
+        start, step, stop = map(float, spec.split(":"))
+    except ValueError:
+        raise ValueError(
+            f"--snr must be 'start:step:stop', got {spec!r}") from None
     if not all(math.isfinite(x) for x in (start, step, stop)):
         raise ValueError(f"--snr values must be finite, got {spec!r}")
     if step <= 0:
@@ -311,9 +313,12 @@ def cmd_table2(cfg, out):
 def cmd_simulate(cfg, out):
     c = cs.constellation_by_id(cfg["constellation"], cfg["norm"])
     r = _parse_r(cfg["r"], c)
+    codewords = int(cfg["codewords"])
+    if codewords < 1:
+        raise ValueError(f"--codewords must be >= 1, got {codewords}")
     sim_cfg = SimConfig(constellation=c, r=r, decoder=cfg["decoder"],
                         snr_grid_db=_parse_snr(cfg["snr"]),
-                        codewords_per_point=int(cfg["codewords"]),
+                        codewords_per_point=codewords,
                         seed=int(cfg["seed"]))
     workers = _parse_workers(cfg)
     res = run_ber(sim_cfg, workers=workers)

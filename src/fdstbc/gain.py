@@ -22,10 +22,19 @@ Completing the square in dt gives
     |det|^2 = (A-B)^2*(2-t^2)/2 + 2*(dt - (A+B)*t/2)^2
 so |det|^2 >= (B-A)^2*(u+v)^2/2 for every tuple (the case II floor);
 the sweep asserts this on every enumerated pair.
+
+Both routes supply only a value function to one sweep over index pairs
+i <= j in square tiles of about _TILE_PAIRS pairs, whose temporaries
+stay in cache; only diagonal tiles mask the triangle and the zero pair.
+Every pair tying the running minimum is kept, tiles above the tie limit
+are skipped, so the tie set and the reported argmin do not depend on
+the tiling.  The int64 path raises ValueError up front if its values
+could reach the 2^62 sentinel.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+import math
 
 import numpy as np
 
@@ -38,6 +47,7 @@ EXHAUSTIVE_LIMIT = 1e10
 AGG_DEFAULT_ABOVE = 8
 _FLOAT_TIE = 1e-12
 _INT_SENTINEL = np.int64(2) ** 62
+_TILE_PAIRS = 2 ** 14  # pairs per tile: the temporaries stay in L2
 
 
 @dataclass(frozen=True)
@@ -128,100 +138,112 @@ def _projected_triples(dvals: np.ndarray, as_int: bool, scale: float = 1.0):
     return a, b, g, wx, wy, int(zero[0])
 
 
-def _collect(cands, val, big, i0, is_int):
-    """Append (i, j, val) entries tying this chunk's minimum (capped)."""
-    m = val.min()
-    if is_int:
-        if m >= big:
-            return
-        take = val == m
-    else:
-        if not np.isfinite(m):
-            return
-        take = val <= m + _FLOAT_TIE * max(1.0, abs(m))
-    ii, jj = np.nonzero(take)
-    if ii.size > 4096:
-        order = np.argsort(val[ii, jj], kind="stable")[:4096]
-        ii, jj = ii[order], jj[order]
-    for k in range(ii.size):
-        cands.append((i0 + int(ii[k]), i0 + int(jj[k]), val[ii[k], jj[k]]))
+def _sweep_upper(n, zero_idx, tile, *, q2, bound_coef):
+    """Shared tiled sweep over pairs (i, j), i <= j, of n indices.
+
+    tile(rows, cols) gives (val, A - B) on one block; the zero pair is
+    excluded.  q2 is q^2 when val is the int64 q^2*|det|^2, None when
+    val is a float |det|^2.  Returns (case1_min, case2_min, bound_min, ii, jj) where
+    (ii, jj) are exactly the pairs with val within the tie tolerance of
+    the minimum (val == min on the int path), whatever the tiling.
+    """
+    is_int = q2 is not None
+    big = _INT_SENTINEL if is_int else np.inf
+    c1_min = c2_min = run = big
+    bound_min = np.inf
+    hits = []
+    side = max(1, math.isqrt(_TILE_PAIRS))
+    for i0 in range(0, n, side):
+        i1 = min(i0 + side, n)
+        for j0 in range(i0, n, side):
+            j1 = min(j0 + side, n)
+            val, am_b = tile(slice(i0, i1), slice(j0, j1))
+            case1 = am_b == 0 if is_int else np.abs(am_b) <= 1e-9
+            if j0 == i0:  # diagonal tile: drop (j, i) copies and zero
+                lower = np.tri(i1 - i0, k=-1, dtype=bool)
+                val = np.where(lower, big, val)
+                if i0 <= zero_idx < i1:
+                    val[zero_idx - i0, zero_idx - i0] = big
+                upper = ~lower
+                case1 &= upper
+                case2 = ~case1 & upper
+            else:
+                case2 = ~case1
+            if case2.any():
+                vf = val.astype(np.float64)
+                if is_int:
+                    vf /= q2
+                bnd = am_b.astype(np.float64) ** 2 * bound_coef
+                if (case2 & (vf < bnd - 1e-9)).any():
+                    raise RuntimeError("case II lower bound violated; "
+                                       "determinant reduction is inconsistent")
+                bound_min = min(bound_min, float(bnd[case2].min()))
+                c2_min = min(c2_min, val[case2].min())
+            c1_min = min(c1_min, np.where(case1, val, big).min())
+            m = val.min()
+            if m < big and m <= _tie_limit(run, is_int):
+                run = min(run, m)
+                ii, jj = np.nonzero(val <= _tie_limit(run, is_int))
+                hits.append((ii + i0, jj + j0, val[ii, jj]))
+    best = min(c1_min, c2_min)
+    ii, jj, vals = (np.concatenate(h) for h in zip(*hits))
+    keep = vals <= _tie_limit(best, is_int)
+    return c1_min, c2_min, bound_min, ii[keep], jj[keep]
+
+
+def _tie_limit(x, is_int):
+    return x if is_int else x + _FLOAT_TIE * max(1.0, abs(x))
 
 
 def _sweep_pairs(a, b, g, zero_idx, *, t=None, pq=None, bound_coef):
     """Min |det|^2 over all pairs of triples (upper triangle, i <= j).
 
-    Returns (case1_min, case2_min, bound_min, candidates) where candidates
-    is a list of (i, j, val) covering every pair that can tie the overall
-    minimum.  Values are q^2 * |det|^2 as int64 when pq is given, plain
-    float64 otherwise; bound_min is always float in the same units.
+    Returns (case1_min, case2_min, bound_min, ii, jj) where (ii, jj) are
+    the pairs tying the overall minimum.  Values are q^2 * |det|^2 as
+    int64 when pq is given, plain float64 otherwise; bound_min is always
+    float in the same units.  Raises ValueError when the int64 values
+    could reach the 2^62 sentinel.
     """
-    n = a.size
-    is_int = pq is not None
-    if is_int:
+    if pq is not None:
         p, q = pq
+        am, bm, gm = (2 * int(np.abs(x).max()) for x in (a, b, g))
+        worst = q * q * max(am, bm) ** 2 + 2 * p * p * am * bm \
+            + 2 * q * q * gm * gm + 2 * abs(p) * q * (am + bm) * gm
+        if worst >= _INT_SENTINEL:
+            raise ValueError(
+                f"exact gain sweep would overflow int64: |q^2 det^2| can "
+                f"reach {float(worst):.3g} with t = {p}/{q} on this grid")
         p, q = np.int64(p), np.int64(q)
-        big = _INT_SENTINEL
+        k1, k2, k3, k4 = q * q, 2 * p * p, 2 * q * q, 2 * p * q
     else:
-        big = np.inf
-    c1_min = big
-    c2_min = big
-    bound_min = np.inf
-    cands = []
-    chunk = max(1, int(8_000_000 // max(n, 1)))
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        A = a[i0:i1, None] + a[None, i0:]
-        B = b[i0:i1, None] + b[None, i0:]
-        D = g[i0:i1, None] + g[None, i0:]
+        k2, k4 = 2.0 * t * t, 2.0 * t
+
+    def tile(rows, cols):
+        A = a[rows, None] + a[None, cols]
+        B = b[rows, None] + b[None, cols]
+        D = g[rows, None] + g[None, cols]
         am_b = A - B
-        if is_int:
-            val = (q * q) * (am_b * am_b) + (2 * p * p) * (A * B) \
-                + (2 * q * q) * (D * D) - (2 * p * q) * ((A + B) * D)
+        if pq is not None:
+            val = k1 * (am_b * am_b) + k2 * (A * B) + k3 * (D * D) \
+                - k4 * ((A + B) * D)
         else:
-            val = am_b * am_b + (2.0 * t * t) * (A * B) \
-                + 2.0 * (D * D) - (2.0 * t) * ((A + B) * D)
-        # keep only the upper triangle: pair (i, j) equals (j, i)
-        rows = np.arange(i0, i1)[:, None]
-        cols = np.arange(i0, n)[None, :]
-        lower = cols < rows
-        val = np.where(lower, big, val)
-        if i0 <= zero_idx < i1:
-            val[zero_idx - i0, zero_idx - i0] = big
-        if is_int:
-            case1 = A == B
-        else:
-            case1 = np.abs(am_b) <= 1e-9
-        case2 = ~case1 & ~lower
-        if case2.any():
-            vf = val.astype(np.float64)
-            if is_int:
-                vf /= float(q) ** 2
-            bnd = am_b.astype(np.float64) ** 2 * bound_coef
-            if (case2 & (vf < bnd - 1e-9)).any():
-                raise RuntimeError("case II lower bound violated; "
-                                   "determinant reduction is inconsistent")
-            bound_min = min(bound_min, float(bnd[case2].min()))
-            c2_min = min(c2_min, val[case2].min())
-        m1 = np.where(case1 & ~lower, val, big).min()
-        c1_min = min(c1_min, m1)
-        _collect(cands, val, big, i0, is_int)
-    best = min(c1_min, c2_min)
-    if is_int:
-        cands = [c for c in cands if c[2] == best]
-    else:
-        cands = [c for c in cands
-                 if c[2] <= best + _FLOAT_TIE * max(1.0, abs(best))]
-    return c1_min, c2_min, bound_min, cands
+            val = am_b * am_b + k2 * (A * B) + 2.0 * (D * D) \
+                - k4 * ((A + B) * D)
+        return val, am_b
+
+    return _sweep_upper(a.size, zero_idx, tile,
+                        q2=None if pq is None else float(pq[1]) ** 2,
+                        bound_coef=bound_coef)
 
 
-def _argmin_tuple(cands, wx, wy, a, b):
+def _argmin_tuple(ii, jj, wx, wy, a, b):
     """Pick the reported argmin deterministically among tied candidates."""
     def key(c):
-        i, j, _ = c
+        i, j = c
         t = (wx[i], wx[j], wy[i], wy[j])
         return tuple(round(abs(z) ** 2, 12) for z in t) + \
             tuple(round(float(np.angle(z)), 12) for z in t)
-    i, j, _ = min(cands, key=key)
+    i, j = min(zip(ii.tolist(), jj.tolist()), key=key)
     tup = DifferenceTuple(ds1=complex(wx[i]), ds2=complex(wx[j]),
                           ds3=complex(wy[i]), ds4=complex(wy[j]))
     if np.asarray(a).dtype.kind == "i":
@@ -239,12 +261,12 @@ def _aggregated_gain(c: Constellation, r: DesignCoefficient) -> GainReport:
     if exact:
         a, b, g, wx, wy, z = _projected_triples(dvals, True, c.grid.scale)
         p, q = r.t_exact.numerator, r.t_exact.denominator
-        c1, c2, bmin, cands = _sweep_pairs(a, b, g, z, pq=(p, q),
-                                           bound_coef=bound_coef)
+        c1, c2, bmin, ii, jj = _sweep_pairs(a, b, g, z, pq=(p, q),
+                                            bound_coef=bound_coef)
         scale4 = c.grid.scale_sq ** 2
         qq = q * q
         gain_exact = Fraction(int(min(c1, c2)), qq) * scale4
-        tup, case = _argmin_tuple(cands, wx, wy, a, b)
+        tup, case = _argmin_tuple(ii, jj, wx, wy, a, b)
         f4 = float(scale4)
         return GainReport(
             gain=float(gain_exact), argmin=tup, case_of_argmin=case,
@@ -253,9 +275,9 @@ def _aggregated_gain(c: Constellation, r: DesignCoefficient) -> GainReport:
             case2_bound_min=bmin * f4,
             method="aggregated", gain_exact=gain_exact)
     a, b, g, wx, wy, z = _projected_triples(dvals, False)
-    c1, c2, bmin, cands = _sweep_pairs(a, b, g, z, t=r.t,
-                                       bound_coef=bound_coef)
-    tup, case = _argmin_tuple(cands, wx, wy, a, b)
+    c1, c2, bmin, ii, jj = _sweep_pairs(a, b, g, z, t=r.t,
+                                        bound_coef=bound_coef)
+    tup, case = _argmin_tuple(ii, jj, wx, wy, a, b)
     return GainReport(gain=float(min(c1, c2)), argmin=tup,
                       case_of_argmin=case, case1_min=float(c1),
                       case2_min=float(c2), case2_bound_min=bmin,
@@ -276,42 +298,20 @@ def _exhaustive_gain(c: Constellation, r: DesignCoefficient) -> GainReport:
     a = np.abs(x) ** 2
     b = np.abs(y) ** 2
     zero = int(np.flatnonzero((x == 0) & (y == 0))[0])
-    bound_coef = (r.u + r.v) ** 2 / 2.0
-    n = F.size
-    c1_min = np.inf
-    c2_min = np.inf
-    bound_min = np.inf
-    cands = []
-    chunk = max(1, int(8_000_000 // max(n, 1)))
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        det = F[i0:i1, None] + F[None, i0:]
+
+    def tile(rows, cols):
+        det = F[rows, None] + F[None, cols]
         val = det.real ** 2 + det.imag ** 2
-        A = a[i0:i1, None] + a[None, i0:]
-        B = b[i0:i1, None] + b[None, i0:]
-        rows = np.arange(i0, i1)[:, None]
-        cols = np.arange(i0, n)[None, :]
-        lower = cols < rows
-        val = np.where(lower, np.inf, val)
-        if i0 <= zero < i1:
-            val[zero - i0, zero - i0] = np.inf
-        case1 = np.abs(A - B) <= 1e-9
-        case2 = ~case1 & ~lower
-        if case2.any():
-            bnd = (B - A) ** 2 * bound_coef
-            if (case2 & (val < bnd - 1e-9)).any():
-                raise RuntimeError("case II lower bound violated")
-            bound_min = min(bound_min, float(bnd[case2].min()))
-            c2_min = min(c2_min, float(val[case2].min()))
-        v1 = np.where(case1 & ~lower, val, np.inf)
-        c1_min = min(c1_min, float(v1.min()))
-        _collect(cands, val, np.inf, i0, False)
-    best = min(c1_min, c2_min)
-    cands = [t for t in cands if t[2] <= best + _FLOAT_TIE * max(1.0, best)]
-    tup, case = _argmin_tuple(cands, x, y, a, b)
-    return GainReport(gain=best, argmin=tup, case_of_argmin=case,
-                      case1_min=c1_min, case2_min=c2_min,
-                      case2_bound_min=bound_min, method="exhaustive")
+        return val, (a[rows, None] + a[None, cols]) \
+            - (b[rows, None] + b[None, cols])
+
+    c1, c2, bmin, ii, jj = _sweep_upper(F.size, zero, tile, q2=None,
+                                        bound_coef=(r.u + r.v) ** 2 / 2.0)
+    tup, case = _argmin_tuple(ii, jj, x, y, a, b)
+    return GainReport(gain=float(min(c1, c2)), argmin=tup,
+                      case_of_argmin=case, case1_min=float(c1),
+                      case2_min=float(c2), case2_bound_min=bmin,
+                      method="exhaustive")
 
 
 def coding_gain(c: Constellation, r: DesignCoefficient,

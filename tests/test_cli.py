@@ -207,6 +207,12 @@ def test_bad_arguments_exit_2(capsys, argv):
      "FDSTBC_WORKERS"),
     (("simulate", "--constellation", "qam4", "--codewords", "1"), "-1",
      "FDSTBC_WORKERS"),
+    (("simulate", "--constellation", "qam4", "--r", "abc,1",
+      "--codewords", "1"), None, "--r"),
+    (("simulate", "--constellation", "qam4", "--snr", "oops:1:2"), None,
+     "--snr"),
+    (("simulate", "--constellation", "qam4", "--codewords", "0"), None,
+     "--codewords"),
 ])
 def test_malformed_input_one_line_error(capsys, monkeypatch, argv, env, flag):
     if env is not None:
@@ -262,6 +268,30 @@ def test_simulate_csv_digest_frozen(capsys, ident):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == SIMULATE_CSV_SHA256[ident]
+
+
+# SHA-256 of the stdout of each exact-search command, recorded before the
+# pair sweep was tiled.
+EXACT_STDOUT_SHA256 = {
+    ("table1",):
+        "7d5184b6d6dbe983c72c5bec7fe54f048d2e89220afcb86adead772b47b81f61",
+    ("table2",):
+        "c0b3adc8ec9cf5e904702da0c1904a241e079f4698ebe2bf6e58f3d4792042f0",
+    ("gain", "--constellation", "qam64", "--norm", "min-dist-1"):
+        "2539cd1a981a90ac336dbe9cef92fda3478cfb0b26779751a8204e05b6c01b34",
+    ("optimize", "--constellation", "psk22"):
+        "b1d1d9db3ffabe73199414f7716621a00f9bc3033386efe8b95dd3a3ac050396",
+    ("optimize", "--constellation", "apsk16"):
+        "7746da68971e473bfffe2f3cd87f87e3de91bf3894c4ce4378acf6d0ecf45c4f",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EXACT_STDOUT_SHA256))
+def test_exact_search_stdout_digest_frozen(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == EXACT_STDOUT_SHA256[argv]
 
 
 def test_out_writes_file(capsys, tmp_path):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fdstbc import codes
 from fdstbc import constellations as cs
@@ -163,3 +164,61 @@ def test_gain_report_fields_consistent():
     assert rep.gain == min(rep.case1_min, rep.case2_min)
     assert rep.method == "aggregated"
     assert rep.case2_min >= rep.case2_bound_min - 1e-12
+
+
+@pytest.mark.parametrize("ident,norm,r", [
+    ("qam64", MIND, R_GRID),
+    ("psk22", UNIT, codes.DesignCoefficient(u=math.cos(0.3),
+                                            v=math.sin(0.3))),
+    ("apsk16-grid", UNIT, R_GRID),
+    # u = v: the gain is 0 and over 6,000 pairs tie for it
+    ("qam64", UNIT, codes.DesignCoefficient(u=1 / math.sqrt(2),
+                                            v=1 / math.sqrt(2))),
+])
+def test_report_and_ties_do_not_depend_on_tiling(monkeypatch, ident, norm, r):
+    c = cs.constellation_by_id(ident, norm)
+    ties = []
+    pick = gain._argmin_tuple
+
+    def spy(ii, jj, *args):
+        ties.append(sorted(zip(ii.tolist(), jj.tolist())))
+        return pick(ii, jj, *args)
+    monkeypatch.setattr(gain, "_argmin_tuple", spy)
+    reports = []
+    for tile in (2 ** 10, 2 ** 15):
+        monkeypatch.setattr(gain, "_TILE_PAIRS", tile)
+        reports.append(gain.coding_gain(c, r, method="aggregated"))
+    assert reports[0] == reports[1]
+    assert ties[0] == ties[1]
+
+
+def test_exact_sweep_overflow_guard():
+    c = cs.constellation_by_id("qam64", MIND)
+    q = 10 ** 15
+    r = codes.DesignCoefficient(u=R_GRID.u, v=R_GRID.v,
+                                t_exact=Fraction(q // 2 + 1, q))
+    with pytest.raises(ValueError, match="overflow"):
+        gain.coding_gain(c, r, method="aggregated")
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 8),
+       angle=st.floats(0.0, 2.0 * math.pi))
+def test_aggregated_equals_exhaustive_on_random_constellations(seed, m,
+                                                               angle):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=m) + 1j * rng.normal(size=m)
+    pts /= math.sqrt(np.mean(np.abs(pts) ** 2))
+    c = cs.Constellation(name="random", points=pts, normalization=UNIT)
+    assert c.grid is None
+    r = codes.DesignCoefficient(u=math.cos(angle), v=math.sin(angle))
+    agg = gain.coding_gain(c, r, method="aggregated")
+    exh = gain.coding_gain(c, r, method="exhaustive")
+    for field in ("gain", "case1_min", "case2_min"):
+        assert math.isclose(getattr(agg, field), getattr(exh, field),
+                            rel_tol=1e-9, abs_tol=1e-12)
+    for rep in (agg, exh):
+        det = codes.det_direct(rep.argmin, r)
+        assert math.isclose(abs(det) ** 2, rep.gain,
+                            rel_tol=1e-9, abs_tol=1e-12)
