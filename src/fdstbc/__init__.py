@@ -4,7 +4,6 @@ from .codes import (
     DesignCoefficient,
     DifferenceTuple,
     build_codeword,
-    build_codeword_general,
     build_codeword_golden,
     case2_lower_bound,
     det_closed_form,
@@ -30,7 +29,6 @@ from .gain import (
     coding_gain,
     coding_gain_scaled,
     golden_coding_gain,
-    pair_triples,
     vanishing_probe,
 )
 from .number_theory import (

@@ -93,6 +93,18 @@ def _parse_snr(spec: str) -> tuple:
     return tuple(round(start + k * step, 9) for k in range(count))
 
 
+def _parse_int(val, name: str, low=None) -> int:
+    """int(val), or a ValueError naming the flag (and the lower bound)."""
+    try:
+        num = int(val)
+    except (TypeError, ValueError):
+        num = None
+    if num is None or (low is not None and num < low):
+        need = "an integer" if low is None else f"an integer >= {low}"
+        raise ValueError(f"{name} must be {need}, got {val!r}")
+    return num
+
+
 def _parse_workers(cfg):
     """Worker count from --workers, else FDSTBC_WORKERS, else None (serial)."""
     val, name = cfg.get("workers"), "--workers"
@@ -100,13 +112,7 @@ def _parse_workers(cfg):
         val, name = os.environ.get("FDSTBC_WORKERS") or None, "FDSTBC_WORKERS"
         if val is None:
             return None
-    try:
-        count = int(val)
-    except (TypeError, ValueError):
-        count = 0
-    if count < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
-    return count
+    return _parse_int(val, name, low=1)
 
 
 def _emit(lines, out):
@@ -220,22 +226,18 @@ def cmd_gain(cfg, out):
     return 0
 
 
-def _optimize_full(c):
-    """(r, gain report, case1 gain, case2 min, dominance flag)."""
+def cmd_optimize(cfg, out):
+    c = cs.constellation_by_id(cfg["constellation"], cfg["norm"])
     if c.integer_grid:
         r = opt.analytic_integer_optimum()[0]
         rep = coding_gain(c, r)
-        dom = rep.case2_min >= rep.case1_min - 1e-12
-        return r, rep, rep.case1_min, rep.case2_min, dom
-    res = opt.verify_step2(c, opt.optimize_step1(c))
-    rep = res.gain_report
-    return (res.r_candidates[0], rep, res.case1_gain, res.case2_min,
-            res.case2_dominates)
-
-
-def cmd_optimize(cfg, out):
-    c = cs.constellation_by_id(cfg["constellation"], cfg["norm"])
-    r, rep, case1, case2, dom = _optimize_full(c)
+        case1, case2 = rep.case1_min, rep.case2_min
+        dom = case2 >= case1 - 1e-12
+    else:
+        # the report prints step 1's own A = B gain, not the sweep's
+        res = opt.verify_step2(c, opt.optimize_step1(c))
+        r, rep = res.r_candidates[0], res.gain_report
+        case1, case2, dom = res.case1_gain, res.case2_min, res.case2_dominates
     if cfg["emit"] == "csv":
         lines = _echo([("constellation", c.name),
                        ("norm", c.normalization)])
@@ -300,7 +302,7 @@ def cmd_table2(cfg, out):
                  "min_distance_rounded,u_rounded,v_rounded,gain_rounded")
     for ident in ("apsk8", "apsk8-grid", "apsk16", "apsk16-grid"):
         c = cs.constellation_by_id(ident, cs.NORM_UNIT_POWER)
-        r, rep, _, _, _ = _optimize_full(c)
+        r, rep = opt.optimize(c)
         mind = cs.min_distance(c)
         lines.append(",".join([
             c.name, _fmt(mind), _fmt(r.u), _fmt(r.v), _fmt(rep.gain),
@@ -313,13 +315,11 @@ def cmd_table2(cfg, out):
 def cmd_simulate(cfg, out):
     c = cs.constellation_by_id(cfg["constellation"], cfg["norm"])
     r = _parse_r(cfg["r"], c)
-    codewords = int(cfg["codewords"])
-    if codewords < 1:
-        raise ValueError(f"--codewords must be >= 1, got {codewords}")
     sim_cfg = SimConfig(constellation=c, r=r, decoder=cfg["decoder"],
                         snr_grid_db=_parse_snr(cfg["snr"]),
-                        codewords_per_point=codewords,
-                        seed=int(cfg["seed"]))
+                        codewords_per_point=_parse_int(
+                            cfg["codewords"], "--codewords", low=1),
+                        seed=_parse_int(cfg["seed"], "--seed"))
     workers = _parse_workers(cfg)
     res = run_ber(sim_cfg, workers=workers)
     lines = _echo([("constellation", c.name), ("norm", c.normalization),

@@ -7,7 +7,10 @@ The code stacks four symbols into
 
 with a unit-modulus design coefficient r = u + j*v.  X splits as
 X = X_A + X_B where each part is column-orthogonal (X*X^H diagonal),
-which is what the conditional decoder exploits.
+which is what the conditional decoder exploits.  build_codeword is the
+package's one codeword builder: it broadcasts over arrays of symbols,
+so the simulator's transmitter, its exhaustive-ML decoder and the
+direct determinant all build X through it.
 
 For a difference tuple (ds1, ds2, ds3, ds4) the determinant reduces to
 
@@ -22,7 +25,6 @@ so |det|^2 = 2*(A*(u - v) - d2_tilde)^2.
 
 from dataclasses import dataclass
 from fractions import Fraction
-import cmath
 import math
 
 import numpy as np
@@ -65,51 +67,27 @@ class DesignCoefficient:
         return cls(u=z.real, v=z.imag, provenance=provenance)
 
 
-@dataclass(frozen=True)
-class GeneralCoefficients:
-    """Coefficients (a, b, c, d) of the general-form codeword."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-
 def build_codeword(s1, s2, s3, s4, r: DesignCoefficient) -> np.ndarray:
+    """The codeword X of the module docstring, for scalar or array symbols.
+
+    Symbols broadcast against each other; the result has shape
+    (..., 2, 2), one (2, 2) matrix for scalar symbols.  Scalars are
+    computed as 1-element arrays: numpy's scalar complex arithmetic can
+    round differently from its array loops, and a codeword must not
+    depend on the batch it is built in.
+    """
     rr = r.r
     jrc = 1j * rr.conjugate()
-    return np.array([
-        [s1 + rr * s3, jrc * np.conj(s2) - np.conj(s4)],
-        [s2 + rr * s4, -jrc * np.conj(s1) + np.conj(s3)],
-    ], dtype=np.complex128)
-
-
-def build_codeword_parts(s1, s2, s3, s4, r: DesignCoefficient):
-    """Split X = X_A + X_B; each part satisfies M @ M^H = diagonal."""
-    rr = r.r
-    jrc = 1j * rr.conjugate()
-    x_a = np.array([
-        [s1, jrc * np.conj(s2)],
-        [s2, -jrc * np.conj(s1)],
-    ], dtype=np.complex128)
-    x_b = np.array([
-        [rr * s3, -np.conj(s4)],
-        [rr * s4, np.conj(s3)],
-    ], dtype=np.complex128)
-    return x_a, x_b
-
-
-def build_codeword_general(s1, s2, s3, s4, g: GeneralCoefficients) -> np.ndarray:
-    return np.array([
-        [g.a * s1 + g.b * s3, -g.c * np.conj(s2) - g.d * np.conj(s4)],
-        [g.a * s2 + g.b * s4, g.c * np.conj(s1) + g.d * np.conj(s3)],
-    ], dtype=np.complex128)
-
-
-def simplified_coefficients(r: DesignCoefficient) -> GeneralCoefficients:
-    """The (a, b, c, d) = (1, r, -j*conj(r), 1) specialisation."""
-    rr = r.r
-    return GeneralCoefficients(a=1, b=rr, c=-1j * rr.conjugate(), d=1)
+    s = np.broadcast_arrays(
+        *(np.asarray(v, dtype=np.complex128) for v in (s1, s2, s3, s4)))
+    shape = s[0].shape
+    s1, s2, s3, s4 = (v.reshape(-1) for v in s)
+    x = np.empty((s1.size, 2, 2), dtype=np.complex128)
+    x[:, 0, 0] = s1 + rr * s3
+    x[:, 0, 1] = jrc * np.conj(s2) - np.conj(s4)
+    x[:, 1, 0] = s2 + rr * s4
+    x[:, 1, 1] = -jrc * np.conj(s1) + np.conj(s3)
+    return x.reshape(shape + (2, 2))
 
 
 # Golden code constants.  The leading factor sqrt(2/5) (instead of the

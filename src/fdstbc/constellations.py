@@ -31,6 +31,33 @@ NORMALIZATIONS = (NORM_INTEGER, NORM_UNIT_POWER, NORM_MIN_DIST)
 DEDUP_TOL = 1e-9
 
 
+def _tol_keys(x) -> np.ndarray:
+    """int64 keys of x on the DEDUP_TOL grid; integer arrays are their own."""
+    x = np.asarray(x)
+    if x.dtype.kind == "i":
+        return x
+    return np.round(x / DEDUP_TOL).astype(np.int64)
+
+
+def _first_of_runs(keys, ties=()) -> np.ndarray:
+    """Indices of one representative per distinct key tuple.
+
+    keys and ties are sequences of arrays, most significant first, keyed
+    by _tol_keys.  Rows are sorted stably by keys, then ties; the first
+    row of each run of equal keys is returned, in sorted order.  Values
+    are never snapped to the key grid, so representatives keep full
+    precision.
+    """
+    keys = [_tol_keys(k) for k in keys]
+    order = np.lexsort([_tol_keys(t) for t in ties[::-1]] + keys[::-1])
+    keep = np.zeros(order.size, dtype=bool)
+    keep[:1] = True
+    for k in keys:
+        k = k[order]
+        keep[1:] |= k[1:] != k[:-1]
+    return order[keep]
+
+
 @dataclass(frozen=True)
 class GridInfo:
     """Scaling metadata for constellations on an integer grid.
@@ -136,27 +163,11 @@ def papr(c: Constellation) -> float:
     return float(p.max() / p.mean())
 
 
-def _dedup_complex(vals: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """Deduplicate complex values (tol grid keys), sorted by (re, im).
-
-    Returns first-occurrence representatives at full precision; snapping
-    the values themselves to the key grid would inject ~tol errors into
-    everything downstream.
-    """
-    kr = np.round(vals.real / tol).astype(np.int64)
-    ki = np.round(vals.imag / tol).astype(np.int64)
-    order = np.lexsort((ki, kr))
-    kr, ki = kr[order], ki[order]
-    keep = np.ones(kr.size, dtype=bool)
-    keep[1:] = (kr[1:] != kr[:-1]) | (ki[1:] != ki[:-1])
-    return vals[order][keep]
-
-
 def difference_set(c: Constellation) -> DifferenceSet:
-    pts = c.points
-    diffs = pts[:, None] - pts[None, :]
-    vals = _dedup_complex(diffs.ravel())
-    return DifferenceSet(values=vals)
+    """Distinct differences p - q (DEDUP_TOL keys), sorted by (re, im)."""
+    diffs = (c.points[:, None] - c.points[None, :]).ravel()
+    keep = _first_of_runs((diffs.real, diffs.imag))
+    return DifferenceSet(values=diffs[keep])
 
 
 def _grid_constellation(name, coords, norm, ring_radii_sq=None,

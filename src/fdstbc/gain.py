@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .codes import DesignCoefficient, DifferenceTuple
-from .constellations import (Constellation, DifferenceSet, difference_set,
+from .constellations import (Constellation, _first_of_runs, difference_set,
                              make_apsk_grid_preset, make_psk, make_qam,
                              NORM_MIN_DIST)
 
@@ -48,15 +48,6 @@ AGG_DEFAULT_ABOVE = 8
 _FLOAT_TIE = 1e-12
 _INT_SENTINEL = np.int64(2) ** 62
 _TILE_PAIRS = 2 ** 14  # pairs per tile: the temporaries stay in L2
-
-
-@dataclass(frozen=True)
-class PairTriple:
-    """(|x|^2, |y|^2, x*conj(y)) for one (x, y) in D x D."""
-
-    a: float
-    b: float
-    c: complex
 
 
 @dataclass(frozen=True)
@@ -71,30 +62,13 @@ class GainReport:
     gain_exact: Fraction | None = None
 
 
-def pair_triples(diffs: DifferenceSet) -> list[PairTriple]:
-    """Deduplicated pair triples over D x D (tolerance 1e-9 per component)."""
-    d = diffs.values
-    x = np.repeat(d, d.size)
-    y = np.tile(d, d.size)
-    a = np.abs(x) ** 2
-    b = np.abs(y) ** 2
-    c = x * np.conj(y)
-    tol = 1e-9
-    keys = np.stack([np.round(a / tol), np.round(b / tol),
-                     np.round(c.real / tol), np.round(c.imag / tol)], axis=1)
-    keys = keys.astype(np.int64)
-    _, idx = np.unique(keys, axis=0, return_index=True)
-    idx.sort()
-    return [PairTriple(a=float(a[i]), b=float(b[i]), c=complex(c[i]))
-            for i in idx]
-
-
 def _projected_triples(dvals: np.ndarray, as_int: bool, scale: float = 1.0):
     """Dedup (a, b, g) with g = Im(x*conj(y)) - Re(x*conj(y)).
 
-    Returns (a, b, g, wit_x, wit_y, zero_index).  With as_int the triples
-    are exact int64 in grid units (dvals/scale must be Gaussian integers);
-    witnesses stay in constellation units either way.
+    Returns (a, b, g, wit_x, wit_y, zero_index), sorted by (a, b, g); the
+    witness of each triple is its smallest (x, y) by DEDUP_TOL keys.  With
+    as_int the triples are exact int64 in grid units (dvals/scale must be
+    Gaussian integers); witnesses stay in constellation units either way.
     """
     d = np.asarray(dvals)
     x = np.repeat(d, d.size)
@@ -112,26 +86,13 @@ def _projected_triples(dvals: np.ndarray, as_int: bool, scale: float = 1.0):
         b = np.round(np.abs(yi) ** 2).astype(np.int64)
         cc = xi * np.conj(yi)
         g = np.round(cc.imag - cc.real).astype(np.int64)
-        ka, kb, kg = a, b, g
     else:
         a = np.abs(x) ** 2
         b = np.abs(y) ** 2
         cc = x * np.conj(y)
         g = cc.imag - cc.real
-        tol = 1e-9
-        ka = np.round(a / tol).astype(np.int64)
-        kb = np.round(b / tol).astype(np.int64)
-        kg = np.round(g / tol).astype(np.int64)
-    qr = np.round(x.real / 1e-9).astype(np.int64)
-    qi = np.round(x.imag / 1e-9).astype(np.int64)
-    pr = np.round(y.real / 1e-9).astype(np.int64)
-    pi = np.round(y.imag / 1e-9).astype(np.int64)
-    order = np.lexsort((pi, pr, qi, qr, kg, kb, ka))
-    ka, kb, kg = ka[order], kb[order], kg[order]
-    keep = np.ones(ka.size, dtype=bool)
-    keep[1:] = (ka[1:] != ka[:-1]) | (kb[1:] != kb[:-1]) | (kg[1:] != kg[:-1])
-    a, b, g = a[order][keep], b[order][keep], g[order][keep]
-    wx, wy = x[order][keep], y[order][keep]
+    keep = _first_of_runs((a, b, g), ties=(x.real, x.imag, y.real, y.imag))
+    a, b, g, wx, wy = a[keep], b[keep], g[keep], x[keep], y[keep]
     zero = np.flatnonzero((a == 0) & (b == 0) & (g == 0))
     if zero.size != 1:
         raise AssertionError("difference set must contain exactly one zero")

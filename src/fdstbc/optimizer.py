@@ -31,7 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import DesignCoefficient
-from .constellations import Constellation, difference_set
+from .constellations import (Constellation, _first_of_runs, _tol_keys,
+                             difference_set)
 from .gain import GainReport, coding_gain, _projected_triples
 
 SQRT2 = math.sqrt(2.0)
@@ -77,13 +78,6 @@ class CaseOneInvariantTable:
     def n_rows(self) -> int:
         return sum(e.size for e in self.d2_values)
 
-    def as_dict(self) -> dict:
-        if self.grid_units:
-            return {int(a): e.copy() for a, e in
-                    zip(self.a_values, self.d2_values)}
-        return {float(a): e.copy() for a, e in
-                zip(self.a_values, self.d2_values)}
-
     def flat_rows(self):
         sizes = [e.size for e in self.d2_values]
         a = np.repeat(self.a_values, sizes)
@@ -113,12 +107,9 @@ def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
     """
     exact = c.grid is not None and c.grid.scale_sq is not None
     dvals = difference_set(c).values
-    if exact:
-        a, b, g, wx, wy, _ = _projected_triples(dvals, True, c.grid.scale)
-        keys = a - b
-    else:
-        a, b, g, wx, wy, _ = _projected_triples(dvals, False)
-        keys = np.round((a - b) / 1e-9).astype(np.int64)
+    a, b, g, wx, wy, _ = _projected_triples(
+        dvals, exact, c.grid.scale if exact else 1.0)
+    keys = _tol_keys(a - b)
     order = np.argsort(keys, kind="stable")
     ks = keys[order]
     starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
@@ -139,35 +130,19 @@ def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
             wj = np.broadcast_to(gj[None, :], A.shape)
             A, E = A.ravel(), E.ravel()
             wi, wj = wi.ravel(), wj.ravel()
-            if exact:
-                ka, ke = A, E
-            else:
-                ka = np.round(A / 1e-9).astype(np.int64)
-                ke = np.round(E / 1e-9).astype(np.int64)
-            srt = np.lexsort((wj, wi, ke, ka))
-            ka, ke = ka[srt], ke[srt]
-            keep = np.r_[True, (ka[1:] != ka[:-1]) | (ke[1:] != ke[:-1])]
-            rows_a.append(A[srt][keep])
-            rows_e.append(E[srt][keep])
-            rows_i.append(wi[srt][keep])
-            rows_j.append(wj[srt][keep])
+            keep = _first_of_runs((A, E), ties=(wi, wj))
+            rows_a.append(A[keep])
+            rows_e.append(E[keep])
+            rows_i.append(wi[keep])
+            rows_j.append(wj[keep])
     A = np.concatenate(rows_a)
     E = np.concatenate(rows_e)
-    WI = np.concatenate(rows_i)
-    WJ = np.concatenate(rows_j)
-    if exact:
-        ka, ke = A, E
-    else:
-        ka = np.round(A / 1e-9).astype(np.int64)
-        ke = np.round(E / 1e-9).astype(np.int64)
-    srt = np.lexsort((ke, ka))
-    ka, ke = ka[srt], ke[srt]
-    keep = np.r_[True, (ka[1:] != ka[:-1]) | (ke[1:] != ke[:-1])]
-    A, E = A[srt][keep], E[srt][keep]
-    WI, WJ = WI[srt][keep], WJ[srt][keep]
-    nz = ka[keep] != 0  # A = 0 forces B = 0: the all-zero tuple, excluded
-    A, E, WI, WJ = A[nz], E[nz], WI[nz], WJ[nz]
-    ka = ka[keep][nz]
+    ka = _tol_keys(A)
+    keep = _first_of_runs((ka, E))
+    keep = keep[ka[keep] != 0]  # A = 0 forces B = 0: the all-zero tuple
+    A, E, ka = A[keep], E[keep], ka[keep]
+    WI = np.concatenate(rows_i)[keep]
+    WJ = np.concatenate(rows_j)[keep]
 
     # Group rows by the sort key, not the raw value: on the float path
     # two sums can land in the same 1e-9 bucket while differing in the

@@ -13,6 +13,11 @@ use over the noise variance.  The scaling is folded into an
 effective channel before decoding, so both decoders see the plain
 Y = X^T H + W model.
 
+There is one codeword builder and one channel model: each chunk builds
+its codewords with codes.build_codeword and receives them through
+transmit, both batched over the chunk, and the exhaustive-ML decoder
+builds its hypotheses with the same builder.
+
 The fast decoder is exact ML over M^2 hypotheses instead of M^4:
 condition on (s3, s4), cancel their contribution, and the residual
 w = y' - c3*s3 - c4*s4 is an Alamouti-type system in (s1, s2) whose
@@ -40,7 +45,7 @@ import time
 
 import numpy as np
 
-from .codes import DesignCoefficient
+from .codes import DesignCoefficient, build_codeword
 from .constellations import Constellation
 
 TX_SCALE = 1.0 / math.sqrt(2.0)
@@ -133,22 +138,17 @@ def noise_variance(snr_db: float) -> float:
 
 
 def transmit(x: np.ndarray, h: np.ndarray, n0: float, rng) -> np.ndarray:
-    """One noisy reception: Y[t, j] = sum_i h[i, j] x[i, t] + CN(0, n0)."""
+    """Noisy receptions Y[t, j] = sum_i h[i, j] x[i, t] + CN(0, n0).
+
+    x and h are one (2, 2) codeword and channel or stacks (..., 2, 2) of
+    them.  The noise has the shape of x; its real part is drawn first,
+    and it is drawn even for n0 = 0, so the random stream that follows
+    does not depend on the noise level.
+    """
     if n0 < 0:
         raise ValueError("n0 must be >= 0")
-    w = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    return x.T @ h + math.sqrt(n0 / 2.0) * w
-
-
-def _codewords_for(idx: np.ndarray, pts: np.ndarray, r: complex) -> np.ndarray:
-    """Stack codewords for index rows idx (n, 4) -> (n, 2, 2)."""
-    s1, s2, s3, s4 = (pts[idx[:, k]] for k in range(4))
-    x = np.empty((idx.shape[0], 2, 2), dtype=np.complex128)
-    x[:, 0, 0] = s1 + r * s3
-    x[:, 0, 1] = 1j * np.conj(r) * np.conj(s2) - np.conj(s4)
-    x[:, 1, 0] = s2 + r * s4
-    x[:, 1, 1] = -1j * np.conj(r) * np.conj(s1) + np.conj(s3)
-    return x
+    w = rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
+    return np.einsum("...it,...ij->...tj", x, h) + math.sqrt(n0 / 2.0) * w
 
 
 def _ml_decode_batch(y: np.ndarray, h: np.ndarray, r: complex,
@@ -164,6 +164,7 @@ def _ml_decode_batch(y: np.ndarray, h: np.ndarray, r: complex,
     if total > ML_TUPLE_GUARD:
         raise ValueError(f"{m}^4 = {total} exceeds the exhaustive-ML guard")
     n = y.shape[0]
+    coef = DesignCoefficient.from_complex(r)
     best = np.full(n, np.inf)
     best_idx = np.zeros((n, 4), dtype=np.int64)
     for lo in range(0, total, _HYP_CHUNK):
@@ -174,7 +175,7 @@ def _ml_decode_batch(y: np.ndarray, h: np.ndarray, r: complex,
         idx[:, 2] = (codes // m) % m
         idx[:, 1] = (codes // (m * m)) % m
         idx[:, 0] = codes // (m * m * m)
-        x = _codewords_for(idx, pts, r)
+        x = build_codeword(*pts[idx].T, coef)
         rec = np.einsum("kit,nij->kntj", x, h)
         diff = y[None, :, :, :] - rec
         metric = np.abs(diff).reshape(hi - lo, n, 4)
@@ -404,23 +405,17 @@ def _chunk_counts(total: int):
 
 
 def _run_chunk(args):
-    (pts, rval, decoder, n0, seed, point_idx, chunk_idx, n,
+    (pts, r, decoder, n0, seed, point_idx, chunk_idx, n,
      labels, zero_noise) = args
     rng = np.random.default_rng([seed, point_idx, chunk_idx])
-    m = pts.size
-    tx = rng.integers(0, m, size=(n, 4))
+    tx = rng.integers(0, pts.size, size=(n, 4))
     h = (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
     h *= math.sqrt(0.5)
-    w = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    if zero_noise:
-        w *= 0.0
-    x = _codewords_for(tx, pts, rval)
     heff = TX_SCALE * h
-    y = np.einsum("nit,nij->ntj", x, heff) + math.sqrt(n0 / 2.0) * w
-    if decoder == "fast":
-        rx = _fast_decode_batch(y, heff, rval, pts)
-    else:
-        rx = _ml_decode_batch(y, heff, rval, pts)
+    y = transmit(build_codeword(*pts[tx].T, r), heff,
+                 0.0 if zero_noise else n0, rng)
+    decode = _fast_decode_batch if decoder == "fast" else _ml_decode_batch
+    rx = decode(y, heff, r.r, pts)
     xor = labels[tx] ^ labels[rx]
     return int(_POPCOUNT[xor].sum())
 
@@ -443,7 +438,7 @@ def run_ber(cfg: SimConfig, workers=None, zero_noise: bool = False) -> SimResult
     for pi, snr in enumerate(cfg.snr_grid_db):
         n0 = noise_variance(snr)
         for ci, n in enumerate(_chunk_counts(cfg.codewords_per_point)):
-            tasks.append((c.points, cfg.r.r, cfg.decoder, n0, cfg.seed,
+            tasks.append((c.points, cfg.r, cfg.decoder, n0, cfg.seed,
                           pi, ci, n, labels, zero_noise))
     if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

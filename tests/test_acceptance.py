@@ -18,7 +18,7 @@ from fdstbc import number_theory as nt
 from fdstbc import optimizer as opt
 from fdstbc import simulate as sim
 from fdstbc.cli import main, parse_csv
-from fdstbc.codes import DesignCoefficient
+from fdstbc.codes import DesignCoefficient, build_codeword
 from fdstbc.gain import (coding_gain, coding_gain_scaled, golden_coding_gain,
                          vanishing_probe)
 
@@ -145,12 +145,10 @@ def test_08_decoder_equivalence():
         c = cs.constellation_by_id(ident, UNIT)
         n = 1000
         idx = rng.integers(0, len(c), size=(n, 4))
-        x = sim._codewords_for(idx, c.points, R_ANALYTIC.r)
+        x = build_codeword(*c.points[idx].T, R_ANALYTIC)
         h = (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
         h *= math.sqrt(0.5)
-        w = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-        n0 = sim.noise_variance(9.0)
-        y = np.einsum("nit,nij->ntj", x, h) + math.sqrt(n0 / 2.0) * w
+        y = sim.transmit(x, h, sim.noise_variance(9.0), rng)
         fast = sim._fast_decode_batch(y, h, R_ANALYTIC.r, c.points)
         ml = sim._ml_decode_batch(y, h, R_ANALYTIC.r, c.points)
         assert np.array_equal(fast, ml), ident

@@ -213,10 +213,22 @@ def test_bad_arguments_exit_2(capsys, argv):
      "--snr"),
     (("simulate", "--constellation", "qam4", "--codewords", "0"), None,
      "--codewords"),
+    # a dict is written to a JSON config file and replaced by its path
+    (("simulate", "--constellation", "qam4", "--config",
+      {"codewords": "x"}), None, "--codewords"),
+    (("simulate", "--constellation", "qam4", "--codewords", "1",
+      "--config", {"seed": "x"}), None, "--seed"),
 ])
-def test_malformed_input_one_line_error(capsys, monkeypatch, argv, env, flag):
+def test_malformed_input_one_line_error(capsys, monkeypatch, tmp_path, argv,
+                                        env, flag):
     if env is not None:
         monkeypatch.setenv("FDSTBC_WORKERS", env)
+    argv = list(argv)
+    for k, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(arg))
+            argv[k] = str(path)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -268,6 +280,21 @@ def test_simulate_csv_digest_frozen(capsys, ident):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == SIMULATE_CSV_SHA256[ident]
+
+
+# SHA-256 of `simulate --constellation qam4 --decoder ml --seed 1
+# --codewords 1000 --emit csv`, recorded before the simulator's own codeword
+# builder and inline channel were replaced by build_codeword and transmit.
+SIMULATE_ML_CSV_SHA256 = \
+    "33189ffcb80075c24bfa18dee490872391312dab541d82e63f1042975b97dad9"
+
+
+def test_simulate_ml_csv_digest_frozen(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--constellation", "qam4",
+                           "--decoder", "ml", "--seed", "1",
+                           "--codewords", "1000", "--emit", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_ML_CSV_SHA256
 
 
 # SHA-256 of the stdout of each exact-search command, recorded before the

@@ -1,13 +1,65 @@
 import cmath
+from dataclasses import dataclass
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdstbc import codes
 
 
 R1 = codes.DesignCoefficient(u=1.0, v=0.0, provenance="test")
+
+
+# Oracles: the codeword written out for one symbol tuple, its X_A + X_B
+# split, and the general (a, b, c, d) form the code specialises.
+
+def reference_codeword(s1, s2, s3, s4, r):
+    rr = r.r
+    jrc = 1j * rr.conjugate()
+    return np.array([
+        [s1 + rr * s3, jrc * np.conj(s2) - np.conj(s4)],
+        [s2 + rr * s4, -jrc * np.conj(s1) + np.conj(s3)],
+    ], dtype=np.complex128)
+
+
+def build_codeword_parts(s1, s2, s3, s4, r):
+    """Split X = X_A + X_B; each part satisfies M @ M^H = diagonal."""
+    rr = r.r
+    jrc = 1j * rr.conjugate()
+    x_a = np.array([
+        [s1, jrc * np.conj(s2)],
+        [s2, -jrc * np.conj(s1)],
+    ], dtype=np.complex128)
+    x_b = np.array([
+        [rr * s3, -np.conj(s4)],
+        [rr * s4, np.conj(s3)],
+    ], dtype=np.complex128)
+    return x_a, x_b
+
+
+@dataclass(frozen=True)
+class GeneralCoefficients:
+    """Coefficients (a, b, c, d) of the general-form codeword."""
+
+    a: complex
+    b: complex
+    c: complex
+    d: complex
+
+
+def build_codeword_general(s1, s2, s3, s4, g):
+    return np.array([
+        [g.a * s1 + g.b * s3, -g.c * np.conj(s2) - g.d * np.conj(s4)],
+        [g.a * s2 + g.b * s4, g.c * np.conj(s1) + g.d * np.conj(s3)],
+    ], dtype=np.complex128)
+
+
+def simplified_coefficients(r):
+    """The (a, b, c, d) = (1, r, -j*conj(r), 1) specialisation."""
+    rr = r.r
+    return GeneralCoefficients(a=1, b=rr, c=-1j * rr.conjugate(), d=1)
 
 
 def rand_coeff(rng):
@@ -22,6 +74,29 @@ def test_codeword_frozen_example():
     assert np.allclose(x, want, atol=1e-15)
     det = x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]
     assert abs(det - (4 - 4j)) < 1e-12
+
+
+def test_build_codeword_broadcasts():
+    rng = np.random.default_rng(21)
+    r = rand_coeff(rng)
+    s = rng.normal(size=(4, 3, 5)) + 1j * rng.normal(size=(4, 3, 5))
+    x = codes.build_codeword(*s, r)
+    assert x.shape == (3, 5, 2, 2)
+    for i in range(3):
+        for k in range(5):
+            one = codes.build_codeword(*s[:, i, k], r)
+            assert one.shape == (2, 2)
+            assert np.array_equal(x[i, k], one)
+            # numpy scalar arithmetic may round the last bit differently
+            assert np.allclose(one, reference_codeword(*s[:, i, k], r),
+                               rtol=0.0, atol=1e-14)
+    # a scalar symbol broadcasts against arrays of the others
+    mixed = codes.build_codeword(s[0, 0], 1.0, s[2, 0], s[3, 0], r)
+    assert mixed.shape == (5, 2, 2)
+    for k in range(5):
+        assert np.array_equal(
+            mixed[k], codes.build_codeword(s[0, 0, k], 1.0, s[2, 0, k],
+                                           s[3, 0, k], r))
 
 
 def test_unit_modulus_is_enforced():
@@ -71,6 +146,24 @@ def test_closed_form_matches_direct_determinant():
         assert abs(split.det - codes.det_direct(t, r)) < 1e-12
 
 
+component = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=st.lists(component, min_size=8, max_size=8),
+       angle=st.floats(0.0, 2.0 * math.pi))
+def test_closed_form_matches_direct_determinant_off_grid(ds, angle):
+    # any real components, not only integer-grid ones
+    if not any(ds):
+        return
+    t = codes.DifferenceTuple(*(complex(ds[k], ds[k + 1])
+                                for k in range(0, 8, 2)))
+    r = codes.DesignCoefficient(u=math.cos(angle), v=math.sin(angle))
+    split = codes.det_closed_form(t, r)
+    direct = codes.det_direct(t, r)
+    assert abs(split.det - direct) <= 1e-12 * (1.0 + t.A + t.B)
+
+
 def test_d2_tilde_sign_convention():
     t = codes.DifferenceTuple(1, 0, 1j, 0)
     # C = ds1 * conj(ds3) = -1j, d2_tilde = Im - Re = -1
@@ -112,7 +205,7 @@ def test_codeword_parts_are_column_orthogonal():
     for _ in range(100):
         s = rng.normal(size=4) + 1j * rng.normal(size=4)
         r = rand_coeff(rng)
-        xa, xb = codes.build_codeword_parts(*s, r)
+        xa, xb = build_codeword_parts(*s, r)
         assert np.allclose(xa + xb, codes.build_codeword(*s, r), atol=1e-14)
         for m in (xa, xb):
             g = m @ m.conj().T
@@ -123,8 +216,8 @@ def test_simplified_coefficients_reproduce_codeword():
     rng = np.random.default_rng(9)
     s = rng.normal(size=4) + 1j * rng.normal(size=4)
     r = rand_coeff(rng)
-    g = codes.simplified_coefficients(r)
-    assert np.allclose(codes.build_codeword_general(*s, g),
+    g = simplified_coefficients(r)
+    assert np.allclose(build_codeword_general(*s, g),
                        codes.build_codeword(*s, r), atol=1e-14)
 
 

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fdstbc import constellations as cs
 from fdstbc import simulate as sim
+from fdstbc.codes import DesignCoefficient, build_codeword
 
 UNIT = cs.NORM_UNIT_POWER
 R_ANALYTIC = complex((1.0 + math.sqrt(7.0)) / 4.0,
@@ -71,13 +72,10 @@ def reference_fast_decode(y, h, r, pts):
 def receptions(pts, r, n, snr_db, rng):
     """n noisy receptions (y, h) of random codewords, as _run_chunk draws."""
     idx = rng.integers(0, pts.size, size=(n, 4))
-    x = sim._codewords_for(idx, pts, r)
+    x = build_codeword(*pts[idx].T, DesignCoefficient.from_complex(r))
     h = (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
     h *= math.sqrt(0.5)
-    w = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    n0 = sim.noise_variance(snr_db)
-    y = np.einsum("nit,nij->ntj", x, h) + math.sqrt(n0 / 2.0) * w
-    return y, h
+    return sim.transmit(x, h, sim.noise_variance(snr_db), rng), h
 
 
 @pytest.mark.parametrize("ident", ("qam4", "qam16", "qam64", "psk8",

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 import math
 from fractions import Fraction
 
@@ -23,13 +24,62 @@ G8 = (22572.0 - 15912.0 * math.sqrt(2.0)) / 2401.0
 R8 = codes.DesignCoefficient(u=U8, v=U8 - T8, provenance="closed-form")
 
 
+@dataclass(frozen=True)
+class PairTriple:
+    """(|x|^2, |y|^2, x*conj(y)) for one (x, y) in D x D."""
+
+    a: float
+    b: float
+    c: complex
+
+
+def pair_triples(diffs):
+    """Deduplicated pair triples over D x D (tolerance 1e-9 per component).
+
+    Oracle for gain._projected_triples, which keeps only
+    g = Im(c) - Re(c) of c.
+    """
+    d = diffs.values
+    x = np.repeat(d, d.size)
+    y = np.tile(d, d.size)
+    a = np.abs(x) ** 2
+    b = np.abs(y) ** 2
+    c = x * np.conj(y)
+    tol = 1e-9
+    keys = np.stack([np.round(a / tol), np.round(b / tol),
+                     np.round(c.real / tol), np.round(c.imag / tol)], axis=1)
+    keys = keys.astype(np.int64)
+    _, idx = np.unique(keys, axis=0, return_index=True)
+    idx.sort()
+    return [PairTriple(a=float(a[i]), b=float(b[i]), c=complex(c[i]))
+            for i in idx]
+
+
 def test_pair_triples_tiny_set():
     d = cs.DifferenceSet(values=np.array([0.0, 1.0, -1.0], dtype=complex))
-    trips = gain.pair_triples(d)
+    trips = pair_triples(d)
     got = {(t.a, t.b, complex(t.c)) for t in trips}
     want = {(0.0, 0.0, 0j), (0.0, 1.0, 0j), (1.0, 0.0, 0j),
             (1.0, 1.0, 1 + 0j), (1.0, 1.0, -1 + 0j)}
     assert got == want
+
+
+@pytest.mark.parametrize("ident", ("qam16", "psk8", "apsk16",
+                                   "apsk8-grid"))
+def test_projected_triples_match_pair_triples(ident):
+    d = cs.difference_set(cs.constellation_by_id(ident, UNIT))
+    want = {(round(t.a / 1e-9), round(t.b / 1e-9),
+             round((t.c.imag - t.c.real) / 1e-9))
+            for t in pair_triples(d)}
+    a, b, g, wx, wy, z = gain._projected_triples(d.values, False)
+    got = [(round(p / 1e-9), round(q / 1e-9), round(e / 1e-9))
+           for p, q, e in zip(a.tolist(), b.tolist(), g.tolist())]
+    assert len(got) == len(set(got))
+    assert set(got) == want
+    assert got == sorted(got)
+    assert np.array_equal(a, np.abs(wx) ** 2)
+    assert np.array_equal(b, np.abs(wy) ** 2)
+    assert got[z] == (0, 0, 0)
 
 
 @pytest.mark.parametrize("ident,norm,expected", [

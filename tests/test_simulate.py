@@ -47,14 +47,50 @@ def test_transmit_noise_power():
     assert abs(np.mean(pows) - n0) < 0.05 * n0
 
 
+def test_transmit_single_codeword_draws_2x2_noise():
+    draw = np.random.default_rng(12)
+    x = draw.normal(size=(2, 2)) + 1j * draw.normal(size=(2, 2))
+    h = draw.normal(size=(2, 2)) + 1j * draw.normal(size=(2, 2))
+    rng, twin = np.random.default_rng(13), np.random.default_rng(13)
+    n0 = 0.3
+    y = sim.transmit(x, h, n0, rng)
+    w = twin.normal(size=(2, 2)) + 1j * twin.normal(size=(2, 2))
+    assert y.shape == (2, 2)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert np.allclose(y, x.T @ h + math.sqrt(n0 / 2.0) * w,
+                       rtol=0.0, atol=1e-14)
+
+
+def inline_channel(x, h, n0, rng):
+    """The channel _run_chunk wrote out before it called transmit."""
+    w = rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
+    return np.einsum("nit,nij->ntj", x, h) + math.sqrt(n0 / 2.0) * w
+
+
+@pytest.mark.parametrize("n", (1, 7, 4096))
+def test_batched_transmit_matches_inline_channel(n):
+    rng = np.random.default_rng([13, n])
+    c = cs.make_qam(16, UNIT)
+    x = build_codeword(*c.points[rng.integers(0, 16, size=(4, n))],
+                       R_ANALYTIC)
+    h = (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+    h *= sim.TX_SCALE * math.sqrt(0.5)
+    for n0 in (0.0, sim.noise_variance(6.0)):
+        seed = [14, n]
+        got = sim.transmit(x, h, n0, np.random.default_rng(seed))
+        want = inline_channel(x, h, n0, np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_codeword_batch_matches_scalar():
     c = cs.make_qam(16, UNIT)
     rng = np.random.default_rng(2)
     idx = rng.integers(0, 16, size=(40, 4))
-    batch = sim._codewords_for(idx, c.points, R_ANALYTIC.r)
+    batch = build_codeword(*c.points[idx].T, R_ANALYTIC)
+    assert batch.shape == (40, 2, 2)
     for row, x in zip(idx, batch):
         s = [c.points[k] for k in row]
-        assert np.allclose(x, build_codeword(*s, R_ANALYTIC))
+        assert np.array_equal(x, build_codeword(*s, R_ANALYTIC))
 
 
 def test_equivalent_channel_orthogonality():
@@ -86,12 +122,10 @@ def test_fast_decoder_matches_exhaustive_ml_noisy():
     rng = np.random.default_rng(5)
     n = 200
     idx = rng.integers(0, 4, size=(n, 4))
-    x = sim._codewords_for(idx, c.points, R_ANALYTIC.r)
+    x = build_codeword(*c.points[idx].T, R_ANALYTIC)
     h = (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
     h *= math.sqrt(0.5)
-    w = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    n0 = sim.noise_variance(9.0)
-    y = np.einsum("nit,nij->ntj", x, h) + math.sqrt(n0 / 2.0) * w
+    y = sim.transmit(x, h, sim.noise_variance(9.0), rng)
     a = sim._fast_decode_batch(y, h, R_ANALYTIC.r, c.points)
     b = sim._ml_decode_batch(y, h, R_ANALYTIC.r, c.points)
     assert np.array_equal(a, b)
@@ -144,7 +178,7 @@ def test_transmit_power_calibration():
     c = cs.make_qam(4, UNIT)
     rng = np.random.default_rng(8)
     idx = rng.integers(0, 4, size=(100_000, 4))
-    x = sim.TX_SCALE * sim._codewords_for(idx, c.points, R_ANALYTIC.r)
+    x = sim.TX_SCALE * build_codeword(*c.points[idx].T, R_ANALYTIC)
     p = np.mean(np.abs(x) ** 2)
     assert abs(p - 1.0) < 0.02
 
