@@ -57,6 +57,8 @@ def parse_csv(text: str):
 
 def _parse_r(spec: str, c) -> DesignCoefficient:
     if spec == "auto":
+        if c.integer_grid:  # analytic: no sweep needed to pick it
+            return opt.analytic_integer_optimum()[0]
         return opt.optimize(c)[0]
     try:
         u, v = map(float, spec.split(","))
@@ -94,9 +96,15 @@ def _parse_snr(spec: str) -> tuple:
 
 
 def _parse_int(val, name: str, low=None) -> int:
-    """int(val), or a ValueError naming the flag (and the lower bound)."""
+    """int(val), or a ValueError naming the flag (and the lower bound).
+
+    Bools and non-integral floats (a JSON config's true or 2.7) are
+    refused rather than truncated.
+    """
+    integral = not isinstance(val, bool) and (
+        not isinstance(val, float) or val.is_integer())
     try:
-        num = int(val)
+        num = int(val) if integral else None
     except (TypeError, ValueError):
         num = None
     if num is None or (low is not None and num < low):

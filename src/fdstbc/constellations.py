@@ -12,9 +12,9 @@ record so downstream coding-gain code can switch to exact integer
 arithmetic.  The grid scale is the spacing of the *difference* lattice:
 point differences divided by it are exactly Gaussian integers (the
 points themselves may sit on a common half-step translation, as centred
-QAM does).  ``GridInfo.scale_sq`` stores scale**2 as an exact Fraction
-whenever the construction permits, which is what makes gains like 1/2
-come out exact instead of 0.4999999999999999.
+QAM does).  ``GridInfo.scale_sq`` stores scale**2 as an exact Fraction,
+which is what makes gains like 1/2 come out exact instead of
+0.4999999999999999.
 """
 
 from dataclasses import dataclass
@@ -70,7 +70,7 @@ class GridInfo:
     """
 
     scale: float
-    scale_sq: Fraction | None = None
+    scale_sq: Fraction
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +79,6 @@ class Constellation:
     points: np.ndarray
     normalization: str
     grid: GridInfo | None = None
-    ring_radii: tuple[float, ...] | None = None
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=np.complex128)
@@ -170,15 +169,13 @@ def difference_set(c: Constellation) -> DifferenceSet:
     return DifferenceSet(values=diffs[keep])
 
 
-def _grid_constellation(name, coords, norm, ring_radii_sq=None,
-                        lattice_step=1):
+def _grid_constellation(name, coords, norm, lattice_step=1):
     """Build a Constellation from exact integer coordinates.
 
     coords: complex integer array.  lattice_step: spacing of the coord
     difference lattice in coord units (2 for odd-level QAM and BPSK,
     1 otherwise); the stored grid scale refers to this lattice, not to
-    the raw coords.  ring_radii_sq: optional squared radii in coord
-    units (ints) for the ring metadata.
+    the raw coords.
     """
     coords = np.asarray(coords, dtype=np.complex128)
     sq = (coords.real ** 2 + coords.imag ** 2).round().astype(np.int64)
@@ -193,17 +190,12 @@ def _grid_constellation(name, coords, norm, ring_radii_sq=None,
         point_sq = Fraction(1, dmin)
     else:
         raise ValueError(f"unknown normalization {norm!r}")
-    point_scale = math.sqrt(point_sq)
     scale_sq = point_sq * lattice_step ** 2
-    radii = None
-    if ring_radii_sq is not None:
-        radii = tuple(sorted(point_scale * math.sqrt(s) for s in ring_radii_sq))
     return Constellation(
         name=name,
-        points=coords * point_scale,
+        points=coords * math.sqrt(point_sq),
         normalization=norm,
         grid=GridInfo(scale=math.sqrt(scale_sq), scale_sq=scale_sq),
-        ring_radii=radii,
     )
 
 
@@ -225,16 +217,14 @@ def make_psk(m: int, norm: str = NORM_UNIT_POWER) -> Constellation:
     name = f"psk{m}"
     if m in (2, 4):
         coords = np.exp(2j * np.pi * np.arange(m) / m).round()
-        return _grid_constellation(name, coords, norm, ring_radii_sq=[1],
+        return _grid_constellation(name, coords, norm,
                                    lattice_step=2 if m == 2 else 1)
     if norm == NORM_INTEGER:
         raise ValueError(f"psk{m} does not live on an integer grid")
     pts = np.exp(2j * np.pi * np.arange(m) / m)
     if norm == NORM_MIN_DIST:
         pts = pts / (2.0 * math.sin(math.pi / m))
-    radius = float(np.abs(pts[0]))
-    return Constellation(name=name, points=pts, normalization=norm,
-                         ring_radii=(radius,))
+    return Constellation(name=name, points=pts, normalization=norm)
 
 
 def make_apsk8_conventional(norm: str = NORM_UNIT_POWER) -> Constellation:
@@ -249,13 +239,9 @@ def make_apsk8_conventional(norm: str = NORM_UNIT_POWER) -> Constellation:
     inner = b * np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
     outer = b * (1.0 + math.sqrt(3.0)) * np.array([1, 1j, -1, -1j])
     pts = np.concatenate([inner, outer])
-    radii = [abs(inner[0]), abs(outer[0])]
     if norm == NORM_MIN_DIST:
-        f = 1.0 / (2.0 * b)
-        pts = pts * f
-        radii = [r * f for r in radii]
-    return Constellation(name="apsk8", points=pts, normalization=norm,
-                         ring_radii=tuple(radii))
+        pts = pts * (1.0 / (2.0 * b))
+    return Constellation(name="apsk8", points=pts, normalization=norm)
 
 
 def make_apsk16_dvbs2(norm: str = NORM_UNIT_POWER) -> Constellation:
@@ -273,13 +259,9 @@ def make_apsk16_dvbs2(norm: str = NORM_UNIT_POWER) -> Constellation:
     inner = r1 * np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
     outer = r2 * np.exp(1j * (np.pi / 12 + np.pi / 6 * np.arange(12)))
     pts = np.concatenate([inner, outer])
-    radii = [r1, r2]
     if norm == NORM_MIN_DIST:
-        f = 1.0 / _min_pairwise_distance(pts)
-        pts = pts * f
-        radii = [r * f for r in radii]
-    return Constellation(name="apsk16", points=pts, normalization=norm,
-                         ring_radii=tuple(radii))
+        pts = pts * (1.0 / _min_pairwise_distance(pts))
+    return Constellation(name="apsk16", points=pts, normalization=norm)
 
 
 def make_apsk_grid(spec: GridApskSpec, norm: str = NORM_UNIT_POWER,
@@ -288,7 +270,6 @@ def make_apsk_grid(spec: GridApskSpec, norm: str = NORM_UNIT_POWER,
     if not spec.rings:
         raise ValueError("empty grid APSK spec")
     coords = []
-    radii_sq = []
     for ring in spec.rings:
         rsq = ring.m ** 2 + ring.n ** 2
         if rsq == 0 or not ring.points:
@@ -298,14 +279,13 @@ def make_apsk_grid(spec: GridApskSpec, norm: str = NORM_UNIT_POWER,
                 raise ValueError(
                     f"point ({x},{y}) is not on ring radius^2={rsq}")
             coords.append(complex(x, y))
-        radii_sq.append(rsq)
     arr = np.array(coords, dtype=np.complex128)
     if _min_pairwise_distance(arr) < 1.0:
         raise ValueError("duplicate points in grid APSK spec")
     # points sorted ring by ring, by angle inside a ring
     order = np.lexsort((np.round(np.mod(np.angle(arr), 2 * np.pi), 12),
                         np.round(np.abs(arr), 12)))
-    return _grid_constellation(name, arr[order], norm, ring_radii_sq=radii_sq)
+    return _grid_constellation(name, arr[order], norm)
 
 
 _GRID_PRESETS = {
@@ -335,36 +315,30 @@ def normalize(c: Constellation, mode: str) -> Constellation:
     if abs(factor - 1.0) < 1e-12:
         # already there; keep points bit-identical (idempotence)
         return Constellation(name=c.name, points=c.points.copy(),
-                             normalization=mode, grid=c.grid,
-                             ring_radii=c.ring_radii)
+                             normalization=mode, grid=c.grid)
     grid = None
     if c.grid is not None:
-        scale_sq = None
-        if c.grid.scale_sq is not None:
-            # points/scale live on the half-integer grid; doubling makes
-            # them exact integers so the new scaling stays a Fraction
-            w2 = 2.0 * c.points / c.grid.scale
-            iw = np.round(w2.real).astype(np.int64) \
-                + 1j * np.round(w2.imag).astype(np.int64)
-            if np.max(np.abs(w2 - iw)) > 1e-6:
-                raise ValueError("grid metadata inconsistent with points")
-            if mode == NORM_UNIT_POWER:
-                pow_sq = c.grid.scale_sq * \
-                    Fraction(int(np.round(np.abs(iw) ** 2).sum()), 4 * len(c))
-                factor_sq = 1 / pow_sq
-            else:
-                d = iw[:, None] - iw[None, :]
-                dsq = np.round(np.abs(d) ** 2).astype(np.int64)
-                mind = c.grid.scale_sq * Fraction(int(dsq[dsq > 0].min()), 4)
-                factor_sq = 1 / mind
-            scale_sq = c.grid.scale_sq * factor_sq
-            factor = math.sqrt(factor_sq)
-        grid = GridInfo(scale=c.grid.scale * factor, scale_sq=scale_sq)
-    radii = None
-    if c.ring_radii is not None:
-        radii = tuple(r * factor for r in c.ring_radii)
+        # points/scale live on the half-integer grid; doubling makes
+        # them exact integers so the new scaling stays a Fraction
+        w2 = 2.0 * c.points / c.grid.scale
+        iw = np.round(w2.real).astype(np.int64) \
+            + 1j * np.round(w2.imag).astype(np.int64)
+        if np.max(np.abs(w2 - iw)) > 1e-6:
+            raise ValueError("grid metadata inconsistent with points")
+        if mode == NORM_UNIT_POWER:
+            pow_sq = c.grid.scale_sq * \
+                Fraction(int(np.round(np.abs(iw) ** 2).sum()), 4 * len(c))
+            factor_sq = 1 / pow_sq
+        else:
+            d = iw[:, None] - iw[None, :]
+            dsq = np.round(np.abs(d) ** 2).astype(np.int64)
+            mind = c.grid.scale_sq * Fraction(int(dsq[dsq > 0].min()), 4)
+            factor_sq = 1 / mind
+        factor = math.sqrt(factor_sq)
+        grid = GridInfo(scale=c.grid.scale * factor,
+                        scale_sq=c.grid.scale_sq * factor_sq)
     return Constellation(name=c.name, points=c.points * factor,
-                         normalization=mode, grid=grid, ring_radii=radii)
+                         normalization=mode, grid=grid)
 
 
 def constellation_by_id(ident: str, norm: str = NORM_UNIT_POWER) -> Constellation:

@@ -216,8 +216,7 @@ def _argmin_tuple(ii, jj, wx, wy, a, b):
 
 def _aggregated_gain(c: Constellation, r: DesignCoefficient) -> GainReport:
     dvals = difference_set(c).values
-    exact = (c.grid is not None and c.grid.scale_sq is not None
-             and r.t_exact is not None)
+    exact = c.grid is not None and r.t_exact is not None
     bound_coef = (2.0 - r.t ** 2) / 2.0
     if exact:
         a, b, g, wx, wy, z = _projected_triples(dvals, True, c.grid.scale)
@@ -297,8 +296,7 @@ def coding_gain_scaled(c: Constellation, r: DesignCoefficient,
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     scaled = Constellation(name=c.name, points=c.points * alpha,
-                           normalization="scaled", grid=None,
-                           ring_radii=None)
+                           normalization="scaled", grid=None)
     return coding_gain(scaled, r, method=method)
 
 
@@ -322,11 +320,11 @@ def golden_coding_gain(c: Constellation) -> float:
     return (4.0 / 5.0) * best
 
 
-def vanishing_probe(family: str, sizes=None, r_policy: str = "auto"):
+def vanishing_probe(family: str, sizes=None):
     """Gain at min-dist-1 across sizes of one family; probes for gain decay.
 
-    Integer-grid families keep the analytic coefficient; PSK re-optimizes
-    per size (r_policy "analytic" forces the integer-grid optimum).
+    Each size takes optimizer.optimize's coefficient: the analytic one
+    on integer grids, a maximin re-optimization elsewhere (PSK).
     """
     from . import optimizer  # local import, optimizer depends on this module
 
@@ -341,13 +339,4 @@ def vanishing_probe(family: str, sizes=None, r_policy: str = "auto"):
         make = lambda m: make_apsk_grid_preset(f"apsk{m}-grid", NORM_MIN_DIST)
     else:
         raise ValueError(f"unknown family {family!r}")
-    out = []
-    for m in sizes:
-        c = make(m)
-        if r_policy == "analytic" or (r_policy == "auto" and c.grid is not None):
-            r = optimizer.analytic_integer_optimum()[0]
-            rep = coding_gain(c, r)
-        else:
-            r, rep = optimizer.optimize(c)
-        out.append((m, rep.gain))
-    return out
+    return [(m, optimizer.optimize(make(m))[1].gain) for m in sizes]

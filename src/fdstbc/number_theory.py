@@ -151,20 +151,16 @@ def verify_lemma1_bound(c, t) -> Lemma1BoundReport:
     if not tab.grid_units:
         raise ValueError("constellation differences are not on an "
                          "integer grid")
-    div_ok = True
-    for a_val, evals in zip(tab.a_values, tab.d2_values):
-        mod = 1 << _v2(int(a_val))
-        if np.any(evals % mod != 0):
-            div_ok = False
-    a_flat, e_flat = tab.flat_rows()
+    a, e = tab.a, tab.e
+    div_ok = bool(np.all(e % (a & -a) == 0))  # a & -a: 2^k of A = 2^k*m
     if isinstance(t, Fraction):
         p, q = t.numerator, t.denominator
-        off = Fraction(int(np.abs(a_flat * p - e_flat * q).min()), q)
+        off = Fraction(int(np.abs(a * p - e * q).min()), q)
         gain = 2 * off * off
         equality = gain == Fraction(1, 2)
         bound_met = gain <= Fraction(1, 2)
     else:
-        off = float(np.abs(a_flat * float(t) - e_flat).min())
+        off = float(np.abs(a * float(t) - e).min())
         gain = 2.0 * off * off
         equality = abs(gain - 0.5) <= 1e-12
         bound_met = gain <= 0.5 + 1e-12

@@ -6,18 +6,22 @@ t = u - v, so the best t maximizes
 
     f(t) = min over attainable rows (A, dt) of |A*t - dt|
 
-on t in [-sqrt(2), sqrt(2)].  f is a pointwise minimum of V-shaped
-functions, so its maximum sits at a crossing of two branches with
-opposite slopes, t = (dt1 + dt2)/(A1 + A2), at a same-slope switch
-(dt1 - dt2)/(A1 - A2), at a kink dt/A, or at an interval endpoint.
-The search brackets the maximum with a coarse scan (rigorous because f
-is Lipschitz with constant max A), keeps only the windows that can
-still contain the maximum, enumerates the candidate breakpoints of the
-rows active inside those windows, and scores every candidate against
-the complete row table.  On integer grids the rows are exact integers
-in grid units, candidate t values are exact rationals, and the whole
-pipeline stays in integer arithmetic, which is how t* = 1/2 and the
-gain 1/2 come out exact.
+on t in [-sqrt(2), sqrt(2)].  The rows are one flat table sorted by
+(A, dt), and _f_at evaluates f at any array of t with one binary search
+per distinct A for the dt nearest A*t; it is the only float evaluator
+of f.  f is a pointwise minimum of V-shaped functions, so its maximum
+sits at a crossing of two branches with opposite slopes,
+t = (dt1 + dt2)/(A1 + A2), at a same-slope switch (dt1 - dt2)/(A1 - A2),
+at a kink dt/A, or at an interval endpoint.  The search brackets the
+maximum with a coarse scan through _f_at (rigorous because f is
+Lipschitz with constant max A), keeps only the windows that can still
+contain the maximum, builds the breakpoints of the rows active inside
+those windows once as numerator/denominator pairs, and scores every
+candidate against the complete row table.  On integer grids the rows
+are exact integers in grid units, the breakpoints become exact
+rationals scored in integer arithmetic, which is how t* = 1/2 and the
+gain 1/2 come out exact; elsewhere they are divided out and scored by
+one _f_at call.
 
 Constellations with integer coordinates skip the search: the maximin
 solution there is t = +-1/2, giving the four coefficients
@@ -59,30 +63,24 @@ def analytic_integer_optimum() -> tuple[DesignCoefficient, ...]:
 
 @dataclass(frozen=True, eq=False)
 class CaseOneInvariantTable:
-    """Attainable (A, dt) rows over tuples with A = B.
+    """Attainable (A, dt) rows over tuples with A = B, as flat arrays.
 
-    a_values: distinct A values ascending; d2_values[i]: sorted dt values
-    attainable at a_values[i]; witnesses[i][k]: one concrete tuple
-    (ds1, ds2, ds3, ds4) in constellation units realizing d2_values[i][k].
-    grid_units: rows are exact int64 in grid units (scale_sq converts
-    squared grid quantities back to constellation units).
+    a, e: one row per distinct (A, dt) pair (DEDUP_TOL keys), sorted by
+    (A, dt); rows that share an A key carry the same A value bit for
+    bit.  grid_units: rows are exact int64 in grid units, and scale_sq
+    (the grid scale squared) converts squared grid quantities back to
+    constellation units; float rows are in constellation units with
+    scale_sq 1.
     """
 
-    a_values: np.ndarray
-    d2_values: tuple
-    witnesses: tuple
+    a: np.ndarray
+    e: np.ndarray
     grid_units: bool
-    scale_sq: Fraction | None = None
+    scale_sq: Fraction
 
     @property
     def n_rows(self) -> int:
-        return sum(e.size for e in self.d2_values)
-
-    def flat_rows(self):
-        sizes = [e.size for e in self.d2_values]
-        a = np.repeat(self.a_values, sizes)
-        e = np.concatenate(self.d2_values)
-        return a, e
+        return self.e.size
 
 
 @dataclass(frozen=True)
@@ -99,15 +97,15 @@ class OptimizationResult:
 
 
 def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
-    """Enumerate every attainable (A, dt) with A = B, with witnesses.
+    """Enumerate every attainable (A, dt) with A = B.
 
     Pairs of projected triples satisfy A = B exactly when the first
     triple's a - b cancels the second's, so the enumeration only visits
     products of opposite-key groups instead of all pairs.
     """
-    exact = c.grid is not None and c.grid.scale_sq is not None
+    exact = c.grid is not None
     dvals = difference_set(c).values
-    a, b, g, wx, wy, _ = _projected_triples(
+    a, b, g, _, _, _ = _projected_triples(
         dvals, exact, c.grid.scale if exact else 1.0)
     keys = _tol_keys(a - b)
     order = np.argsort(keys, kind="stable")
@@ -116,7 +114,7 @@ def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
     bounds = np.r_[starts, ks.size]
     groups = {int(ks[s]): order[s:e] for s, e in zip(bounds[:-1], bounds[1:])}
 
-    rows_a, rows_e, rows_i, rows_j = [], [], [], []
+    rows_a, rows_e = [], []
     for k in sorted(groups):
         if k < 0 or -k not in groups:
             continue
@@ -124,43 +122,26 @@ def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
         step = max(1, int(8_000_000 // max(gj.size, 1)))
         for s in range(0, gi.size, step):
             ii = gi[s:s + step]
-            A = a[ii][:, None] + a[gj][None, :]
-            E = g[ii][:, None] + g[gj][None, :]
-            wi = np.broadcast_to(ii[:, None], A.shape)
-            wj = np.broadcast_to(gj[None, :], A.shape)
-            A, E = A.ravel(), E.ravel()
-            wi, wj = wi.ravel(), wj.ravel()
-            keep = _first_of_runs((A, E), ties=(wi, wj))
+            A = (a[ii][:, None] + a[gj][None, :]).ravel()
+            E = (g[ii][:, None] + g[gj][None, :]).ravel()
+            keep = _first_of_runs((A, E))
             rows_a.append(A[keep])
             rows_e.append(E[keep])
-            rows_i.append(wi[keep])
-            rows_j.append(wj[keep])
     A = np.concatenate(rows_a)
     E = np.concatenate(rows_e)
     ka = _tol_keys(A)
     keep = _first_of_runs((ka, E))
     keep = keep[ka[keep] != 0]  # A = 0 forces B = 0: the all-zero tuple
     A, E, ka = A[keep], E[keep], ka[keep]
-    WI = np.concatenate(rows_i)[keep]
-    WJ = np.concatenate(rows_j)[keep]
-
-    # Group rows by the sort key, not the raw value: on the float path
-    # two sums can land in the same 1e-9 bucket while differing in the
-    # last bits (e.g. (2-sqrt(2)) + (2+sqrt(2)) vs 2 + 2), and np.unique
-    # on the raw floats would split them and misalign the slices.
-    a_starts = np.flatnonzero(np.r_[True, ka[1:] != ka[:-1]])
-    a_vals = A[a_starts]
-    a_bounds = np.r_[a_starts, A.size]
-    d2s, wits = [], []
-    for s, e in zip(a_bounds[:-1], a_bounds[1:]):
-        d2s.append(E[s:e].copy())
-        wit = np.stack([wx[WI[s:e]], wx[WJ[s:e]],
-                        wy[WI[s:e]], wy[WJ[s:e]]], axis=1)
-        wits.append(wit)
+    # On the float path two sums can land in the same 1e-9 key while
+    # differing in the last bits (e.g. (2-sqrt(2)) + (2+sqrt(2)) vs
+    # 2 + 2); every row takes the first A of its key, so rows group by
+    # exact value.
+    first = np.flatnonzero(np.r_[True, ka[1:] != ka[:-1]])
+    A = A[first].repeat(np.diff(np.r_[first, A.size]))
     return CaseOneInvariantTable(
-        a_values=a_vals, d2_values=tuple(d2s), witnesses=tuple(wits),
-        grid_units=exact,
-        scale_sq=c.grid.scale_sq if exact else None)
+        a=A, e=E, grid_units=exact,
+        scale_sq=c.grid.scale_sq if exact else Fraction(1))
 
 
 def _prune_rows(a_flat, e_flat):
@@ -172,26 +153,26 @@ def _prune_rows(a_flat, e_flat):
     return a_flat[keep], e_flat[keep]
 
 
-def _scan_f(a_flat, e_flat):
-    """Evaluate f on a uniform grid via per-A nearest-dt lookups."""
-    af = a_flat.astype(np.float64)
-    ef = e_flat.astype(np.float64)
-    tg = np.linspace(-SQRT2, SQRT2, _SCAN_POINTS)
-    fg = np.full(tg.size, np.inf)
-    a_vals, starts = np.unique(af, return_index=True)
-    bounds = np.r_[starts, af.size]  # rows arrive sorted by (A, e)
-    for av, s, e in zip(a_vals, bounds[:-1], bounds[1:]):
-        es = np.sort(ef[s:e])
-        x = av * tg
+def _f_at(a, e, ts) -> np.ndarray:
+    """f at every t of ts, in float, from rows sorted by (a, e).
+
+    For each distinct A a binary search finds the dt values on either
+    side of A*t.  Rounding is monotone, so no other row of that A comes
+    out nearer, and the result equals np.abs(a*t - e).min() bit for bit.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    e = np.asarray(e, dtype=np.float64)
+    ts = np.asarray(ts, dtype=np.float64)
+    f = np.full(ts.shape, np.inf)
+    bounds = np.flatnonzero(np.r_[True, a[1:] != a[:-1], True])
+    for s, stop in zip(bounds[:-1], bounds[1:]):
+        es = e[s:stop]
+        x = a[s] * ts
         idx = np.searchsorted(es, x)
-        lo = es[np.clip(idx - 1, 0, es.size - 1)]
-        hi = es[np.clip(idx, 0, es.size - 1)]
-        fg = np.minimum(fg, np.minimum(np.abs(x - lo), np.abs(x - hi)))
-    return tg, fg
-
-
-def _eval_f_float(a_flat, e_flat, t):
-    return float(np.min(np.abs(a_flat * t - e_flat)))
+        lo = es[np.maximum(idx - 1, 0)]
+        hi = es[np.minimum(idx, es.size - 1)]
+        f = np.minimum(f, np.minimum(np.abs(x - lo), np.abs(x - hi)))
+    return f
 
 
 def _eval_f_exact(a_flat, e_flat, t: Fraction) -> Fraction:
@@ -208,17 +189,15 @@ def optimize_step1(c: Constellation,
         table = build_case1_table(c)
     if table.n_rows == 0:
         raise ValueError("empty A = B table; nothing to optimize")
-    a_flat, e_flat = table.flat_rows()
-    a_flat, e_flat = _prune_rows(a_flat, e_flat)
-    exact = table.grid_units
-    af = a_flat.astype(np.float64)
-    ef = e_flat.astype(np.float64)
-    a_max = float(af.max())
+    a, e = _prune_rows(table.a, table.e)
+    af = a.astype(np.float64)
+    ef = e.astype(np.float64)
 
-    tg, fg = _scan_f(a_flat, e_flat)
+    tg = np.linspace(-SQRT2, SQRT2, _SCAN_POINTS)
+    fg = _f_at(af, ef, tg)
     h = tg[1] - tg[0]
     level = float(fg.max())
-    slack = a_max * h
+    slack = float(af.max()) * h
 
     # windows of grid cells that can still contain the true maximum
     cell_ok = np.maximum(fg[:-1], fg[1:]) >= level - slack
@@ -231,67 +210,53 @@ def optimize_step1(c: Constellation,
         else:
             windows.append((lo, hi))
 
+    # breakpoints of the rows active in each window, as num/den:
+    # crossings (dt1+dt2)/(A1+A2), switches (dt1-dt2)/(A1-A2), kinks dt/A;
+    # exact rationals on integer grids, floats elsewhere
     margin = level + slack
-    cands_f = {-SQRT2, SQRT2}
-    cands_x = set()
+    xs, ts = set(), [np.array([-SQRT2, SQRT2])]
     for lo, hi in windows:
         sel = (ef >= af * lo - margin) & (ef <= af * hi + margin)
-        aw = a_flat[sel]
-        ew = e_flat[sel]
-        if aw.size == 0:
-            continue
+        aw, ew = a[sel], e[sel]
         if aw.size > 4000:
             raise RuntimeError(
                 f"{aw.size} active rows in one window; scan resolution "
                 "too coarse for this constellation")
         A1, A2 = aw[:, None], aw[None, :]
         E1, E2 = ew[:, None], ew[None, :]
-        if exact:
-            num_s, den_s = (E1 + E2).ravel(), (A1 + A2).ravel()
-            num_d, den_d = (E1 - E2).ravel(), (A1 - A2).ravel()
-            for num, den in ((num_s, den_s), (num_d, den_d)):
-                ok = den != 0
-                for n_, d_ in zip(num[ok].tolist(), den[ok].tolist()):
-                    cands_x.add(Fraction(n_, d_))
-            for n_, d_ in zip(ew.tolist(), aw.tolist()):
-                cands_x.add(Fraction(n_, d_))
+        num = np.concatenate([(E1 + E2).ravel(), (E1 - E2).ravel(), ew])
+        den = np.concatenate([(A1 + A2).ravel(), (A1 - A2).ravel(), aw])
+        num, den = num[den != 0], den[den != 0]
+        if table.grid_units:
+            xs.update(map(Fraction, num.tolist(), den.tolist()))
         else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ts = (E1 + E2) / (A1 + A2)
-                td = np.where(A1 != A2, (E1 - E2) / (A1 - A2 + (A1 == A2)),
-                              np.nan)
-            for arr in (ts.ravel(), td.ravel(), ew / aw):
-                arr = arr[np.isfinite(arr)]
-                cands_f.update(arr[(arr >= -SQRT2) & (arr <= SQRT2)].tolist())
-        cands_f.update((lo, hi))
+            ts.append(num / den)
+        ts.append(np.array([lo, hi]))
+    xs = sorted(t for t in xs if -SQRT2 <= float(t) <= SQRT2)
+    ts = np.concatenate(ts)
+    ts = np.unique(ts[(ts >= -SQRT2) & (ts <= SQRT2)])
 
-    examined = 0
-    scored = []  # (f, t_float, t_exact)
-    for t in sorted(cands_x):
-        if not (-SQRT2 <= float(t) <= SQRT2):
-            continue
-        examined += 1
-        scored.append((float(_eval_f_exact(a_flat, e_flat, t)), float(t), t))
-    for t in sorted(cands_f):
-        if not (-SQRT2 <= t <= SQRT2):
-            continue
-        examined += 1
-        scored.append((_eval_f_float(af, ef, t), float(t), None))
-    best_f = max(s[0] for s in scored)
-    tied = [s for s in scored if s[0] >= best_f - _TIE_TOL]
+    fx = [float(_eval_f_exact(a, e, t)) for t in xs]
+    fs = _f_at(af, ef, ts)
+    best_f = max(fx + [fs.max()])
+    # (f, t, t_exact) within the tie tolerance: exact candidates first,
+    # then float ones ascending
+    tied = [(f, float(t), t) for f, t in zip(fx, xs)
+            if f >= best_f - _TIE_TOL]
+    near = fs >= best_f - _TIE_TOL
+    tied += [(f, t, None) for f, t in zip(fs[near].tolist(),
+                                          ts[near].tolist())]
     # smallest |t| wins; positive breaks the remaining +-t tie
     tied.sort(key=lambda s: (round(abs(s[1]), 12), -s[1]))
-    _, t_star, t_exact = tied[0]
+    f_val, t_star, t_exact = tied[0]
 
-    if exact and t_exact is not None:
-        f_exact = _eval_f_exact(a_flat, e_flat, t_exact)
+    if t_exact is not None:
+        f_exact = _eval_f_exact(a, e, t_exact)
         gain_exact = 2 * f_exact * f_exact * table.scale_sq ** 2
         case1_gain = float(gain_exact)
     else:
         gain_exact = None
-        f_val = _eval_f_float(af, ef, t_star)
-        s4 = float(table.scale_sq) ** 2 if table.scale_sq is not None else 1.0
-        case1_gain = 2.0 * f_val * f_val * s4
+        case1_gain = 2.0 * f_val * f_val * float(table.scale_sq) ** 2
 
     root = math.sqrt(max(2.0 - t_star * t_star, 0.0))
     rc = tuple(
@@ -302,7 +267,7 @@ def optimize_step1(c: Constellation,
     return OptimizationResult(
         t=t_star, r_candidates=rc, case1_gain=case1_gain,
         case2_min=math.nan, case2_dominates=False,
-        breakpoints_examined=examined,
+        breakpoints_examined=len(xs) + ts.size,
         case1_gain_exact=gain_exact, t_exact=t_exact)
 
 

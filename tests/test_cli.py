@@ -218,6 +218,13 @@ def test_bad_arguments_exit_2(capsys, argv):
       {"codewords": "x"}), None, "--codewords"),
     (("simulate", "--constellation", "qam4", "--codewords", "1",
       "--config", {"seed": "x"}), None, "--seed"),
+    # JSON numbers that int() would truncate, and JSON true
+    (("simulate", "--constellation", "qam4", "--config",
+      {"codewords": 2.7}), None, "--codewords"),
+    (("simulate", "--constellation", "qam4", "--config",
+      {"codewords": True}), None, "--codewords"),
+    (("simulate", "--constellation", "qam4", "--codewords", "1",
+      "--config", {"seed": 1.5}), None, "--seed"),
 ])
 def test_malformed_input_one_line_error(capsys, monkeypatch, tmp_path, argv,
                                         env, flag):
@@ -254,12 +261,19 @@ def test_gain_auto_runs_the_exact_sweep_once(capsys, monkeypatch):
         code, _, _ = run_cli(capsys, "gain", "--constellation", ident)
         assert code == 0
         assert calls == [ident]
-    # a non-default method still needs its own sweep after optimize's
+    # a non-default method runs its own sweep; on an integer grid the
+    # analytic coefficient needs none to be picked
     calls.clear()
     code, _, _ = run_cli(capsys, "gain", "--constellation", "qam4",
                          "--method", "exhaustive")
     assert code == 0
-    assert calls == ["qam4", "qam4"]
+    assert calls == ["qam4"]
+    # simulate picks the analytic coefficient without any gain sweep
+    calls.clear()
+    code, _, _ = run_cli(capsys, "simulate", "--constellation", "qam16",
+                         "--r", "auto", "--snr", "0:1:0", "--codewords", "4")
+    assert code == 0
+    assert calls == []
 
 
 # SHA-256 of `simulate --constellation <id> --emit csv --seed 1

@@ -91,10 +91,10 @@ def test_apsk16_dvbs2_layout():
     assert abs(cs.min_distance(c) - 0.5848) < 1e-3
     assert abs(cs.avg_power(c) - 1.0) < 1e-6
     assert abs((4 * r1 ** 2 + 12 * r2 ** 2) / 16.0 - 1.0) < 1e-6
-    assert c.ring_radii is not None and len(c.ring_radii) == 2
-    assert c.ring_radii[0] < c.ring_radii[1]
-    assert math.isclose(c.ring_radii[0], r1, rel_tol=1e-12)
-    assert math.isclose(c.ring_radii[1], r2, rel_tol=1e-12)
+    radii = np.abs(c.points)
+    assert np.allclose(radii[:4], r1, rtol=1e-12, atol=0)
+    assert np.allclose(radii[4:], r2, rtol=1e-12, atol=0)
+    assert r1 < r2
 
 
 def test_apsk8_grid_preset():

@@ -1,10 +1,11 @@
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fdstbc import codes
 from fdstbc import constellations as cs
 from fdstbc import gain
 from fdstbc import optimizer as opt
@@ -41,7 +42,25 @@ def test_analytic_candidates_share_the_gain():
 def as_dict(tab):
     """{A: attainable dt values} of a case-I table."""
     key = int if tab.grid_units else float
-    return {key(a): e.copy() for a, e in zip(tab.a_values, tab.d2_values)}
+    out = {}
+    for a, e in zip(tab.a.tolist(), tab.e.tolist()):
+        out.setdefault(key(a), []).append(e)
+    return {a: np.array(e) for a, e in out.items()}
+
+
+def brute_force_case1_rows(c):
+    """(A, dt) of every nonzero tuple in D^4 with A = B, by enumeration."""
+    d = cs.difference_set(c).values
+    x2, x3, x4 = (m.ravel() for m in np.meshgrid(d, d, d, indexing="ij"))
+    rows_a, rows_e = [], []
+    for x1 in d:
+        A = abs(x1) ** 2 + np.abs(x2) ** 2
+        B = np.abs(x3) ** 2 + np.abs(x4) ** 2
+        C = x1 * np.conj(x3) + x2 * np.conj(x4)
+        hit = (np.abs(A - B) <= 1e-9) & (A > 1e-9)  # A = B = 0: zero tuple
+        rows_a.append(A[hit])
+        rows_e.append((C.imag - C.real)[hit])
+    return np.concatenate(rows_a), np.concatenate(rows_e)
 
 
 def test_case1_table_qam4_integer_grid():
@@ -60,31 +79,47 @@ def test_case1_table_qam4_integer_grid():
         assert sorted(evals.tolist()) == sorted((-evals).tolist())
 
 
-def test_case1_table_witnesses_reproduce_rows():
-    c = cs.constellation_by_id("qam4", cs.NORM_INTEGER)
+@pytest.mark.parametrize("ident, norm", [("qam4", cs.NORM_INTEGER),
+                                         ("psk8", UNIT)],
+                         ids=["qam4", "psk8"])
+def test_case1_table_equals_brute_force_enumeration(ident, norm):
+    c = cs.constellation_by_id(ident, norm)
     tab = opt.build_case1_table(c)
-    # rows are in grid units, witnesses in constellation units
-    sq = float(tab.scale_sq)
-    for a_val, evals, wits in zip(tab.a_values, tab.d2_values, tab.witnesses):
-        for e, w in zip(evals, wits):
-            t = codes.DifferenceTuple(*w)
-            assert t.case == "I"
-            assert math.isclose(t.A, float(a_val) * sq, rel_tol=1e-12)
-            assert math.isclose(t.d2_tilde, float(e) * sq,
-                                rel_tol=1e-12, abs_tol=1e-12)
+    assert tab.grid_units == (ident == "qam4")
+    a, e = brute_force_case1_rows(c)
+    if tab.grid_units:
+        # rows are exact integers in grid units: constellation units / scale^2
+        a, e = a / float(tab.scale_sq), e / float(tab.scale_sq)
+        ai, ei = np.round(a).astype(np.int64), np.round(e).astype(np.int64)
+        assert np.allclose(a, ai, rtol=0, atol=1e-9)
+        assert np.allclose(e, ei, rtol=0, atol=1e-9)
+        want = set(zip(ai.tolist(), ei.tolist()))
+        assert set(zip(tab.a.tolist(), tab.e.tolist())) == want
+        assert tab.n_rows == len(want)
+    else:
+        assert tab.scale_sq == 1
+        key = lambda x: np.round(x / 1e-9).astype(np.int64)
+        want = np.unique(np.stack([key(a), key(e)], axis=1), axis=0)
+        # distinct rows, sorted by (A, dt), one per brute-force pair
+        got = np.stack([key(tab.a), key(tab.e)], axis=1)
+        assert np.array_equal(got, want)
 
 
-def test_case1_table_float_path():
-    c = cs.make_psk(8, UNIT)
-    tab = opt.build_case1_table(c)
-    assert not tab.grid_units
-    assert tab.n_rows > 0
-    for a_val, evals, wits in zip(tab.a_values, tab.d2_values, tab.witnesses):
-        for e, w in zip(evals, wits):
-            t = codes.DifferenceTuple(*w)
-            assert abs(t.A - t.B) < 1e-9
-            assert abs(t.A - a_val) < 1e-9
-            assert abs(t.d2_tilde - e) < 1e-9
+@functools.cache
+def case1_rows(ident):
+    tab = opt.build_case1_table(cs.constellation_by_id(ident, UNIT))
+    return tab.a, tab.e
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ident=st.sampled_from(["psk8", "apsk16", "psk22"]),
+       ts=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=16))
+def test_f_at_equals_the_brute_force_minimum(ident, ts):
+    a, e = case1_rows(ident)
+    want = np.array([np.abs(a * t - e).min() for t in ts])
+    got = opt._f_at(a, e, np.array(ts))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bits
 
 
 def test_step1_qam4_exact():
@@ -98,7 +133,7 @@ def test_step1_is_maximin_certificate():
     c = cs.make_psk(8, UNIT)
     res = opt.optimize_step1(c)
     tab = opt.build_case1_table(c)
-    a, e = tab.flat_rows()
+    a, e = tab.a, tab.e
 
     def f(t):
         return np.abs(a * t - e).min()

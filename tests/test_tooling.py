@@ -3,9 +3,11 @@
 perfbench/spans.py wraps module attributes by name for its traced run,
 perfbench/run.py takes the coefficient as optimize(c)[0], and
 perfbench/checks.py builds single codewords and sends them through
-transmit.  A simplification that renames or reshapes any of these breaks
-`perfbench/run.py --trace 1` without failing another test.  These tests
-only read perfbench/.
+transmit.  The traced run's span taggers read fields of what the layers
+return (a table's n_rows, step 1's breakpoints_examined, a gain report's
+route, a sweep's checked count).  A simplification that renames or
+reshapes any of these breaks `perfbench/run.py --trace 1` without
+failing another test.  These tests only read perfbench/.
 """
 
 import importlib.util
@@ -35,6 +37,38 @@ def test_traced_bindings_resolve_to_callables():
     for module, attr, _, _ in bindings:
         assert callable(getattr(module, attr, None)), \
             f"{module.__name__}.{attr}"
+
+
+# span name -> the tag its tagger must attach
+TAGGED = {
+    "optimizer.build_case1_table": "rows",
+    "optimizer.optimize_step1": "breakpoints",
+    "gain.coding_gain": "route",
+    "simulate.run_ber": "chunks",
+    "number_theory.dichotomy": "checked",
+    "number_theory.euler_identity": "checked",
+    "number_theory.cross_term_exhaustive": "checked",
+    "number_theory.cross_term_random": "checked",
+}
+
+
+def test_traced_requests_tag_their_spans(capsys):
+    from fdstbc import cli
+
+    tracer = load("spans").Tracer()
+    with tracer.installed():
+        for argv in (("optimize", "--constellation", "psk8"),
+                     ("gain", "--constellation", "qam4"),
+                     ("lemmas", "--sweep", "small"),
+                     ("simulate", "--constellation", "qam4",
+                      "--snr", "0:1:0", "--codewords", "16")):
+            assert cli.main(list(argv)) == 0, argv
+    capsys.readouterr()
+    seen = {rec["name"] for rec in tracer.spans}
+    assert set(TAGGED) <= seen
+    for rec in tracer.spans:
+        if rec["name"] in TAGGED:
+            assert TAGGED[rec["name"]] in rec["tags"], rec
 
 
 @pytest.mark.parametrize("ident", ("qam4", "psk8"))
