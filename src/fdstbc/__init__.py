@@ -5,13 +5,11 @@ from .codes import (
     DifferenceTuple,
     build_codeword,
     build_codeword_golden,
-    case2_lower_bound,
     det_closed_form,
     det_direct,
 )
 from .constellations import (
     Constellation,
-    DifferenceSet,
     GridApskSpec,
     NORMALIZATIONS,
     constellation_by_id,
@@ -22,21 +20,15 @@ from .constellations import (
     make_apsk_grid_preset,
     make_psk,
     make_qam,
-    normalize,
 )
 from .gain import (
     GainReport,
     coding_gain,
     coding_gain_scaled,
     golden_coding_gain,
-    vanishing_probe,
 )
 from .number_theory import (
-    FourSquareWitness,
-    check_cross_term_divisibility,
-    classify_four_square,
     euler_four_square,
-    min_offset,
     run_sweeps,
     verify_lemma1_bound,
 )
@@ -47,6 +39,7 @@ from .optimizer import (
     build_case1_table,
     optimize,
     optimize_step1,
+    vanishing_probe,
     verify_step2,
 )
 from .simulate import (
@@ -54,7 +47,6 @@ from .simulate import (
     SimPoint,
     SimResult,
     diversity_slope,
-    equivalent_channel,
     fast_decode,
     ml_decode_exhaustive,
     run_ber,

@@ -327,7 +327,7 @@ def cmd_simulate(cfg, out):
                         snr_grid_db=_parse_snr(cfg["snr"]),
                         codewords_per_point=_parse_int(
                             cfg["codewords"], "--codewords", low=1),
-                        seed=_parse_int(cfg["seed"], "--seed"))
+                        seed=_parse_int(cfg["seed"], "--seed", low=0))
     workers = _parse_workers(cfg)
     res = run_ber(sim_cfg, workers=workers)
     lines = _echo([("constellation", c.name), ("norm", c.normalization),

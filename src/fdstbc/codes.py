@@ -169,13 +169,6 @@ def det_closed_form(t: DifferenceTuple, r: DesignCoefficient) -> DetSplit:
                     d2_tilde=d2t, case=t.case)
 
 
-def case2_lower_bound(t: DifferenceTuple, r: DesignCoefficient) -> float:
-    """(B - A)^2 (u + v)^2 / 2, the perpendicular-distance floor on |det|^2."""
-    if t.case == "I":
-        raise ValueError("bound applies to case II tuples only (A != B)")
-    return (t.B - t.A) ** 2 * (r.u + r.v) ** 2 / 2.0
-
-
 def det_direct(t: DifferenceTuple, r: DesignCoefficient) -> complex:
     """Plain 2x2 determinant of the difference codeword (oracle path)."""
     x = build_codeword(t.ds1, t.ds2, t.ds3, t.ds4, r)

@@ -12,9 +12,9 @@ record so downstream coding-gain code can switch to exact integer
 arithmetic.  The grid scale is the spacing of the *difference* lattice:
 point differences divided by it are exactly Gaussian integers (the
 points themselves may sit on a common half-step translation, as centred
-QAM does).  ``GridInfo.scale_sq`` stores scale**2 as an exact Fraction,
-which is what makes gains like 1/2 come out exact instead of
-0.4999999999999999.
+QAM does).  ``GridInfo.scale_sq``, scale**2 as an exact Fraction, is
+the one stored grid field (``scale`` is its square root); it is what
+makes gains like 1/2 come out exact instead of 0.4999999999999999.
 """
 
 from dataclasses import dataclass
@@ -69,8 +69,11 @@ class GridInfo:
     is always integral).
     """
 
-    scale: float
     scale_sq: Fraction
+
+    @property
+    def scale(self) -> float:
+        return math.sqrt(self.scale_sq)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,21 +99,6 @@ class Constellation:
     @property
     def integer_grid(self) -> bool:
         return self.grid is not None
-
-
-@dataclass(frozen=True, eq=False)
-class DifferenceSet:
-    """All pairwise differences p - q of a constellation, deduplicated."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.complex128)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self):
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -162,11 +150,15 @@ def papr(c: Constellation) -> float:
     return float(p.max() / p.mean())
 
 
-def difference_set(c: Constellation) -> DifferenceSet:
-    """Distinct differences p - q (DEDUP_TOL keys), sorted by (re, im)."""
+def difference_set(c: Constellation) -> np.ndarray:
+    """Distinct differences p - q (DEDUP_TOL keys), sorted by (re, im).
+
+    A read-only complex128 array.
+    """
     diffs = (c.points[:, None] - c.points[None, :]).ravel()
-    keep = _first_of_runs((diffs.real, diffs.imag))
-    return DifferenceSet(values=diffs[keep])
+    vals = diffs[_first_of_runs((diffs.real, diffs.imag))]
+    vals.flags.writeable = False
+    return vals
 
 
 def _grid_constellation(name, coords, norm, lattice_step=1):
@@ -195,7 +187,7 @@ def _grid_constellation(name, coords, norm, lattice_step=1):
         name=name,
         points=coords * math.sqrt(point_sq),
         normalization=norm,
-        grid=GridInfo(scale=math.sqrt(scale_sq), scale_sq=scale_sq),
+        grid=GridInfo(scale_sq=scale_sq),
     )
 
 
@@ -303,44 +295,6 @@ def make_apsk_grid_preset(which: str, norm: str = NORM_UNIT_POWER) -> Constellat
     return make_apsk_grid(spec, norm, name=name)
 
 
-def normalize(c: Constellation, mode: str) -> Constellation:
-    """Rescale a constellation to unit average power or to min distance 1."""
-    if mode == NORM_UNIT_POWER:
-        target_sq = 1.0 / avg_power(c)
-    elif mode == NORM_MIN_DIST:
-        target_sq = 1.0 / min_distance(c) ** 2
-    else:
-        raise ValueError(f"cannot normalize to {mode!r}")
-    factor = math.sqrt(target_sq)
-    if abs(factor - 1.0) < 1e-12:
-        # already there; keep points bit-identical (idempotence)
-        return Constellation(name=c.name, points=c.points.copy(),
-                             normalization=mode, grid=c.grid)
-    grid = None
-    if c.grid is not None:
-        # points/scale live on the half-integer grid; doubling makes
-        # them exact integers so the new scaling stays a Fraction
-        w2 = 2.0 * c.points / c.grid.scale
-        iw = np.round(w2.real).astype(np.int64) \
-            + 1j * np.round(w2.imag).astype(np.int64)
-        if np.max(np.abs(w2 - iw)) > 1e-6:
-            raise ValueError("grid metadata inconsistent with points")
-        if mode == NORM_UNIT_POWER:
-            pow_sq = c.grid.scale_sq * \
-                Fraction(int(np.round(np.abs(iw) ** 2).sum()), 4 * len(c))
-            factor_sq = 1 / pow_sq
-        else:
-            d = iw[:, None] - iw[None, :]
-            dsq = np.round(np.abs(d) ** 2).astype(np.int64)
-            mind = c.grid.scale_sq * Fraction(int(dsq[dsq > 0].min()), 4)
-            factor_sq = 1 / mind
-        factor = math.sqrt(factor_sq)
-        grid = GridInfo(scale=c.grid.scale * factor,
-                        scale_sq=c.grid.scale_sq * factor_sq)
-    return Constellation(name=c.name, points=c.points * factor,
-                         normalization=mode, grid=grid)
-
-
 def constellation_by_id(ident: str, norm: str = NORM_UNIT_POWER) -> Constellation:
     """Resolve CLI-style constellation ids like qam16, psk8, apsk8-grid."""
     ident = ident.lower()
@@ -350,8 +304,11 @@ def constellation_by_id(ident: str, norm: str = NORM_UNIT_POWER) -> Constellatio
         return make_apsk8_conventional(norm)
     if ident == "apsk16":
         return make_apsk16_dvbs2(norm)
-    if ident.startswith("qam"):
-        return make_qam(int(ident[3:]), norm)
-    if ident.startswith("psk"):
-        return make_psk(int(ident[3:]), norm)
+    for prefix, make in (("qam", make_qam), ("psk", make_psk)):
+        if ident.startswith(prefix):
+            try:
+                m = int(ident[len(prefix):])
+            except ValueError:
+                break
+            return make(m, norm)
     raise ValueError(f"unknown constellation id {ident!r}")

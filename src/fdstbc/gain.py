@@ -39,9 +39,7 @@ import math
 import numpy as np
 
 from .codes import DesignCoefficient, DifferenceTuple
-from .constellations import (Constellation, _first_of_runs, difference_set,
-                             make_apsk_grid_preset, make_psk, make_qam,
-                             NORM_MIN_DIST)
+from .constellations import Constellation, _first_of_runs, difference_set
 
 EXHAUSTIVE_LIMIT = 1e10
 AGG_DEFAULT_ABOVE = 8
@@ -215,7 +213,7 @@ def _argmin_tuple(ii, jj, wx, wy, a, b):
 
 
 def _aggregated_gain(c: Constellation, r: DesignCoefficient) -> GainReport:
-    dvals = difference_set(c).values
+    dvals = difference_set(c)
     exact = c.grid is not None and r.t_exact is not None
     bound_coef = (2.0 - r.t ** 2) / 2.0
     if exact:
@@ -245,7 +243,7 @@ def _aggregated_gain(c: Constellation, r: DesignCoefficient) -> GainReport:
 
 
 def _exhaustive_gain(c: Constellation, r: DesignCoefficient) -> GainReport:
-    dvals = difference_set(c).values
+    dvals = difference_set(c)
     nd = dvals.size
     if float(nd) ** 4 > EXHAUSTIVE_LIMIT:
         raise ValueError(
@@ -307,7 +305,7 @@ def golden_coding_gain(c: Constellation) -> float:
     pairs: det = (2/5)*(2+j)*(q(ds1, ds2) - j*q(ds3, ds4)), so the
     search only needs the deduplicated q values over D x D.
     """
-    d = difference_set(c).values
+    d = difference_set(c)
     x = np.repeat(d, d.size)
     y = np.tile(d, d.size)
     nz = ~((x == 0) & (y == 0))
@@ -318,25 +316,3 @@ def golden_coding_gain(c: Constellation) -> float:
     # tuples where one symbol pair is identically zero
     best = min(best, float(np.min(np.abs(qnz) ** 2)))
     return (4.0 / 5.0) * best
-
-
-def vanishing_probe(family: str, sizes=None):
-    """Gain at min-dist-1 across sizes of one family; probes for gain decay.
-
-    Each size takes optimizer.optimize's coefficient: the analytic one
-    on integer grids, a maximin re-optimization elsewhere (PSK).
-    """
-    from . import optimizer  # local import, optimizer depends on this module
-
-    if family == "qam":
-        sizes = sizes or (4, 16, 64)
-        make = lambda m: make_qam(m, NORM_MIN_DIST)
-    elif family == "psk":
-        sizes = sizes or (4, 8)
-        make = lambda m: make_psk(m, NORM_MIN_DIST)
-    elif family == "apsk-grid":
-        sizes = sizes or (8, 16)
-        make = lambda m: make_apsk_grid_preset(f"apsk{m}-grid", NORM_MIN_DIST)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return [(m, optimizer.optimize(make(m))[1].gain) for m in sizes]

@@ -24,56 +24,10 @@ import numpy as np
 
 from .optimizer import build_case1_table
 
-ALL_DIVISIBLE = "all-divisible"
-NONE_DIVISIBLE = "none-divisible"
-
 
 def _v2(n: int) -> int:
     """2-adic valuation of a positive integer."""
     return (n & -n).bit_length() - 1
-
-
-@dataclass(frozen=True)
-class FourSquareWitness:
-    """One checked instance of the divisibility dichotomy."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-    k: int
-    classification: str
-
-
-def classify_four_square(a: int, b: int, c: int, d: int,
-                         k: int) -> FourSquareWitness:
-    """Classify (a, b, c, d) with 2^(2k) | a^2+b^2+c^2+d^2.
-
-    Returns the witness with classification ALL_DIVISIBLE or
-    NONE_DIVISIBLE.  Raises ValueError when the precondition fails and
-    RuntimeError if the dichotomy itself fails, which no integer input
-    can trigger.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    s = a * a + b * b + c * c + d * d
-    if s % (1 << (2 * k)) != 0:
-        raise ValueError(f"2^{2 * k} does not divide {s}")
-    if k >= 1:
-        half = 1 << (k - 1)
-        if any(x % half != 0 for x in (a, b, c, d)):
-            raise RuntimeError(
-                f"2^{k - 1} should divide each of {(a, b, c, d)}")
-    full = 1 << k
-    hits = sum(x % full == 0 for x in (a, b, c, d))
-    if hits == 4:
-        cls = ALL_DIVISIBLE
-    elif hits == 0:
-        cls = NONE_DIVISIBLE
-    else:
-        raise RuntimeError(
-            f"dichotomy failed for {(a, b, c, d)} at k={k}: {hits}/4")
-    return FourSquareWitness(a, b, c, d, k, cls)
 
 
 def euler_four_square(a, b, c, d, e, f, g, h):
@@ -87,44 +41,6 @@ def euler_four_square(a, b, c, d, e, f, g, h):
     t3 = a * g - b * h - c * e + d * f
     t4 = a * h + b * g - c * f - d * e
     return t1, t2, t3, t4
-
-
-def check_cross_term_divisibility(a, b, c, d, e, f, g, h, k: int) -> bool:
-    """True when 2^k divides t1 + t2 for equal-norm quadruples.
-
-    Preconditions: the two quadruples have the same sum of squares and
-    2^k divides it.  A False return would falsify the divisibility
-    fact, so callers treat it as a tripwire.
-    """
-    s1 = a * a + b * b + c * c + d * d
-    s2 = e * e + f * f + g * g + h * h
-    if s1 != s2:
-        raise ValueError(f"norms differ: {s1} != {s2}")
-    if s1 % (1 << k) != 0:
-        raise ValueError(f"2^{k} does not divide {s1}")
-    t1, t2, _, _ = euler_four_square(a, b, c, d, e, f, g, h)
-    return (t1 + t2) % (1 << k) == 0
-
-
-def min_offset(t, m_max: int):
-    """Minimum of |m*t - n| over odd m in [1, m_max] and integers n.
-
-    Returns (value, m, n) for the smallest achieving m.  Exact when t
-    is a Fraction.  For any t the value is at most 1/2, with equality
-    exactly when t is a half-odd-integer; on the design range
-    |t| <= sqrt(2) that means t = +-1/2.
-    """
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    best = None
-    for m in range(1, m_max + 1, 2):
-        x = m * t
-        n = int(x) if x >= 0 else -int(-x)
-        for cand in (n - 1, n, n + 1):
-            off = abs(x - cand)
-            if best is None or off < best[0]:
-                best = (off, m, cand)
-    return best
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,10 @@ one _f_at call.
 Constellations with integer coordinates skip the search: the maximin
 solution there is t = +-1/2, giving the four coefficients
 u = (+-1 +- sqrt(7))/4 with v = u - t.
+
+vanishing_probe runs optimize over growing sizes of one family at
+min-dist-1, which shows the gain shrinking for PSK and pinned at 1/2
+on integer grids.
 """
 
 import math
@@ -35,8 +39,8 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import DesignCoefficient
-from .constellations import (Constellation, _first_of_runs, _tol_keys,
-                             difference_set)
+from .constellations import (NORM_MIN_DIST, Constellation, _first_of_runs,
+                             _tol_keys, constellation_by_id, difference_set)
 from .gain import GainReport, coding_gain, _projected_triples
 
 SQRT2 = math.sqrt(2.0)
@@ -104,7 +108,7 @@ def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
     products of opposite-key groups instead of all pairs.
     """
     exact = c.grid is not None
-    dvals = difference_set(c).values
+    dvals = difference_set(c)
     a, b, g, _, _, _ = _projected_triples(
         dvals, exact, c.grid.scale if exact else 1.0)
     keys = _tol_keys(a - b)
@@ -298,3 +302,26 @@ def optimize(c: Constellation) -> tuple[DesignCoefficient, GainReport]:
         return r, coding_gain(c, r)
     res = verify_step2(c, optimize_step1(c))
     return res.r_candidates[0], res.gain_report
+
+
+# family -> (default sizes, constellation id pattern)
+_PROBE_FAMILIES = {
+    "qam": ((4, 16, 64), "qam{}"),
+    "psk": ((4, 8), "psk{}"),
+    "apsk-grid": ((8, 16), "apsk{}-grid"),
+}
+
+
+def vanishing_probe(family: str, sizes=None):
+    """Gain at min-dist-1 across sizes of one family; probes for gain decay.
+
+    Each size takes optimize's coefficient: the analytic one on integer
+    grids, a maximin re-optimization elsewhere (PSK).
+    """
+    try:
+        default, pattern = _PROBE_FAMILIES[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}") from None
+    return [(m, optimize(constellation_by_id(pattern.format(m),
+                                             NORM_MIN_DIST))[1].gain)
+            for m in sizes or default]

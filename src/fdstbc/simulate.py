@@ -41,6 +41,7 @@ APSKs) by per-ring angle rounding, and anything else by a full scan.
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 import math
+import os
 import time
 
 import numpy as np
@@ -203,12 +204,6 @@ def _equivalent_columns(h: np.ndarray, r: complex):
                    -jr * np.conj(h[:, 0, 0]), -jr * np.conj(h[:, 0, 1])],
                   axis=1)
     return g1, g2
-
-
-def equivalent_channel(h: np.ndarray, r: complex):
-    """Single-channel version of the decoupled (s1, s2) columns."""
-    g1, g2 = _equivalent_columns(np.asarray(h)[None, :, :], r)
-    return g1[0], g2[0]
 
 
 def _nearest_point(vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -420,12 +415,21 @@ def _run_chunk(args):
     return int(_POPCOUNT[xor].sum())
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_ber(cfg: SimConfig, workers=None, zero_noise: bool = False) -> SimResult:
     """BER over the SNR grid; bit-exact for fixed (cfg, seed).
 
     Every chunk derives its random stream from (seed, point index,
     chunk index), so the outcome does not depend on scheduling or on
-    the worker count.  workers=None or <= 1 runs serially.
+    the worker count.  The pool gets min(workers, chunks, usable CPUs)
+    processes, since a fork pool starts all of them up front; when that
+    is 1 (or workers is None) the chunks run serially.
     """
     c = cfg.constellation
     m = len(c)
@@ -440,7 +444,8 @@ def run_ber(cfg: SimConfig, workers=None, zero_noise: bool = False) -> SimResult
         for ci, n in enumerate(_chunk_counts(cfg.codewords_per_point)):
             tasks.append((c.points, cfg.r, cfg.decoder, n0, cfg.seed,
                           pi, ci, n, labels, zero_noise))
-    if workers is not None and workers > 1:
+    workers = min(workers or 1, len(tasks), _usable_cpus())
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             errs = list(pool.map(_run_chunk, tasks, chunksize=4))
     else:

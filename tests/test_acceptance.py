@@ -19,8 +19,8 @@ from fdstbc import optimizer as opt
 from fdstbc import simulate as sim
 from fdstbc.cli import main, parse_csv
 from fdstbc.codes import DesignCoefficient, build_codeword
-from fdstbc.gain import (coding_gain, coding_gain_scaled, golden_coding_gain,
-                         vanishing_probe)
+from fdstbc.gain import coding_gain, coding_gain_scaled, golden_coding_gain
+from fdstbc.optimizer import vanishing_probe
 
 UNIT = cs.NORM_UNIT_POWER
 MIND = cs.NORM_MIN_DIST

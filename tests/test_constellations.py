@@ -31,8 +31,8 @@ def test_qam16_min_dist_difference_set():
     assert math.isclose(cs.min_distance(c), 1.0, rel_tol=1e-12)
     d = cs.difference_set(c)
     assert len(d) == 49
-    re = np.round(d.values.real, 9)
-    im = np.round(d.values.imag, 9)
+    re = np.round(d.real, 9)
+    im = np.round(d.imag, 9)
     assert np.array_equal(re, np.round(re))
     assert re.min() == -3 and re.max() == 3
     assert im.min() == -3 and im.max() == 3
@@ -130,30 +130,27 @@ def test_apsk_grid_rejects_bad_specs():
 
 
 def test_normalize_qam16_scale_factor():
-    c = cs.normalize(cs.make_qam(16, MIND), UNIT)
-    ref = cs.make_qam(16, UNIT)
-    assert np.allclose(np.sort_complex(c.points),
-                       np.sort_complex(ref.points), atol=1e-12)
+    c = cs.make_qam(16, UNIT)
+    ref = cs.make_qam(16, MIND).points * (2.0 / math.sqrt(10.0))
+    assert np.allclose(np.sort_complex(c.points), np.sort_complex(ref),
+                       atol=1e-12)
     assert math.isclose(cs.min_distance(c), 2.0 / math.sqrt(10.0),
                         rel_tol=1e-12)
 
 
-def test_normalize_idempotent():
-    for ident in ("qam4", "qam16", "psk8", "apsk8", "apsk8-grid"):
-        c = cs.constellation_by_id(ident, UNIT)
-        again = cs.normalize(c, UNIT)
-        assert np.array_equal(c.points, again.points)
-
-
 def test_normalize_psk8_to_min_dist():
-    c = cs.normalize(cs.make_psk(8, UNIT), MIND)
-    assert np.allclose(np.abs(c.points), 1.0 / (2.0 * math.sin(math.pi / 8)))
+    c = cs.make_psk(8, MIND)
+    radius = 1.0 / (2.0 * math.sin(math.pi / 8))
+    assert np.allclose(np.abs(c.points), radius)
+    assert np.allclose(c.points, cs.make_psk(8, UNIT).points * radius,
+                       atol=1e-12)
+    assert math.isclose(cs.min_distance(c), 1.0, rel_tol=1e-12)
 
 
 def test_difference_set_invariants():
     for ident in ("qam4", "qam16", "psk8", "apsk16-grid"):
         c = cs.constellation_by_id(ident, UNIT)
-        d = cs.difference_set(c).values
+        d = cs.difference_set(c)
         assert np.any(d == 0)
         neg = np.sort_complex(-d)
         assert np.allclose(np.sort_complex(d), neg, atol=1e-12)
@@ -165,7 +162,7 @@ def test_grid_differences_are_integer_coordinates():
         for norm in (UNIT, MIND, GRID):
             c = cs.constellation_by_id(ident, norm)
             assert c.integer_grid
-            d = cs.difference_set(c).values / c.grid.scale
+            d = cs.difference_set(c) / c.grid.scale
             assert np.abs(d.real - np.round(d.real)).max() < 1e-9
             assert np.abs(d.imag - np.round(d.imag)).max() < 1e-9
 

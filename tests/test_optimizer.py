@@ -50,7 +50,7 @@ def as_dict(tab):
 
 def brute_force_case1_rows(c):
     """(A, dt) of every nonzero tuple in D^4 with A = B, by enumeration."""
-    d = cs.difference_set(c).values
+    d = cs.difference_set(c)
     x2, x3, x4 = (m.ravel() for m in np.meshgrid(d, d, d, indexing="ij"))
     rows_a, rows_e = [], []
     for x1 in d:

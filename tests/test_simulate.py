@@ -97,7 +97,8 @@ def test_equivalent_channel_orthogonality():
     rng = np.random.default_rng(3)
     for _ in range(100):
         h = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        g1, g2 = sim.equivalent_channel(h, R_ANALYTIC.r)
+        g1, g2 = (g[0] for g in sim._equivalent_columns(h[None],
+                                                        R_ANALYTIC.r))
         assert abs(np.vdot(g1, g2)) < 1e-12
         hn = np.sum(np.abs(h) ** 2)
         assert math.isclose(np.sum(np.abs(g1) ** 2), hn, rel_tol=1e-12)
@@ -152,6 +153,46 @@ def test_run_ber_deterministic_and_worker_independent():
     r3 = sim.run_ber(cfg, workers=2)
     assert r1.points == r2.points == r3.points
     assert all(p.bit_errors > 0 for p in r1.points)
+
+
+def test_pool_is_capped_by_chunks_and_cpus(monkeypatch):
+    """A fork pool starts all its workers up front, so run_ber never asks
+    for more than there are chunks or usable CPUs."""
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor; maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    c = cs.make_qam(4, UNIT)
+    one, three = (sim.SimConfig(constellation=c, r=R_ANALYTIC,
+                                decoder="fast", snr_grid_db=grid,
+                                codewords_per_point=1, seed=3)
+                  for grid in ((0.0,), (0.0, 1.0, 2.0)))
+    serial = sim.run_ber(three).points
+    assert sim.run_ber(one, workers=10 ** 6).points == \
+        sim.run_ber(one).points
+    assert sizes == []
+    assert sim.run_ber(three, workers=10 ** 6).points == serial
+    assert len(sizes) <= 1 and all(2 <= n <= min(3, sim._usable_cpus())
+                                   for n in sizes)
+    for cpus, want in ((64, [3]), (2, [2]), (1, [])):
+        sizes.clear()
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: cpus)
+        assert sim.run_ber(three, workers=10 ** 6).points == serial
+        assert sizes == want
 
 
 def test_run_ber_ml_equals_fast():
