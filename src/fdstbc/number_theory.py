@@ -1,7 +1,7 @@
 """Integer identities behind the worst-case gain analysis.
 
 Three executable facts about sums of four squares, checked
-exhaustively over bounded ranges rather than proved:
+exhaustively over bounded ranges rather than proved for all integers:
 
   1. dichotomy: if 2^(2k) | a^2+b^2+c^2+d^2 then 2^k divides either
      all of a, b, c, d or none of them;
@@ -14,11 +14,17 @@ sit: every attainable dt at a row with A = 2^k*m (m odd) is a multiple
 of 2^k, which caps the case-I gain of any integer-grid constellation
 at 1/2.  ``verify_lemma1_bound`` re-derives that cap from an
 enumerated row table.
+
+Facts 1 and 3 depend only on residues mod a power of 2, so their
+sweeps count the box by residue class: one histogram of the classes
+that decide the claim, then one lookup or bilinear form per class
+instead of one test per tuple.  Every tuple in the box is still
+counted, and ``checked`` is the same tuple count a one-by-one loop
+reports.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-import itertools
 
 import numpy as np
 
@@ -101,37 +107,48 @@ class SweepResult:
         return self.failures == 0
 
 
+def _dichotomy_counts(limit: int, pre: int, full: int):
+    """(checked, failures) of one dichotomy level over 0 <= a..d <= limit.
+
+    checked counts the quadruples with pre | a^2+b^2+c^2+d^2.  Each one
+    scores a failure if `full` divides some but not all of a..d, and
+    (for full >= 2) one more if full/2 does not divide all of them.
+    Three numbers about (b, c, d) decide both: b^2+c^2+d^2 mod pre and
+    how many of b, c, d full and full/2 divide.  One bincount over the
+    cube counts every class, and each a reads the row at (-a^2) mod
+    pre, so every quadruple in the box is still counted.
+    """
+    x = np.arange(limit + 1, dtype=np.int64)
+    sq = x * x % pre
+    by_full = (x % full == 0).astype(np.int64)
+    by_half = (x % max(full // 2, 1) == 0).astype(np.int64)
+
+    def cube(v):
+        return (v[:, None, None] + v[None, :, None] + v[None, None, :]).ravel()
+
+    key = (cube(sq) % pre * 4 + cube(by_full)) * 4 + cube(by_half)
+    rows = np.bincount(key, minlength=pre * 16).reshape(pre, 4, 4)
+    rows = rows[-sq % pre]                     # (a, b..d by full, by half)
+    hits = by_full[:, None] + np.arange(4)     # a..d divisible by full
+    bad = ((hits != 0) & (hits != 4))[:, :, None].astype(np.int64)
+    if full >= 2:
+        bad = bad + (by_half[:, None] + np.arange(4) != 4)[:, None, :]
+    return int(rows.sum()), int((rows * bad).sum())
+
+
 def sweep_dichotomy(limit: int = 64, k_max: int = 5) -> SweepResult:
     """Exhaust the dichotomy over 0 <= a,b,c,d <= limit, k <= k_max.
 
     Signs are irrelevant (only squares and |x| divisibility enter), so
-    the non-negative orthant covers the full +-limit box.
+    the non-negative orthant covers the full +-limit box.  Each k is
+    one residue-class histogram over the whole box
+    (``_dichotomy_counts`` with pre = 2^(2k), full = 2^k).
     """
-    n = limit + 1
-    b, c, d = np.meshgrid(np.arange(n, dtype=np.int64),
-                          np.arange(n, dtype=np.int64),
-                          np.arange(n, dtype=np.int64), indexing="ij")
-    b, c, d = b.ravel(), c.ravel(), d.ravel()
-    s_bcd = b * b + c * c + d * d
-    checked = 0
-    failures = 0
-    for a in range(n):
-        s = s_bcd + a * a
-        for k in range(k_max + 1):
-            pre = s % (1 << (2 * k)) == 0
-            if not pre.any():
-                continue
-            full = 1 << k
-            hits = ((a % full == 0) + (b[pre] % full == 0).astype(np.int64)
-                    + (c[pre] % full == 0) + (d[pre] % full == 0))
-            checked += int(pre.sum())
-            failures += int(((hits != 0) & (hits != 4)).sum())
-            if k >= 1:
-                half = 1 << (k - 1)
-                lows = ((a % half == 0)
-                        + (b[pre] % half == 0).astype(np.int64)
-                        + (c[pre] % half == 0) + (d[pre] % half == 0))
-                failures += int((lows != 4).sum())
+    checked = failures = 0
+    for k in range(k_max + 1):
+        c, f = _dichotomy_counts(limit, 1 << (2 * k), 1 << k)
+        checked += c
+        failures += f
     return SweepResult("four-square dichotomy", checked, failures)
 
 
@@ -148,13 +165,30 @@ def sweep_euler_identity(n: int = 10_000, limit: int = 64,
                        int((lhs != rhs).sum()))
 
 
+def _cross_term_failures(x, mod: int) -> int:
+    """Count ordered pairs of rows of x with t1 + t2 not 0 mod `mod`.
+
+    t1 + t2 = a(e+f) + b(f-e) + c(g+h) + d(h-g) mod `mod` depends only
+    on both quadruples mod `mod`, so rows are counted per residue class
+    and one class pair stands for all mult_i * mult_j row pairs.
+    """
+    r = x % mod
+    cls = ((r[:, 0] * mod + r[:, 1]) * mod + r[:, 2]) * mod + r[:, 3]
+    _, first, mult = np.unique(cls, return_index=True, return_counts=True)
+    r = r[first]
+    w = np.stack([r[:, 0] + r[:, 1], r[:, 1] - r[:, 0],
+                  r[:, 2] + r[:, 3], r[:, 3] - r[:, 2]], axis=1)
+    bad = ((r @ w.T) % mod != 0).astype(np.int64)
+    return int(mult @ bad @ mult)
+
+
 def sweep_cross_term_exhaustive(limit: int = 8,
                                 k_max: int = 4) -> SweepResult:
     """Exhaust cross-term divisibility over |values| <= limit, k <= k_max.
 
-    Groups all quadruples by norm S, then checks every ordered pair
-    within each group with v2(S) >= 1 via one integer matmul per group:
-    t1 + t2 = a(e+f) + b(f-e) + c(g+h) + d(h-g).
+    Groups all quadruples by norm S.  In each group with v2(S) >= 1
+    every ordered pair is checked, counted per residue class mod 2^k
+    (``_cross_term_failures``) rather than one pair at a time.
     """
     r = np.arange(-limit, limit + 1, dtype=np.int64)
     quads = np.stack(np.meshgrid(r, r, r, r, indexing="ij"),
@@ -163,8 +197,8 @@ def sweep_cross_term_exhaustive(limit: int = 8,
     order = np.argsort(s, kind="stable")
     quads, s = quads[order], s[order]
     bounds = np.flatnonzero(np.diff(s)) + 1
-    starts = np.concatenate(([0], bounds))
-    stops = np.concatenate((bounds, [s.size]))
+    starts = np.concatenate(([0], bounds)).tolist()
+    stops = np.concatenate((bounds, [s.size])).tolist()
     checked = 0
     failures = 0
     for lo, hi in zip(starts, stops):
@@ -174,14 +208,40 @@ def sweep_cross_term_exhaustive(limit: int = 8,
         k = min(_v2(sval), k_max)
         if k == 0:
             continue
-        x = quads[lo:hi]
-        w = np.stack([x[:, 0] + x[:, 1], x[:, 1] - x[:, 0],
-                      x[:, 2] + x[:, 3], x[:, 3] - x[:, 2]], axis=1)
-        cross = x @ w.T
-        checked += cross.size
-        failures += int((cross % (1 << k) != 0).sum())
+        checked += (hi - lo) ** 2
+        failures += _cross_term_failures(quads[lo:hi], 1 << k)
     return SweepResult("cross-term divisibility (exhaustive)",
                        checked, failures)
+
+
+def _norm_index(limit: int):
+    """Sorted non-negative quadruples by norm, as pair indices.
+
+    Returns (pairs, rows, start, count).  pairs lists every
+    0 <= a <= b <= limit in lexicographic order; rows[j] = (p, q) is
+    the quadruple pairs[p] + pairs[q], and rows[start[S]:start[S] +
+    count[S]] lists, in lexicographic order, every sorted quadruple
+    0 <= a <= b <= c <= d <= limit with a^2+b^2+c^2+d^2 = S.
+    """
+    n = limit + 1
+    lo, hi = np.triu_indices(n)
+    pairs = np.stack([lo, hi], axis=1).astype(np.int64)
+    # (c, d) may follow (a, b) iff c >= b: a suffix of the pair list
+    first = np.searchsorted(lo, np.arange(n))
+    tail = lo.size - first[hi]
+    p = np.repeat(np.arange(lo.size), tail)
+    q = np.arange(p.size) - np.repeat(np.cumsum(tail) - tail, tail) \
+        + first[hi[p]]
+    norm = lo * lo + hi * hi
+    s = norm[p] + norm[q]
+    smax = 4 * limit * limit
+    # norms fit 16 bits for limit <= 64, where a stable sort is a radix sort
+    order = np.argsort(s.astype(np.uint16 if smax < 1 << 16 else np.int64),
+                       kind="stable")
+    rows = np.stack([p[order], q[order]], axis=1)
+    count = np.bincount(s, minlength=smax + 1)
+    start = np.concatenate(([0], np.cumsum(count)[:-1]))
+    return pairs, rows, start, count
 
 
 def _representations_by_norm(limit: int):
@@ -189,18 +249,10 @@ def _representations_by_norm(limit: int):
 
     Returns (quads, start, count) where quads[start[S]:start[S]+count[S]]
     lists every sorted quadruple 0 <= a <= b <= c <= d <= limit with
-    a^2+b^2+c^2+d^2 = S.
+    a^2+b^2+c^2+d^2 = S: ``_norm_index`` with its rows spelled out.
     """
-    quads = np.array(
-        list(itertools.combinations_with_replacement(range(limit + 1), 4)),
-        dtype=np.int64)
-    s = (quads * quads).sum(axis=1)
-    order = np.argsort(s, kind="stable")
-    quads, s = quads[order], s[order]
-    smax = 4 * limit * limit
-    count = np.bincount(s, minlength=smax + 1)
-    start = np.concatenate(([0], np.cumsum(count)[:-1]))
-    return quads, start, count
+    pairs, rows, start, count = _norm_index(limit)
+    return pairs[rows].reshape(-1, 4), start, count
 
 
 def sweep_cross_term_random(n: int = 100_000, limit: int = 64,
@@ -209,14 +261,15 @@ def sweep_cross_term_random(n: int = 100_000, limit: int = 64,
 
     Draws (a, b, c, d) uniformly in the +-limit box, then picks a
     second quadruple of the same norm from a representation table,
-    with random signs and a random coordinate order.
+    with random signs and a random coordinate order.  Only the picked
+    rows of the table are spelled out.
     """
     rng = np.random.default_rng(seed)
-    quads, start, count = _representations_by_norm(limit)
+    pairs, rows, start, count = _norm_index(limit)
     x = rng.integers(-limit, limit + 1, size=(n, 4)).astype(np.int64)
     s = (x * x).sum(axis=1)
     pick = start[s] + (rng.random(n) * count[s]).astype(np.int64)
-    y = quads[pick]
+    y = pairs[rows[pick]].reshape(n, 4)
     y = y * (rng.integers(0, 2, size=(n, 4)) * 2 - 1)
     perm = np.argsort(rng.random((n, 4)), axis=1)
     y = np.take_along_axis(y, perm, axis=1)

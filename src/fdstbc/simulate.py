@@ -429,7 +429,9 @@ def run_ber(cfg: SimConfig, workers=None, zero_noise: bool = False) -> SimResult
     chunk index), so the outcome does not depend on scheduling or on
     the worker count.  The pool gets min(workers, chunks, usable CPUs)
     processes, since a fork pool starts all of them up front; when that
-    is 1 (or workers is None) the chunks run serially.
+    is 1 (or workers is None) the chunks run serially.  Chunks go out
+    in batches of up to 4, but never so large that a worker is left
+    without one.
     """
     c = cfg.constellation
     m = len(c)
@@ -446,8 +448,9 @@ def run_ber(cfg: SimConfig, workers=None, zero_noise: bool = False) -> SimResult
                           pi, ci, n, labels, zero_noise))
     workers = min(workers or 1, len(tasks), _usable_cpus())
     if workers > 1:
+        chunksize = min(4, math.ceil(len(tasks) / workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            errs = list(pool.map(_run_chunk, tasks, chunksize=4))
+            errs = list(pool.map(_run_chunk, tasks, chunksize=chunksize))
     else:
         errs = [_run_chunk(t) for t in tasks]
     per_point = {}

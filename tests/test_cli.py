@@ -334,6 +334,10 @@ EXACT_STDOUT_SHA256 = {
         "b1d1d9db3ffabe73199414f7716621a00f9bc3033386efe8b95dd3a3ac050396",
     ("optimize", "--constellation", "apsk16"):
         "7746da68971e473bfffe2f3cd87f87e3de91bf3894c4ce4378acf6d0ecf45c4f",
+    ("lemmas", "--sweep", "small"):
+        "cb7f6b12846e5d5c450f48ee1df870f2ac8249ffe223d402b26788e829c50140",
+    ("lemmas", "--sweep", "full"):
+        "544a7d59bde8fa1b7310e89660c995c4d7a168a924dedf8c6b044638e6ea8885",
 }
 
 

@@ -1,7 +1,9 @@
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fdstbc import constellations as cs
@@ -94,6 +96,80 @@ def min_offset(t, m_max: int):
             if best is None or off < best[0]:
                 best = (off, m, cand)
     return best
+
+
+# Tuple-at-a-time oracles for the class-counting sweeps.  Each takes
+# `shift`: the claimed divisor is 2^(k + shift), so shift=1 asks one
+# power of 2 more than the lemma gives and the claim fails.
+
+def dichotomy_oracle(limit, k_max, shift=0):
+    """Per-a loop over the (b, c, d) cube, as nt.sweep_dichotomy."""
+    n = limit + 1
+    b, c, d = np.meshgrid(np.arange(n, dtype=np.int64),
+                          np.arange(n, dtype=np.int64),
+                          np.arange(n, dtype=np.int64), indexing="ij")
+    b, c, d = b.ravel(), c.ravel(), d.ravel()
+    s_bcd = b * b + c * c + d * d
+    checked = 0
+    failures = 0
+    for a in range(n):
+        s = s_bcd + a * a
+        for k in range(k_max + 1):
+            pre = s % (1 << (2 * k)) == 0
+            if not pre.any():
+                continue
+            full = 1 << (k + shift)
+            hits = ((a % full == 0) + (b[pre] % full == 0).astype(np.int64)
+                    + (c[pre] % full == 0) + (d[pre] % full == 0))
+            checked += int(pre.sum())
+            failures += int(((hits != 0) & (hits != 4)).sum())
+            if full >= 2:
+                half = full >> 1
+                lows = ((a % half == 0)
+                        + (b[pre] % half == 0).astype(np.int64)
+                        + (c[pre] % half == 0) + (d[pre] % half == 0))
+                failures += int((lows != 4).sum())
+    return nt.SweepResult("four-square dichotomy", checked, failures)
+
+
+def norm_groups(limit, k_max):
+    """(quadruples of one norm S, min(v2(S), k_max)) for each S with 2 | S."""
+    r = np.arange(-limit, limit + 1, dtype=np.int64)
+    quads = np.stack(np.meshgrid(r, r, r, r, indexing="ij"),
+                     axis=-1).reshape(-1, 4)
+    s = (quads * quads).sum(axis=1)
+    for sval in np.unique(s).tolist():
+        if sval == 0 or sval % 2:
+            continue
+        k = min((sval & -sval).bit_length() - 1, k_max)
+        yield quads[s == sval], k
+
+
+def cross_term_oracle(limit, k_max, shift=0):
+    """One integer matmul over all ordered pairs of each norm group."""
+    checked = 0
+    failures = 0
+    for x, k in norm_groups(limit, k_max):
+        w = np.stack([x[:, 0] + x[:, 1], x[:, 1] - x[:, 0],
+                      x[:, 2] + x[:, 3], x[:, 3] - x[:, 2]], axis=1)
+        cross = x @ w.T
+        checked += cross.size
+        failures += int((cross % (1 << (k + shift)) != 0).sum())
+    return nt.SweepResult("cross-term divisibility (exhaustive)",
+                          checked, failures)
+
+
+def representations_oracle(limit):
+    """itertools table of sorted quadruples, stably sorted by norm."""
+    quads = np.array(
+        list(itertools.combinations_with_replacement(range(limit + 1), 4)),
+        dtype=np.int64)
+    s = (quads * quads).sum(axis=1)
+    order = np.argsort(s, kind="stable")
+    quads, s = quads[order], s[order]
+    count = np.bincount(s, minlength=4 * limit * limit + 1)
+    start = np.concatenate(([0], np.cumsum(count)[:-1]))
+    return quads, start, count
 
 
 def test_classify_none_divisible():
@@ -267,3 +343,56 @@ def test_small_sweeps_all_pass():
 def test_run_sweeps_rejects_unknown_size():
     with pytest.raises(ValueError):
         nt.run_sweeps("huge")
+
+
+DICHOTOMY_BOXES = [(7, 2), (16, 3), (23, 4), (33, 6)]
+CROSS_TERM_BOXES = [(2, 1), (4, 3), (5, 4)]
+
+
+@pytest.mark.parametrize("limit,k_max", DICHOTOMY_BOXES)
+def test_dichotomy_matches_oracle(limit, k_max):
+    got = nt.sweep_dichotomy(limit, k_max)
+    assert got == dichotomy_oracle(limit, k_max)
+    assert type(got.checked) is int and type(got.failures) is int
+
+
+@pytest.mark.parametrize("limit,k_max", CROSS_TERM_BOXES)
+def test_cross_term_exhaustive_matches_oracle(limit, k_max):
+    got = nt.sweep_cross_term_exhaustive(limit, k_max)
+    assert got == cross_term_oracle(limit, k_max)
+    assert type(got.checked) is int and type(got.failures) is int
+
+
+@pytest.mark.parametrize("limit,k_max", DICHOTOMY_BOXES)
+def test_dichotomy_counts_failures_one_power_up(limit, k_max):
+    # 2^(k+1) need not divide all or none of a..d, nor 2^k all of them
+    checked = failures = 0
+    for k in range(k_max + 1):
+        c, f = nt._dichotomy_counts(limit, 1 << (2 * k), 1 << (k + 1))
+        assert type(c) is int and type(f) is int
+        checked += c
+        failures += f
+    want = dichotomy_oracle(limit, k_max, shift=1)
+    assert (checked, failures) == (want.checked, want.failures)
+    assert failures > 0
+
+
+@pytest.mark.parametrize("limit,k_max", CROSS_TERM_BOXES)
+def test_cross_term_counts_failures_one_power_up(limit, k_max):
+    # 2^(k+1) need not divide t1 + t2
+    failures = 0
+    for x, k in norm_groups(limit, k_max):
+        f = nt._cross_term_failures(x, 1 << (k + 1))
+        assert type(f) is int
+        failures += f
+    assert failures == cross_term_oracle(limit, k_max, shift=1).failures
+    assert failures > 0
+
+
+@pytest.mark.parametrize("limit", [0, 1, 4, 16])
+def test_representations_by_norm_match_itertools_table(limit):
+    got = nt._representations_by_norm(limit)
+    want = representations_oracle(limit)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)

@@ -157,8 +157,10 @@ def test_run_ber_deterministic_and_worker_independent():
 
 def test_pool_is_capped_by_chunks_and_cpus(monkeypatch):
     """A fork pool starts all its workers up front, so run_ber never asks
-    for more than there are chunks or usable CPUs."""
+    for more than there are chunks or usable CPUs, and its batches leave
+    no worker idle."""
     sizes = []
+    batches = []
 
     class RecordingPool:
         """Stands in for ProcessPoolExecutor; maps in this process."""
@@ -173,6 +175,7 @@ def test_pool_is_capped_by_chunks_and_cpus(monkeypatch):
             return False
 
         def map(self, fn, tasks, chunksize=1):
+            batches.append(chunksize)
             return map(fn, tasks)
 
     monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
@@ -188,11 +191,21 @@ def test_pool_is_capped_by_chunks_and_cpus(monkeypatch):
     assert sim.run_ber(three, workers=10 ** 6).points == serial
     assert len(sizes) <= 1 and all(2 <= n <= min(3, sim._usable_cpus())
                                    for n in sizes)
-    for cpus, want in ((64, [3]), (2, [2]), (1, [])):
+    for cpus, want, batch in ((64, [3], [1]), (2, [2], [2]), (1, [], [])):
         sizes.clear()
+        batches.clear()
         monkeypatch.setattr(sim, "_usable_cpus", lambda: cpus)
         assert sim.run_ber(three, workers=10 ** 6).points == serial
-        assert sizes == want
+        assert (sizes, batches) == (want, batch)
+    # 4 chunks at 2 workers: a batch of 4 would send every chunk to one
+    four = sim.SimConfig(constellation=c, r=R_ANALYTIC, decoder="fast",
+                         snr_grid_db=(0.0, 1.0, 2.0, 3.0),
+                         codewords_per_point=1, seed=3)
+    sizes.clear()
+    batches.clear()
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    assert sim.run_ber(four, workers=2).points == sim.run_ber(four).points
+    assert (sizes, batches) == ([2], [2])
 
 
 def test_run_ber_ml_equals_fast():
