@@ -35,6 +35,7 @@ from .number_theory import (
 from .optimizer import (
     CaseOneInvariantTable,
     OptimizationResult,
+    Optimum,
     analytic_integer_optimum,
     build_case1_table,
     optimize,

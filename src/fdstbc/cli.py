@@ -201,7 +201,7 @@ def cmd_gain(cfg, out):
     method = None if cfg["method"] == "auto" else cfg["method"]
     if cfg["r"] == "auto" and method is None:
         # optimize already reports the gain of r under the default method
-        r, rep = opt.optimize(c)
+        r, rep, _ = opt.optimize(c)
     else:
         r = _parse_r(cfg["r"], c)
         rep = coding_gain(c, r, method=method)
@@ -236,16 +236,8 @@ def cmd_gain(cfg, out):
 
 def cmd_optimize(cfg, out):
     c = cs.constellation_by_id(cfg["constellation"], cfg["norm"])
-    if c.integer_grid:
-        r = opt.analytic_integer_optimum()[0]
-        rep = coding_gain(c, r)
-        case1, case2 = rep.case1_min, rep.case2_min
-        dom = case2 >= case1 - 1e-12
-    else:
-        # the report prints step 1's own A = B gain, not the sweep's
-        res = opt.verify_step2(c, opt.optimize_step1(c))
-        r, rep = res.r_candidates[0], res.gain_report
-        case1, case2, dom = res.case1_gain, res.case2_min, res.case2_dominates
+    res = opt.optimize(c)
+    r, rep = res.r, res.report
     if cfg["emit"] == "csv":
         lines = _echo([("constellation", c.name),
                        ("norm", c.normalization)])
@@ -261,9 +253,9 @@ def cmd_optimize(cfg, out):
                  f"gain = {_fmt(rep.gain)}"]
         if rep.gain_exact is not None:
             lines.append(f"gain_exact = {rep.gain_exact}")
-        lines += [f"case1_gain = {_fmt(case1)}",
-                  f"case2_min = {_fmt(case2)}",
-                  f"case2_dominates = {dom}",
+        lines += [f"case1_gain = {_fmt(res.case1_gain)}",
+                  f"case2_min = {_fmt(rep.case2_min)}",
+                  f"case2_dominates = {res.case2_dominates}",
                   f"provenance = {r.provenance}",
                   "witness = " + " ".join(
                       _fmt(x) for s in (rep.argmin.ds1, rep.argmin.ds2,
@@ -294,8 +286,7 @@ def cmd_table1(cfg, out):
         rows.append(("golden", c.name, golden_coding_gain(c)))
     for ident in ("qam4", "qam16", "psk8"):
         c = cs.constellation_by_id(ident, cs.NORM_UNIT_POWER)
-        r, rep = opt.optimize(c)
-        rows.append(("fdstbc", c.name, rep.gain))
+        rows.append(("fdstbc", c.name, opt.optimize(c).report.gain))
     lines = _echo([("norm", cs.NORM_UNIT_POWER)])
     lines.append("code,constellation,gain,gain_rounded")
     for code, name, g in rows:
@@ -310,7 +301,7 @@ def cmd_table2(cfg, out):
                  "min_distance_rounded,u_rounded,v_rounded,gain_rounded")
     for ident in ("apsk8", "apsk8-grid", "apsk16", "apsk16-grid"):
         c = cs.constellation_by_id(ident, cs.NORM_UNIT_POWER)
-        r, rep = opt.optimize(c)
+        r, rep, _ = opt.optimize(c)
         mind = cs.min_distance(c)
         lines.append(",".join([
             c.name, _fmt(mind), _fmt(r.u), _fmt(r.v), _fmt(rep.gain),

@@ -87,6 +87,8 @@ class Constellation:
         pts = np.array(self.points, dtype=np.complex128)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("constellation needs at least 2 points")
+        if not np.isfinite(pts).all():
+            raise ValueError("constellation points must be finite")
         d = _min_pairwise_distance(pts)
         if d <= DEDUP_TOL:
             raise ValueError("constellation points are not pairwise distinct")

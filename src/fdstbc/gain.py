@@ -291,8 +291,8 @@ def coding_gain(c: Constellation, r: DesignCoefficient,
 def coding_gain_scaled(c: Constellation, r: DesignCoefficient,
                        alpha: float, method: str | None = None) -> GainReport:
     """Gain of the constellation scaled by alpha (quartic in alpha)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be finite and positive")
     scaled = Constellation(name=c.name, points=c.points * alpha,
                            normalization="scaled", grid=None)
     return coding_gain(scaled, r, method=method)

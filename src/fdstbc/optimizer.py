@@ -8,8 +8,8 @@ t = u - v, so the best t maximizes
 
 on t in [-sqrt(2), sqrt(2)].  The rows are one flat table sorted by
 (A, dt), and _f_at evaluates f at any array of t with one binary search
-per distinct A for the dt nearest A*t; it is the only float evaluator
-of f.  f is a pointwise minimum of V-shaped functions, so its maximum
+per distinct A for the dt nearest A*t; it is the only evaluator of f.
+f is a pointwise minimum of V-shaped functions, so its maximum
 sits at a crossing of two branches with opposite slopes,
 t = (dt1 + dt2)/(A1 + A2), at a same-slope switch (dt1 - dt2)/(A1 - A2),
 at a kink dt/A, or at an interval endpoint.  The search brackets the
@@ -17,15 +17,12 @@ maximum with a coarse scan through _f_at (rigorous because f is
 Lipschitz with constant max A), keeps only the windows that can still
 contain the maximum, builds the breakpoints of the rows active inside
 those windows once as numerator/denominator pairs, and scores every
-candidate against the complete row table.  On integer grids the rows
-are exact integers in grid units, the breakpoints become exact
-rationals scored in integer arithmetic, which is how t* = 1/2 and the
-gain 1/2 come out exact; elsewhere they are divided out and scored by
-one _f_at call.
+candidate against the complete row table in one _f_at call.
 
-Constellations with integer coordinates skip the search: the maximin
-solution there is t = +-1/2, giving the four coefficients
-u = (+-1 +- sqrt(7))/4 with v = u - t.
+Constellations with integer coordinates take the closed form instead
+of the search: the maximin solution there is t = +-1/2, giving the four
+coefficients u = (+-1 +- sqrt(7))/4 with v = u - t, and the exact gain
+sweep scores it.  optimize is the one entry point for both branches.
 
 vanishing_probe runs optimize over growing sizes of one family at
 min-dist-1, which shows the gain shrinking for PSK and pinned at 1/2
@@ -33,8 +30,9 @@ on integer grids.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,15 +87,28 @@ class CaseOneInvariantTable:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """Step 1's maximin t, its two coefficients and its A = B gain."""
+
     t: float
     r_candidates: tuple
     case1_gain: float
-    case2_min: float
-    case2_dominates: bool
     breakpoints_examined: int
-    case1_gain_exact: Fraction | None = None
-    t_exact: Fraction | None = None
-    gain_report: GainReport | None = None
+
+
+class Optimum(NamedTuple):
+    """optimize's answer: the coefficient, its gain report, its A = B gain.
+
+    case1_gain is step 1's own value off the integer grid and the
+    sweep's case1_min on it.
+    """
+
+    r: DesignCoefficient
+    report: GainReport
+    case1_gain: float
+
+    @property
+    def case2_dominates(self) -> bool:
+        return self.report.case2_min >= self.case1_gain - _TIE_TOL
 
 
 def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
@@ -149,12 +160,12 @@ def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
 
 
 def _prune_rows(a_flat, e_flat):
-    """Drop rows whose V never dips below some other row's ceiling."""
+    """Float rows, without those whose V never dips below another's ceiling."""
     af = a_flat.astype(np.float64)
     ef = e_flat.astype(np.float64)
     ceiling = float(np.min(af * SQRT2 + np.abs(ef)))
     keep = (np.abs(ef) - af * SQRT2) <= ceiling + 1e-9
-    return a_flat[keep], e_flat[keep]
+    return af[keep], ef[keep]
 
 
 def _f_at(a, e, ts) -> np.ndarray:
@@ -179,23 +190,12 @@ def _f_at(a, e, ts) -> np.ndarray:
     return f
 
 
-def _eval_f_exact(a_flat, e_flat, t: Fraction) -> Fraction:
-    p, q = t.numerator, t.denominator
-    vals = np.abs(a_flat * np.int64(p) - e_flat * np.int64(q))
-    return Fraction(int(vals.min()), q)
-
-
-def optimize_step1(c: Constellation,
-                   table: CaseOneInvariantTable | None = None
-                   ) -> OptimizationResult:
+def optimize_step1(c: Constellation) -> OptimizationResult:
     """Maximize the worst-case |A*t - dt| over t in [-sqrt(2), sqrt(2)]."""
-    if table is None:
-        table = build_case1_table(c)
+    table = build_case1_table(c)
     if table.n_rows == 0:
         raise ValueError("empty A = B table; nothing to optimize")
-    a, e = _prune_rows(table.a, table.e)
-    af = a.astype(np.float64)
-    ef = e.astype(np.float64)
+    af, ef = _prune_rows(table.a, table.e)
 
     tg = np.linspace(-SQRT2, SQRT2, _SCAN_POINTS)
     fg = _f_at(af, ef, tg)
@@ -215,13 +215,12 @@ def optimize_step1(c: Constellation,
             windows.append((lo, hi))
 
     # breakpoints of the rows active in each window, as num/den:
-    # crossings (dt1+dt2)/(A1+A2), switches (dt1-dt2)/(A1-A2), kinks dt/A;
-    # exact rationals on integer grids, floats elsewhere
+    # crossings (dt1+dt2)/(A1+A2), switches (dt1-dt2)/(A1-A2), kinks dt/A
     margin = level + slack
-    xs, ts = set(), [np.array([-SQRT2, SQRT2])]
+    ts = [np.array([-SQRT2, SQRT2])]
     for lo, hi in windows:
         sel = (ef >= af * lo - margin) & (ef <= af * hi + margin)
-        aw, ew = a[sel], e[sel]
+        aw, ew = af[sel], ef[sel]
         if aw.size > 4000:
             raise RuntimeError(
                 f"{aw.size} active rows in one window; scan resolution "
@@ -230,56 +229,32 @@ def optimize_step1(c: Constellation,
         E1, E2 = ew[:, None], ew[None, :]
         num = np.concatenate([(E1 + E2).ravel(), (E1 - E2).ravel(), ew])
         den = np.concatenate([(A1 + A2).ravel(), (A1 - A2).ravel(), aw])
-        num, den = num[den != 0], den[den != 0]
-        if table.grid_units:
-            xs.update(map(Fraction, num.tolist(), den.tolist()))
-        else:
-            ts.append(num / den)
-        ts.append(np.array([lo, hi]))
-    xs = sorted(t for t in xs if -SQRT2 <= float(t) <= SQRT2)
+        ts += [num[den != 0] / den[den != 0], np.array([lo, hi])]
     ts = np.concatenate(ts)
     ts = np.unique(ts[(ts >= -SQRT2) & (ts <= SQRT2)])
 
-    fx = [float(_eval_f_exact(a, e, t)) for t in xs]
     fs = _f_at(af, ef, ts)
-    best_f = max(fx + [fs.max()])
-    # (f, t, t_exact) within the tie tolerance: exact candidates first,
-    # then float ones ascending
-    tied = [(f, float(t), t) for f, t in zip(fx, xs)
-            if f >= best_f - _TIE_TOL]
-    near = fs >= best_f - _TIE_TOL
-    tied += [(f, t, None) for f, t in zip(fs[near].tolist(),
-                                          ts[near].tolist())]
+    near = fs >= fs.max() - _TIE_TOL
     # smallest |t| wins; positive breaks the remaining +-t tie
-    tied.sort(key=lambda s: (round(abs(s[1]), 12), -s[1]))
-    f_val, t_star, t_exact = tied[0]
-
-    if t_exact is not None:
-        f_exact = _eval_f_exact(a, e, t_exact)
-        gain_exact = 2 * f_exact * f_exact * table.scale_sq ** 2
-        case1_gain = float(gain_exact)
-    else:
-        gain_exact = None
-        case1_gain = 2.0 * f_val * f_val * float(table.scale_sq) ** 2
+    t_star, f_val = min(zip(ts[near].tolist(), fs[near].tolist()),
+                        key=lambda s: (round(abs(s[0]), 12), -s[0]))
 
     root = math.sqrt(max(2.0 - t_star * t_star, 0.0))
     rc = tuple(
         DesignCoefficient(u=(t_star + s * root) / 2.0,
                           v=(t_star + s * root) / 2.0 - t_star,
-                          provenance="maximin", t_exact=t_exact)
+                          provenance="maximin")
         for s in (1.0, -1.0))
     return OptimizationResult(
-        t=t_star, r_candidates=rc, case1_gain=case1_gain,
-        case2_min=math.nan, case2_dominates=False,
-        breakpoints_examined=len(xs) + ts.size,
-        case1_gain_exact=gain_exact, t_exact=t_exact)
+        t=t_star, r_candidates=rc,
+        case1_gain=2.0 * f_val * f_val * float(table.scale_sq) ** 2,
+        breakpoints_examined=ts.size)
 
 
-def verify_step2(c: Constellation,
-                 result: OptimizationResult) -> OptimizationResult:
-    """Exact A != B minimum under the Step-1 coefficient; sets dominance.
+def verify_step2(c: Constellation, result: OptimizationResult) -> Optimum:
+    """Exact gain sweep under the step-1 coefficient.
 
-    Also cross-checks the Step-1 gain against the sweep's independent
+    Also cross-checks the step-1 gain against the sweep's independent
     A = B minimum; disagreement means one of the two enumerations is
     broken, so it raises rather than reporting either number.
     """
@@ -290,18 +265,16 @@ def verify_step2(c: Constellation,
         raise RuntimeError(
             f"Step-1 gain {result.case1_gain} disagrees with the sweep's "
             f"A = B minimum {rep.case1_min}")
-    dominates = rep.case2_min >= result.case1_gain - _TIE_TOL
-    return replace(result, case2_min=rep.case2_min,
-                   case2_dominates=dominates, gain_report=rep)
+    return Optimum(r, rep, result.case1_gain)
 
 
-def optimize(c: Constellation) -> tuple[DesignCoefficient, GainReport]:
+def optimize(c: Constellation) -> Optimum:
     """Best coefficient for c: analytic on integer grids, maximin else."""
     if c.integer_grid:
         r = analytic_integer_optimum()[0]
-        return r, coding_gain(c, r)
-    res = verify_step2(c, optimize_step1(c))
-    return res.r_candidates[0], res.gain_report
+        rep = coding_gain(c, r)
+        return Optimum(r, rep, rep.case1_min)
+    return verify_step2(c, optimize_step1(c))
 
 
 # family -> (default sizes, constellation id pattern)
@@ -323,5 +296,5 @@ def vanishing_probe(family: str, sizes=None):
     except KeyError:
         raise ValueError(f"unknown family {family!r}") from None
     return [(m, optimize(constellation_by_id(pattern.format(m),
-                                             NORM_MIN_DIST))[1].gain)
+                                             NORM_MIN_DIST)).report.gain)
             for m in sizes or default]

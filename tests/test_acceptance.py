@@ -53,7 +53,7 @@ def test_01_integer_grid_gain_is_half():
 def test_02_proposed_code_gain_table():
     t0 = time.perf_counter()
     for ident, want in (("qam4", 2.0), ("qam16", 0.08)):
-        _, rep = opt.optimize(cs.constellation_by_id(ident, UNIT))
+        rep = opt.optimize(cs.constellation_by_id(ident, UNIT)).report
         assert abs(rep.gain - want) <= 1e-9, ident
     r8 = DesignCoefficient(u=U_PSK8, v=V_PSK8)
     rep8 = coding_gain(cs.make_psk(8, UNIT), r8)
@@ -73,7 +73,7 @@ def test_04_psk8_optimizer_recovers_closed_form():
     t0 = time.perf_counter()
     c = cs.make_psk(8, UNIT)
     res = opt.verify_step2(c, opt.optimize_step1(c))
-    r = res.r_candidates[0]
+    r = res.r
     assert abs(r.u - U_PSK8) <= 1e-9
     assert abs(r.v - V_PSK8) <= 1e-9
     assert res.case2_dominates
@@ -98,17 +98,17 @@ def test_05_apsk_gain_table():
 
     c8 = cs.constellation_by_id("apsk8", UNIT)
     res8 = opt.verify_step2(c8, opt.optimize_step1(c8))
-    r8 = res8.r_candidates[0]
+    r8 = res8.r
     assert abs(r8.u - 0.9454) <= 1e-3
     assert abs(r8.v - 0.3258) <= 1e-3
-    assert abs(res8.gain_report.gain - 0.0230) <= 1e-3
+    assert abs(res8.report.gain - 0.0230) <= 1e-3
 
     c16 = cs.constellation_by_id("apsk16", UNIT)
     res16 = opt.verify_step2(c16, opt.optimize_step1(c16))
-    r16 = res16.r_candidates[0]
+    r16 = res16.r
     assert abs(r16.u - 0.8294) <= 1e-3
     assert abs(r16.v - 0.5587) <= 1e-3
-    assert abs(res16.gain_report.gain - 0.0004) / 0.0004 <= 0.25
+    assert abs(res16.report.gain - 0.0004) / 0.0004 <= 0.25
     assert time.perf_counter() - t0 <= 300.0
     _announce(5, "APSK gain table (grid and conventional)", t0)
 
@@ -193,7 +193,7 @@ def _top_error_window(res, min_errors=100, span=9.0):
 def test_10_ber_slope_and_monotonicity():
     t0 = time.perf_counter()
     c = cs.make_qam(4, UNIT)
-    r_opt, _ = opt.optimize(c)
+    r_opt = opt.optimize(c).r
     r_deg = DesignCoefficient(u=math.sqrt(0.5), v=math.sqrt(0.5))
     assert coding_gain(c, r_deg).gain <= 1e-12
 

@@ -334,6 +334,11 @@ EXACT_STDOUT_SHA256 = {
         "b1d1d9db3ffabe73199414f7716621a00f9bc3033386efe8b95dd3a3ac050396",
     ("optimize", "--constellation", "apsk16"):
         "7746da68971e473bfffe2f3cd87f87e3de91bf3894c4ce4378acf6d0ecf45c4f",
+    # integer grids: the analytic coefficient and the sweep's own gains
+    ("optimize", "--constellation", "qam16"):
+        "8e198368f5ccffc9ec9c860151a2586b074c02c5edd0da273bbf58f6e1e2b0c3",
+    ("optimize", "--constellation", "apsk16-grid", "--norm", "min-dist-1"):
+        "4e83ba766ef7435934c59082b875c7b4a4bd672172782a90c98fea07e704f20f",
     ("lemmas", "--sweep", "small"):
         "cb7f6b12846e5d5c450f48ee1df870f2ac8249ffe223d402b26788e829c50140",
     ("lemmas", "--sweep", "full"):

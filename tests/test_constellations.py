@@ -118,6 +118,12 @@ def test_apsk16_grid_preset():
     assert math.isclose(c.grid.scale, 0.5, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, complex(0, math.nan)))
+def test_constellation_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError, match="finite"):
+        cs.Constellation(name="x", points=[0, 1, bad], normalization=UNIT)
+
+
 def test_apsk_grid_rejects_bad_specs():
     with pytest.raises(ValueError):
         cs.make_apsk_grid(cs.GridApskSpec(rings=()))

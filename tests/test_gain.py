@@ -198,7 +198,7 @@ def _optimized(ident):
     which would make the scaling law vacuous.
     """
     c = cs.constellation_by_id(ident, UNIT)
-    r, rep = optimize(c)
+    r, rep, _ = optimize(c)
     return c, r, rep.gain
 
 
@@ -210,6 +210,13 @@ def test_scaling_law_fourth_power(ident, alpha):
     assert base > 0
     scaled = gain.coding_gain_scaled(c, r, alpha)
     assert math.isclose(scaled.gain, alpha ** 4 * base, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("alpha", (0.0, -1.0, math.nan, math.inf))
+def test_scaling_rejects_non_finite_or_non_positive_alpha(alpha):
+    c = cs.constellation_by_id("qam4", UNIT)
+    with pytest.raises(ValueError, match="alpha"):
+        gain.coding_gain_scaled(c, R_GRID, alpha)
 
 
 def test_vanishing_probe_psk_shrinks_qam_does_not():

@@ -122,11 +122,20 @@ def test_f_at_equals_the_brute_force_minimum(ident, ts):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bits
 
 
-def test_step1_qam4_exact():
-    res = opt.optimize_step1(cs.make_qam(4, MIND))
-    assert res.t_exact == Fraction(1, 2)
-    assert res.case1_gain_exact == Fraction(1, 2)
+@pytest.mark.parametrize("norm", (MIND, UNIT))
+@pytest.mark.parametrize("ident", ("qam4", "qam16", "psk4", "apsk8-grid",
+                                   "apsk16-grid"))
+def test_step1_float_search_finds_the_grid_closed_form(ident, norm):
+    # optimize takes the closed form on integer grids; the search, run
+    # anyway, must land on the same t = 1/2 and the sweep's A = B gain
+    c = cs.constellation_by_id(ident, norm)
+    res = opt.optimize_step1(c)
+    assert res.t == 0.5
     assert res.breakpoints_examined > 0
+    assert math.isclose(res.case1_gain, opt.optimize(c).report.case1_min,
+                        rel_tol=1e-12)
+    if norm == MIND:
+        assert math.isclose(res.case1_gain, 0.5, rel_tol=1e-12)
 
 
 def test_step1_is_maximin_certificate():
@@ -160,22 +169,22 @@ def test_step2_certifies_case2_dominance():
     c = cs.make_psk(8, UNIT)
     res = opt.verify_step2(c, opt.optimize_step1(c))
     assert res.case2_dominates
-    assert res.case2_min > res.case1_gain
-    assert math.isclose(res.gain_report.gain, res.case1_gain,
+    assert res.report.case2_min > res.case1_gain
+    assert math.isclose(res.report.gain, res.case1_gain,
                         rel_tol=1e-12)
 
 
 def test_optimize_dispatch():
-    r, rep = opt.optimize(cs.make_qam(16, UNIT))
+    r, rep, _ = opt.optimize(cs.make_qam(16, UNIT))
     assert r.provenance == "analytic"
     assert rep.gain_exact == Fraction(2, 25)
-    r, rep = opt.optimize(cs.make_psk(8, UNIT))
+    r, rep, _ = opt.optimize(cs.make_psk(8, UNIT))
     assert r.provenance == "maximin"
     assert abs(rep.gain - (22572.0 - 15912.0 * SQRT2) / 2401.0) < 1e-12
 
 
 def test_optimize_grid_apsk():
-    r, rep = opt.optimize(cs.constellation_by_id("apsk16-grid", UNIT))
+    rep = opt.optimize(cs.constellation_by_id("apsk16-grid", UNIT)).report
     assert rep.gain_exact == Fraction(1, 32)
 
 

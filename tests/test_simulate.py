@@ -302,7 +302,7 @@ def test_diversity_slope_needs_errors():
 
 def test_optimized_r_no_worse_than_random_paired():
     c = cs.make_qam(4, UNIT)
-    r_opt, _ = opt.optimize(c)
+    r_opt = opt.optimize(c).r
 
     def bit_errors(r):
         cfg = sim.SimConfig(constellation=c, r=r, decoder="fast",

@@ -58,6 +58,7 @@ def test_traced_requests_tag_their_spans(capsys):
     tracer = load("spans").Tracer()
     with tracer.installed():
         for argv in (("optimize", "--constellation", "psk8"),
+                     ("optimize", "--constellation", "qam16"),
                      ("gain", "--constellation", "qam4"),
                      ("lemmas", "--sweep", "small"),
                      ("simulate", "--constellation", "qam4",
