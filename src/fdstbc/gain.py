@@ -46,6 +46,9 @@ AGG_DEFAULT_ABOVE = 8
 _FLOAT_TIE = 1e-12
 _INT_SENTINEL = np.int64(2) ** 62
 _TILE_PAIRS = 2 ** 14  # pairs per tile: the temporaries stay in L2
+# |D|^2 difference pairs expanded at once; each costs about 140 bytes of
+# temporaries, so the limit is about 1.2 GB (psk64 needs 4,198,401 pairs)
+TRIPLE_PAIR_LIMIT = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,12 @@ def _projected_triples(dvals: np.ndarray, as_int: bool, scale: float = 1.0):
     witness of each triple is its smallest (x, y) by DEDUP_TOL keys.  With
     as_int the triples are exact int64 in grid units (dvals/scale must be
     Gaussian integers); witnesses stay in constellation units either way.
+    Raises ValueError up front if |D|^2 exceeds TRIPLE_PAIR_LIMIT.
     """
     d = np.asarray(dvals)
+    if d.size ** 2 > TRIPLE_PAIR_LIMIT:
+        raise ValueError(f"|D|^2 = {d.size ** 2} difference pairs exceed the "
+                         f"limit of {TRIPLE_PAIR_LIMIT}")
     x = np.repeat(d, d.size)
     y = np.tile(d, d.size)
     if as_int:

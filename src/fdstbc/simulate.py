@@ -18,12 +18,13 @@ its codewords with codes.build_codeword and receives them through
 transmit, both batched over the chunk, and the exhaustive-ML decoder
 builds its hypotheses with the same builder.
 
-The fast decoder is exact ML over M^2 hypotheses instead of M^4:
-condition on (s3, s4), cancel their contribution, and the residual
+The fast decoder is exact ML over at most M^2 hypotheses instead of
+M^4: condition on (s3, s4), cancel their contribution, and the residual
 w = y' - c3*s3 - c4*s4 is an Alamouti-type system in (s1, s2) whose
 equivalent channel columns g1, g2 are exactly orthogonal with
 |g1|^2 = |g2|^2 = ||H||^2.  Everything (s3, s4)-dependent is therefore
-complex-linear and is reduced once per codeword to a few scalars:
+complex-linear and is reduced once per codeword, in closed form from
+the four channel entries, to a few scalars:
 
 * the projections p_i = g_i^H w / ||H||^2 = a_i - b_i3*s3 - b_i4*s4;
 * the part of w outside span(g1, g2), e - f3*s3 - f4*s4, whose squared
@@ -31,11 +32,18 @@ complex-linear and is reduced once per codeword to a few scalars:
 
 The metric of hypothesis (s1, s2, s3, s4) is that form plus
 ||H||^2 (|p1 - s1|^2 + |p2 - s2|^2), so s1 and s2 are sliced
-independently.  The decoder loops over s3 only and scores every s4 at
-once on (n, M) arrays.  The slicer is picked from the geometry of the
-points: a full rectangular lattice is sliced by per-axis rounding,
-constellations whose rings are each evenly spaced in angle (PSK, the
-APSKs) by per-ring angle rounding, and anything else by a full scan.
+independently.  The decoder works on one s3 value at a time and scores
+every s4 at once on (n, M) arrays, in two passes.  The first gives each
+(codeword, s3) a lower bound: the metric without its two slicer terms,
+minimised over s4.  The second visits each codeword's s3 values in
+increasing bound and stops once the bound can no longer beat the best
+metric found, so at high SNR most codewords slice one or two s3 values
+instead of M.  Decisions equal those of scoring every s3: among exact
+metric ties the smallest (k3, k4) wins, whatever the visit order.  The
+slicer is picked from the geometry of the points: a full rectangular
+lattice is sliced by per-axis rounding, constellations whose rings are
+each evenly spaced in angle (PSK, the APSKs) by per-ring angle
+rounding, and anything else by a full scan.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -312,69 +320,117 @@ def _fast_decode_batch(y: np.ndarray, h: np.ndarray, r: complex,
                        pts: np.ndarray):
     """Exact ML via (s3, s4) conditioning for a batch: -> (n, 4) indices.
 
-    Rows k3 are scored in order, each for all k4 at once; argmin keeps
-    the first minimum in a row and a strict < keeps the earlier row, so
-    among exact metric ties the smallest (k3, k4) wins.
+    A row is one (codeword, s3), scored for every s4 at once.  Pass 1
+    bounds every row by its metric without the two slicer terms,
+    minimised over s4; pass 2 scores each codeword's rows in increasing
+    bound (stable, so equal bounds go by k3) and skips the rest once the
+    bound can no longer beat the best (metric, k3) found.  Within a row
+    argmin keeps the first minimum and rows compare by (metric, k3), so
+    among exact metric ties the smallest (k3, k4) wins, as in exhaustive
+    ML.  Every temporary is (n, M) or smaller.
     """
     n = y.shape[0]
-    g1, g2 = _equivalent_columns(h, r)
-    hnorm = (np.abs(h) ** 2).reshape(n, 4).sum(axis=1)
+    h00, h01, h10, h11 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 0], h[:, 1, 1]
+    y00, y01, y10, y11 = y[:, 0, 0], y[:, 0, 1], y[:, 1, 0], y[:, 1, 1]
+    p0 = h00.real ** 2 + h00.imag ** 2 + h01.real ** 2 + h01.imag ** 2
+    q0 = h10.real ** 2 + h10.imag ** 2 + h11.real ** 2 + h11.imag ** 2
+    hnorm = p0 + q0
     # an all-zero channel makes every hypothesis equally likely; any
     # positive norm keeps its (zero) projections finite for the slicers
     hnorm[hnorm == 0.0] = 1.0
-    # w = yc - c3*s3 - c4*s4 for the hypothesis (s3, s4)
-    yc = np.stack([y[:, 0, 0], y[:, 0, 1],
-                   np.conj(y[:, 1, 0]), np.conj(y[:, 1, 1])], axis=1)
-    c3 = np.stack([r * h[:, 0, 0], r * h[:, 0, 1],
-                   np.conj(h[:, 1, 0]), np.conj(h[:, 1, 1])], axis=1)
-    c4 = np.stack([r * h[:, 1, 0], r * h[:, 1, 1],
-                   -np.conj(h[:, 0, 0]), -np.conj(h[:, 0, 1])], axis=1)
-
-    def gram(u, v):
-        return (np.conj(u) * v).sum(axis=1) / hnorm
-
-    def project(v):
-        """(g1^H v, g2^H v) / ||H||^2 and the part of v outside span(g1, g2)."""
-        q1, q2 = gram(g1, v), gram(g2, v)
-        return q1, q2, v - g1 * q1[:, None] - g2 * q2[:, None]
-
-    a1, a2, e = project(yc)
-    b13, b23, f3 = project(c3)
-    b14, b24, f4 = project(c4)
-    # |e - f3*s3 - f4*s4|^2 / ||H||^2: the s4-only terms for every s4
-    quad4 = (gram(f4, f4).real[:, None] * (pts.real ** 2 + pts.imag ** 2)
-             - 2.0 * (gram(e, f4)[:, None] * pts).real
-             + gram(e, e).real[:, None])
-    f33 = gram(f3, f3).real
-    e3 = gram(e, f3)
-    cross = 2.0 * gram(f3, f4)[:, None] * pts
+    # the energies of the two rows of h and their inner product, over ||H||^2
+    p0 = p0 / hnorm
+    q0 = q0 / hnorm
+    x = (np.conj(h00) * h10 + np.conj(h01) * h11) / hnorm
+    # With yc = (y00, y01, conj y10, conj y11), w = yc - c3*s3 - c4*s4,
+    #   c3 = (r h00, r h01, conj h10, conj h11),
+    #   c4 = (r h10, r h11, -conj h00, -conj h01),
+    # and g1, g2 of _equivalent_columns, every inner product over
+    # ||H||^2 is a short polynomial in the h entries.  Projections:
+    jr = 1j * np.conj(r)
+    b13 = r * p0 - jr * q0
+    b23 = (r + jr) * np.conj(x)
+    b14 = (r + jr) * x
+    b24 = r * q0 - jr * p0
+    a1 = (np.conj(h00) * y00 + np.conj(h01) * y01
+          - jr * (h10 * np.conj(y10) + h11 * np.conj(y11))) / hnorm
+    a2 = (np.conj(h10) * y00 + np.conj(h11) * y01
+          + jr * (h00 * np.conj(y10) + h01 * np.conj(y11))) / hnorm
+    # Gram scalars over ||H||^2 of e, f3, f4, the parts of yc, c3, c4
+    # outside span(g1, g2): with P the projection onto that span,
+    # <u - Pu, v - Pv> = <u, v> - sum_i conj(<g_i, u>) <g_i, v> / ||H||^2
+    rr = abs(r) ** 2
+    f33 = (rr * p0 + q0) - np.abs(b13) ** 2 - np.abs(b23) ** 2
+    f44 = (rr * q0 + p0) - np.abs(b14) ** 2 - np.abs(b24) ** 2
+    f34 = (rr - 1.0) * x - np.conj(b13) * b14 - np.conj(b23) * b24
+    ee = ((y.real ** 2 + y.imag ** 2).reshape(n, 4).sum(axis=1) / hnorm
+          - np.abs(a1) ** 2 - np.abs(a2) ** 2)
+    e3 = ((r * (np.conj(y00) * h00 + np.conj(y01) * h01)
+           + y10 * np.conj(h10) + y11 * np.conj(h11)) / hnorm
+          - np.conj(a1) * b13 - np.conj(a2) * b23)
+    e4 = ((r * (np.conj(y00) * h10 + np.conj(y01) * h11)
+           - y10 * np.conj(h00) - y11 * np.conj(h01)) / hnorm
+          - np.conj(a1) * b14 - np.conj(a2) * b24)
+    # |e - f3*s3 - f4*s4|^2 / ||H||^2: the s4-only terms for every s4,
+    # the s3-only terms for every s3, and the cross term's coefficients
+    energy = pts.real ** 2 + pts.imag ** 2
+    quad4 = (f44[:, None] * energy - 2.0 * (e4[:, None] * pts).real
+             + ee[:, None])
+    lin3 = f33[:, None] * energy - 2.0 * (e3[:, None] * pts).real
+    cross = 2.0 * f34[:, None] * pts
     cross_re, cross_im = cross.real.copy(), cross.imag.copy()
     bp14 = b14[:, None] * pts
     bp24 = b24[:, None] * pts
     slice_ = _slicer(pts)
-    rows = np.arange(n)
-    best = np.full(n, np.inf)
-    out = np.zeros((n, 4), dtype=np.int64)
+    m = pts.size
+    # Pass 1: the bound lb[:, k3], the metric without its slicer terms
+    # minimised over s4.  It is built with the float operations the
+    # metric applies before adding d1, d2 >= 0, and rounding is
+    # monotone, so metric >= lb holds bit for bit.
+    lb = np.empty((n, m))
+    part = np.empty((n, m))
     for k3, s3 in enumerate(pts):
-        p1 = (a1 - b13 * s3)[:, None] - bp14
-        p2 = (a2 - b23 * s3)[:, None] - bp24
-        k1, d1 = slice_(p1)
-        k2, d2 = slice_(p2)
+        np.add(quad4, lin3[:, k3, None], out=part)
+        part += s3.real * cross_re
+        part += s3.imag * cross_im
+        part.min(axis=1, out=lb[:, k3])
+    del part
+    # Pass 2: every codeword steps through its s3 values in increasing
+    # lb while lb can still beat its best (metric, k3); lb only grows
+    # along the order, so a codeword that stops could beat nothing later.
+    order = np.argsort(lb, axis=1, kind="stable")
+    best = np.full(n, np.inf)
+    best_k3 = np.full(n, m)
+    out = np.zeros((n, 4), dtype=np.int64)
+
+    def beats(val, k3, live):
+        held = best[live]
+        return (val < held) | ((val == held) & (k3 < best_k3[live]))
+
+    live = np.arange(n)
+    for step in range(m):
+        k3 = order[live, step]
+        go = beats(lb[live, k3], k3, live)
+        live, k3 = live[go], k3[go]
+        if live.size == 0:
+            break
+        s3 = pts[k3]
         # the metric over ||H||^2; 2 Re(conj(s3) f3^H f4 s4) is the cross term
-        metric = quad4 + (f33 * abs(s3) ** 2 - 2.0 * (e3 * s3).real)[:, None]
-        metric += s3.real * cross_re
-        metric += s3.imag * cross_im
+        metric = quad4[live] + lin3[live, k3][:, None]
+        metric += s3.real[:, None] * cross_re[live]
+        metric += s3.imag[:, None] * cross_im[live]
+        k1, d1 = slice_((a1[live] - b13[live] * s3)[:, None] - bp14[live])
+        k2, d2 = slice_((a2[live] - b23[live] * s3)[:, None] - bp24[live])
         metric += d1
         metric += d2
         k4 = metric.argmin(axis=1)
-        mbest = metric[rows, k4]
-        upd = mbest < best
-        if upd.any():
-            best[upd] = mbest[upd]
-            out[upd, 0] = k1[upd, k4[upd]]
-            out[upd, 1] = k2[upd, k4[upd]]
-            out[upd, 2] = k3
-            out[upd, 3] = k4[upd]
+        at = np.arange(live.size)
+        mbest = metric[at, k4]
+        upd = beats(mbest, k3, live)
+        rows, at, k3, k4 = live[upd], at[upd], k3[upd], k4[upd]
+        best[rows] = mbest[upd]
+        best_k3[rows] = k3
+        out[rows] = np.stack([k1[at, k4], k2[at, k4], k3, k4], axis=1)
     return out
 
 
@@ -411,8 +467,16 @@ def _run_chunk(args):
                  0.0 if zero_noise else n0, rng)
     decode = _fast_decode_batch if decoder == "fast" else _ml_decode_batch
     rx = decode(y, heff, r.r, pts)
-    xor = labels[tx] ^ labels[rx]
-    return int(_POPCOUNT[xor].sum())
+    return _bit_count(labels[tx] ^ labels[rx])
+
+
+def _bit_count(v: np.ndarray) -> int:
+    """Total number of set bits in non-negative integers, a byte at a time."""
+    total = 0
+    while v.any():
+        total += int(_POPCOUNT[v & 0xFF].sum())
+        v = v >> 8
+    return total
 
 
 def _usable_cpus() -> int:

@@ -138,6 +138,19 @@ def test_simulate_csv_header_and_workers(capsys):
     assert all(r[1] == "400" and r[6] == "3" for r in rows)
 
 
+def test_simulate_more_than_256_points(capsys):
+    # 9-bit labels: the bit count goes past one byte
+    code, out, err = run_cli(capsys, "simulate", "--constellation", "psk512",
+                             "--r", "1,0", "--codewords", "2",
+                             "--snr", "0:1:0")
+    assert (code, err) == (0, "")
+    _, _, rows = parse_csv(out)
+    assert len(rows) == 1
+    snr, codewords, bits, errors = rows[0][:4]
+    assert (snr, codewords, bits) == ("0", "2", "72")
+    assert 0 < int(errors) <= 72
+
+
 def test_simulate_workers_env(capsys, monkeypatch):
     argv = ("simulate", "--constellation", "qam4", "--snr", "0:6:6",
             "--codewords", "200", "--seed", "4")
@@ -235,6 +248,11 @@ def test_bad_arguments_exit_2(capsys, argv):
     (("constellation", "--name", "qamfoo"), None, "'qamfoo'"),
     (("constellation", "--name", "psk"), None, "'psk'"),
     (("constellation", "--name", "pskx"), None, "'pskx'"),
+    # refused from |D| alone, before the |D|^2 pairs are expanded
+    (("gain", "--constellation", "psk256"), None, "|D|^2 = 1073807361"),
+    (("gain", "--constellation", "psk512"), None, "|D|^2 = 17180131329"),
+    (("optimize", "--constellation", "psk256"), None, "|D|^2"),
+    (("optimize", "--constellation", "psk512"), None, "|D|^2"),
 ])
 def test_malformed_input_one_line_error(capsys, monkeypatch, tmp_path, argv,
                                         env, flag):

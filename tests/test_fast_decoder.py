@@ -1,9 +1,11 @@
 """The vectorised fast decoder against its references.
 
-Three oracles: the per-(k3, k4) hypothesis loop the decoder replaced
-(kept here verbatim in behaviour), the full-scan nearest-point search
-for each slicer, and exhaustive ML on random constellations that no
-geometric slicer accepts.
+Four oracles: the per-(k3, k4) hypothesis loop the decoder replaced
+(kept here verbatim in behaviour), the loop that scored every s3 from
+stacked (n, 4) projections, which the bounded search and the
+closed-form set-up replaced (kept here verbatim in behaviour), the
+full-scan nearest-point search for each slicer, and exhaustive ML on
+random constellations that no geometric slicer accepts.
 """
 
 import math
@@ -69,13 +71,120 @@ def reference_fast_decode(y, h, r, pts):
     return out
 
 
+def unpruned_fast_decode(y, h, r, pts):
+    """Every s3 row scored for all s4 at once, in increasing k3, with
+    the projections and Gram scalars taken from stacked (n, 4) columns.
+
+    argmin keeps the first minimum in a row and a strict < keeps the
+    earlier row, so among exact metric ties the smallest (k3, k4) wins.
+    """
+    n = y.shape[0]
+    g1, g2 = sim._equivalent_columns(h, r)
+    hnorm = (np.abs(h) ** 2).reshape(n, 4).sum(axis=1)
+    hnorm[hnorm == 0.0] = 1.0
+    yc = np.stack([y[:, 0, 0], y[:, 0, 1],
+                   np.conj(y[:, 1, 0]), np.conj(y[:, 1, 1])], axis=1)
+    c3 = np.stack([r * h[:, 0, 0], r * h[:, 0, 1],
+                   np.conj(h[:, 1, 0]), np.conj(h[:, 1, 1])], axis=1)
+    c4 = np.stack([r * h[:, 1, 0], r * h[:, 1, 1],
+                   -np.conj(h[:, 0, 0]), -np.conj(h[:, 0, 1])], axis=1)
+
+    def gram(u, v):
+        return (np.conj(u) * v).sum(axis=1) / hnorm
+
+    def project(v):
+        q1, q2 = gram(g1, v), gram(g2, v)
+        return q1, q2, v - g1 * q1[:, None] - g2 * q2[:, None]
+
+    a1, a2, e = project(yc)
+    b13, b23, f3 = project(c3)
+    b14, b24, f4 = project(c4)
+    quad4 = (gram(f4, f4).real[:, None] * (pts.real ** 2 + pts.imag ** 2)
+             - 2.0 * (gram(e, f4)[:, None] * pts).real
+             + gram(e, e).real[:, None])
+    f33 = gram(f3, f3).real
+    e3 = gram(e, f3)
+    cross = 2.0 * gram(f3, f4)[:, None] * pts
+    cross_re, cross_im = cross.real.copy(), cross.imag.copy()
+    bp14 = b14[:, None] * pts
+    bp24 = b24[:, None] * pts
+    slice_ = sim._slicer(pts)
+    rows = np.arange(n)
+    best = np.full(n, np.inf)
+    out = np.zeros((n, 4), dtype=np.int64)
+    for k3, s3 in enumerate(pts):
+        p1 = (a1 - b13 * s3)[:, None] - bp14
+        p2 = (a2 - b23 * s3)[:, None] - bp24
+        k1, d1 = slice_(p1)
+        k2, d2 = slice_(p2)
+        metric = quad4 + (f33 * abs(s3) ** 2 - 2.0 * (e3 * s3).real)[:, None]
+        metric += s3.real * cross_re
+        metric += s3.imag * cross_im
+        metric += d1
+        metric += d2
+        k4 = metric.argmin(axis=1)
+        mbest = metric[rows, k4]
+        upd = mbest < best
+        if upd.any():
+            best[upd] = mbest[upd]
+            out[upd, 0] = k1[upd, k4[upd]]
+            out[upd, 1] = k2[upd, k4[upd]]
+            out[upd, 2] = k3
+            out[upd, 3] = k4[upd]
+    return out
+
+
 def receptions(pts, r, n, snr_db, rng):
-    """n noisy receptions (y, h) of random codewords, as _run_chunk draws."""
+    """n noisy receptions (y, h) of random codewords, as _run_chunk draws;
+    snr_db None means no noise."""
     idx = rng.integers(0, pts.size, size=(n, 4))
     x = build_codeword(*pts[idx].T, DesignCoefficient.from_complex(r))
     h = (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
     h *= math.sqrt(0.5)
-    return sim.transmit(x, h, sim.noise_variance(snr_db), rng), h
+    n0 = 0.0 if snr_db is None else sim.noise_variance(snr_db)
+    return sim.transmit(x, h, n0, rng), h
+
+
+# the batch sizes the BER benchmark decodes, per constellation
+BENCH_BATCHES = (("qam16", 1024), ("apsk16", 1024), ("psk8", 2048),
+                 ("qam64", 256), ("qam4", 4096))
+
+
+@pytest.mark.parametrize("snr_db", tuple(range(0, 22, 3)) + (30, None))
+@pytest.mark.parametrize("ident, n", BENCH_BATCHES)
+def test_bounded_search_matches_unpruned_loop(ident, n, snr_db):
+    c = cs.constellation_by_id(ident, UNIT)
+    rng = np.random.default_rng([len(c), 99 if snr_db is None else snr_db])
+    y, h = receptions(c.points, R_ANALYTIC, n, snr_db, rng)
+    fast = sim._fast_decode_batch(y, h, R_ANALYTIC, c.points)
+    assert np.array_equal(fast, unpruned_fast_decode(y, h, R_ANALYTIC,
+                                                      c.points))
+
+
+def test_bounded_search_skips_rows(monkeypatch):
+    # each visited (codeword, s3) row is sliced twice, for s1 and s2;
+    # with no noise the search should stop after about one row per
+    # codeword, where the unpruned loop slices all 16
+    inner = sim._slicer
+    sliced = []
+
+    def counting_slicer(pts):
+        slice_ = inner(pts)
+
+        def counted(vals):
+            sliced.append(vals.shape[0])
+            return slice_(vals)
+        return counted
+    monkeypatch.setattr(sim, "_slicer", counting_slicer)
+    c = cs.constellation_by_id("qam16", UNIT)
+    n = 1024
+    y, h = receptions(c.points, R_ANALYTIC, n, None,
+                      np.random.default_rng(16))
+    out = sim._fast_decode_batch(y, h, R_ANALYTIC, c.points)
+    visits = sum(sliced) / 2
+    assert n <= visits <= 2 * n
+    assert np.array_equal(out, unpruned_fast_decode(y, h, R_ANALYTIC,
+                                                    c.points))
 
 
 @pytest.mark.parametrize("ident", ("qam4", "qam16", "qam64", "psk8",
@@ -158,7 +267,6 @@ def test_zero_channel_still_decides(ident):
     y = np.ones((3, 2, 2), dtype=complex)
     y[1] = 0.0
     y[2] = 1e3j
-    out = sim._fast_decode_batch(y, np.zeros((3, 2, 2), dtype=complex),
-                                 R_ANALYTIC, pts)
-    assert out.shape == (3, 4)
-    assert ((out >= 0) & (out < pts.size)).all()
+    h = np.zeros((3, 2, 2), dtype=complex)
+    out = sim._fast_decode_batch(y, h, R_ANALYTIC, pts)
+    assert np.array_equal(out, unpruned_fast_decode(y, h, R_ANALYTIC, pts))

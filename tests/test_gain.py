@@ -291,3 +291,13 @@ def test_aggregated_equals_exhaustive_on_random_constellations(seed, m,
         det = codes.det_direct(rep.argmin, r)
         assert math.isclose(abs(det) ** 2, rep.gain,
                             rel_tol=1e-9, abs_tol=1e-12)
+
+
+def test_triple_expansion_is_guarded_up_front():
+    # psk64 (|D| = 2049) is admitted; a |D| just past the limit is
+    # refused before any |D|^2 array exists
+    d64 = cs.difference_set(cs.constellation_by_id("psk64", UNIT))
+    assert d64.size ** 2 == 4_198_401 <= gain.TRIPLE_PAIR_LIMIT
+    big = np.zeros(math.isqrt(gain.TRIPLE_PAIR_LIMIT) + 1, dtype=complex)
+    with pytest.raises(ValueError, match=r"\|D\|\^2 = .* limit of 8388608"):
+        gain._projected_triples(big, False)

@@ -30,6 +30,16 @@ def test_transmit_noiseless_is_linear_model():
     assert np.allclose(y, x.T @ h)
 
 
+def test_bit_count_any_width():
+    rng = np.random.default_rng(5)
+    v = np.concatenate([[0, 1, 255, 256, 511, 2 ** 62 - 1],
+                        rng.integers(0, 2 ** 40, size=500)])
+    want = sum(bin(int(x)).count("1") for x in v)
+    assert sim._bit_count(v) == want
+    assert sim._bit_count(v.reshape(-1, 2)) == want
+    assert sim._bit_count(np.zeros((3, 4), dtype=np.int64)) == 0
+
+
 def test_transmit_rejects_negative_noise():
     rng = np.random.default_rng(0)
     x = np.eye(2, dtype=complex)
