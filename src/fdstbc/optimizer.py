@@ -12,12 +12,13 @@ per distinct A for the dt nearest A*t; it is the only evaluator of f.
 f is a pointwise minimum of V-shaped functions, so its maximum
 sits at a crossing of two branches with opposite slopes,
 t = (dt1 + dt2)/(A1 + A2), at a same-slope switch (dt1 - dt2)/(A1 - A2),
-at a kink dt/A, or at an interval endpoint.  The search brackets the
-maximum with a coarse scan through _f_at (rigorous because f is
-Lipschitz with constant max A), keeps only the windows that can still
-contain the maximum, builds the breakpoints of the rows active inside
-those windows once as numerator/denominator pairs, and scores every
-candidate against the complete row table in one _f_at call.
+at a kink dt/A, or at an interval endpoint.  The search is the decision
+version of parametric search (Megiddo, J. ACM 30(4), 1983): f(t) >= lam
+exactly when t lies outside every interval ((dt - lam)/A, (dt + lam)/A),
+so one sort finds the gaps where a level lam is reached.  Bisecting lam
+shrinks those gaps around the maximum and drops every row that can no
+longer bind; the breakpoints of the few rows left in each gap are then
+scored against the complete row table in one _f_at call.
 
 Constellations with integer coordinates take the closed form instead
 of the search: the maximin solution there is t = +-1/2, giving the four
@@ -42,7 +43,6 @@ from .constellations import (NORM_MIN_DIST, Constellation, _first_of_runs,
 from .gain import GainReport, coding_gain, _projected_triples
 
 SQRT2 = math.sqrt(2.0)
-_SCAN_POINTS = 40001
 _TIE_TOL = 1e-12
 
 
@@ -190,50 +190,65 @@ def _f_at(a, e, ts) -> np.ndarray:
     return f
 
 
+def _gaps(a, e, lam, glo, ghi):
+    """The parts of the gaps (glo, ghi) where every |a*t - e| >= lam.
+
+    Rows and the space between old gaps rule out intervals; one sort by
+    left end and a running maximum of right ends leave the new gaps.
+    """
+    left = np.r_[(e - lam) / a, -np.inf, ghi]
+    right = np.r_[(e + lam) / a, glo, np.inf]
+    order = np.argsort(left, kind="stable")
+    left, reach = left[order], np.maximum.accumulate(right[order])
+    open_ = left[1:] > reach[:-1]
+    return reach[:-1][open_], left[1:][open_]
+
+
 def optimize_step1(c: Constellation) -> OptimizationResult:
-    """Maximize the worst-case |A*t - dt| over t in [-sqrt(2), sqrt(2)]."""
+    """Maximize the worst-case |A*t - dt| over t in [-sqrt(2), sqrt(2)].
+
+    Bisects the level between a coarse grid's best (lo) and the row
+    ceiling (hi); lo's gaps hold the maximum, rows missing them go.
+    """
     table = build_case1_table(c)
     if table.n_rows == 0:
         raise ValueError("empty A = B table; nothing to optimize")
-    af, ef = _prune_rows(table.a, table.e)
-
-    tg = np.linspace(-SQRT2, SQRT2, _SCAN_POINTS)
-    fg = _f_at(af, ef, tg)
-    h = tg[1] - tg[0]
-    level = float(fg.max())
-    slack = float(af.max()) * h
-
-    # windows of grid cells that can still contain the true maximum
-    cell_ok = np.maximum(fg[:-1], fg[1:]) >= level - slack
-    idx = np.flatnonzero(cell_ok)
-    windows = []
-    for i in idx:
-        lo, hi = tg[i], tg[i + 1]
-        if windows and lo <= windows[-1][1] + h * 0.5:
-            windows[-1] = (windows[-1][0], hi)
+    a_all, e_all = af, ef = _prune_rows(table.a, table.e)
+    hi = float(np.min(af * SQRT2 + np.abs(ef)))
+    for lo in (float(_f_at(af, ef, np.linspace(-SQRT2, SQRT2, 33)).max()),
+               0.0):
+        glo, ghi = _gaps(af, ef, lo, [-SQRT2], [SQRT2])
+        if glo.size:
+            break
+    while True:
+        left, right = (ef - hi) / af, (ef + hi) / af
+        k = np.minimum(np.searchsorted(ghi, left), ghi.size - 1)
+        keep = (left <= ghi[k]) & (right >= glo[k])
+        af, ef, left, right = af[keep], ef[keep], left[keep], right[keep]
+        if hi - lo <= 1e-9 * hi:
+            break
+        mid = math.sqrt(lo * hi) if lo > 0 else 0.5 * hi
+        g = _gaps(af, ef, mid, glo, ghi)
+        if g[0].size:
+            lo, (glo, ghi) = mid, g
         else:
-            windows.append((lo, hi))
+            hi = mid
 
-    # breakpoints of the rows active in each window, as num/den:
+    # breakpoints of the rows active in each gap, as num/den:
     # crossings (dt1+dt2)/(A1+A2), switches (dt1-dt2)/(A1-A2), kinks dt/A
-    margin = level + slack
     ts = [np.array([-SQRT2, SQRT2])]
-    for lo, hi in windows:
-        sel = (ef >= af * lo - margin) & (ef <= af * hi + margin)
+    for g0, g1 in zip(glo.tolist(), ghi.tolist()):
+        sel = (left <= g1) & (right >= g0)
         aw, ew = af[sel], ef[sel]
-        if aw.size > 4000:
-            raise RuntimeError(
-                f"{aw.size} active rows in one window; scan resolution "
-                "too coarse for this constellation")
         A1, A2 = aw[:, None], aw[None, :]
         E1, E2 = ew[:, None], ew[None, :]
         num = np.concatenate([(E1 + E2).ravel(), (E1 - E2).ravel(), ew])
         den = np.concatenate([(A1 + A2).ravel(), (A1 - A2).ravel(), aw])
-        ts += [num[den != 0] / den[den != 0], np.array([lo, hi])]
+        ts.append(num[den != 0] / den[den != 0])
     ts = np.concatenate(ts)
     ts = np.unique(ts[(ts >= -SQRT2) & (ts <= SQRT2)])
 
-    fs = _f_at(af, ef, ts)
+    fs = _f_at(a_all, e_all, ts)
     near = fs >= fs.max() - _TIE_TOL
     # smallest |t| wins; positive breaks the remaining +-t tie
     t_star, f_val = min(zip(ts[near].tolist(), fs[near].tolist()),

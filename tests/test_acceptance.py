@@ -253,3 +253,33 @@ def test_12_csv_determinism(capsys, tmp_path):
     comments, header, rows = parse_csv(base)
     assert len(rows) == 3
     _announce(12, "table and simulate CSV bytes are reproducible", t0)
+
+
+@pytest.mark.parametrize("ident, norm", [("psk17", UNIT), ("psk19", UNIT),
+                                         ("psk19", MIND), ("psk21", UNIT),
+                                         ("psk21", MIND)])
+def test_13_optimize_answers_larger_odd_psk(capsys, monkeypatch, ident, norm):
+    t0 = time.perf_counter()
+    steps = []
+    real = opt.optimize_step1
+
+    def keep(c):
+        steps.append((c, real(c)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(opt, "optimize_step1", keep)
+    assert main(["optimize", "--constellation", ident, "--norm", norm]) == 0
+    report = dict(line.split(" = ", 1)
+                  for line in capsys.readouterr().out.splitlines())
+    assert report["case2_dominates"] == "True"
+    assert float(report["gain"]) > 0.0
+
+    # maximin: no random t beats step 1's t on the A = B rows
+    (c, res), = steps
+    tab = opt.build_case1_table(c)
+    f_star = opt._f_at(tab.a, tab.e, [res.t])[0]
+    ts = np.random.default_rng(130).uniform(-math.sqrt(2.0), math.sqrt(2.0),
+                                            2000)
+    assert f_star >= opt._f_at(tab.a, tab.e, ts).max() - opt._TIE_TOL
+    assert time.perf_counter() - t0 <= 2.0  # five rows, under 10 s
+    _announce(13, f"optimize answers {ident} at {norm}", t0)

@@ -153,6 +153,56 @@ def test_step1_is_maximin_certificate():
         assert f(t) <= f_star + 1e-12
 
 
+
+@st.composite
+def non_grid_points(draw):
+    """4-10 random points, or a random-phase subset of a PSK."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        m = draw(st.integers(4, 10))
+        pts = rng.normal(size=m) + 1j * rng.normal(size=m)
+        return pts / math.sqrt(np.mean(np.abs(pts) ** 2))
+    m = draw(st.integers(5, 24))
+    k = draw(st.integers(4, min(m, 10)))
+    phase = draw(st.floats(0.0, 2.0 * math.pi))
+    idx = rng.choice(m, size=k, replace=False)
+    return np.exp(1j * (phase + 2.0 * math.pi * idx / m))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(pts=non_grid_points())
+def test_step1_is_maximin_on_random_constellations(pts):
+    c = cs.Constellation(name="random", points=pts, normalization=UNIT)
+    scored = []
+    real_f_at = opt._f_at
+
+    def spy(a, e, ts):
+        scored.append((np.asarray(ts), real_f_at(a, e, ts)))
+        return scored[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opt, "_f_at", spy)
+        res = opt.optimize_step1(c)
+    ts, fs = scored[-1]  # the last call scores the candidates
+    tab = opt.build_case1_table(c)
+    f_star = opt._f_at(tab.a, tab.e, [res.t])[0]
+    assert res.case1_gain == 2.0 * f_star * f_star
+
+    rng = np.random.default_rng(5)
+    probe = opt._f_at(tab.a, tab.e, rng.uniform(-SQRT2, SQRT2, 2000))
+    assert f_star >= probe.max() - opt._TIE_TOL
+
+    # t* is a candidate with the best score, and wins the tie rule:
+    # smallest |t| first, then positive
+    assert res.t in ts.tolist()
+    assert f_star == fs[ts == res.t][0]
+    assert f_star >= fs.max() - opt._TIE_TOL
+    near = ts[fs >= fs.max() - opt._TIE_TOL].tolist()
+    key = lambda t: (round(abs(t), 12), -t)
+    assert key(res.t) == min(map(key, near))
+
+
 def test_step1_psk8_closed_form():
     res = opt.optimize_step1(cs.make_psk(8, UNIT))
     assert abs(res.t - T8) < 1e-12
