@@ -203,28 +203,37 @@ def _sweep_pairs(a, b, g, zero_idx, *, t=None, pq=None, bound_coef):
 
 
 def _argmin_tuple(ii, jj, wx, wy, a, b):
-    """Pick the reported argmin deterministically among tied candidates."""
+    """Pick the reported argmin deterministically among tied candidates:
+    the key's eight columns narrow them in bulk, within a safety band of
+    its rounding, and the exact key decides among the rows left."""
     def key(c):
         i, j = c
         t = (wx[i], wx[j], wy[i], wy[j])
         return tuple(round(abs(z) ** 2, 12) for z in t) + \
             tuple(round(float(np.angle(z)), 12) for z in t)
-    i, j = min(zip(ii.tolist(), jj.tolist()), key=key)
+    z = np.stack([wx[ii], wx[jj], wy[ii], wy[jj]])
+    rows = np.arange(ii.size)
+    for v in np.vstack([z.real ** 2 + z.imag ** 2, np.angle(z)]):
+        rows = rows[v[rows] <= v[rows].min() + 1e-13 * abs(v).max() + 2e-12]
+        s = v[rows] * 1e12
+        if (np.abs(s - np.floor(s) - 0.5) <= 1e-14 * np.abs(s) + 1e-6).any():
+            break
+        k = np.rint(s) / 1e12
+        rows = rows[k == k.min()]
+    i, j = min(zip(ii[rows].tolist(), jj[rows].tolist()), key=key)
     tup = DifferenceTuple(ds1=complex(wx[i]), ds2=complex(wx[j]),
                           ds3=complex(wy[i]), ds4=complex(wy[j]))
-    if np.asarray(a).dtype.kind == "i":
-        case = "I" if a[i] + a[j] == b[i] + b[j] else "II"
-    else:
-        case = "I" if abs((a[i] + a[j]) - (b[i] + b[j])) <= 1e-9 else "II"
+    case = "I" if abs((a[i] + a[j]) - (b[i] + b[j])) <= 1e-9 else "II"
     return tup, case
 
 
-def _aggregated_gain(c: Constellation, r: DesignCoefficient) -> GainReport:
-    dvals = difference_set(c)
+def _aggregated_gain(c: Constellation, r: DesignCoefficient,
+                     triples=None) -> GainReport:
     exact = c.grid is not None and r.t_exact is not None
     bound_coef = (2.0 - r.t ** 2) / 2.0
+    a, b, g, wx, wy, z = triples or _projected_triples(
+        difference_set(c), exact, c.grid.scale if exact else 1.0)
     if exact:
-        a, b, g, wx, wy, z = _projected_triples(dvals, True, c.grid.scale)
         p, q = r.t_exact.numerator, r.t_exact.denominator
         c1, c2, bmin, ii, jj = _sweep_pairs(a, b, g, z, pq=(p, q),
                                             bound_coef=bound_coef)
@@ -239,7 +248,6 @@ def _aggregated_gain(c: Constellation, r: DesignCoefficient) -> GainReport:
             case2_min=float(Fraction(int(c2), qq) * scale4),
             case2_bound_min=bmin * f4,
             method="aggregated", gain_exact=gain_exact)
-    a, b, g, wx, wy, z = _projected_triples(dvals, False)
     c1, c2, bmin, ii, jj = _sweep_pairs(a, b, g, z, t=r.t,
                                         bound_coef=bound_coef)
     tup, case = _argmin_tuple(ii, jj, wx, wy, a, b)
@@ -280,16 +288,17 @@ def _exhaustive_gain(c: Constellation, r: DesignCoefficient) -> GainReport:
 
 
 def coding_gain(c: Constellation, r: DesignCoefficient,
-                method: str | None = None) -> GainReport:
+                method: str | None = None, triples=None) -> GainReport:
     """Minimum |det|^2 over all nonzero difference tuples of c under r.
 
     method None picks exhaustive for small constellations (<= 8 points)
-    and the aggregated triple-pair sweep otherwise.
+    and the aggregated triple-pair sweep otherwise, which uses triples
+    (the _projected_triples of c's difference set it needs) if given.
     """
     if method is None:
         method = "exhaustive" if len(c) <= AGG_DEFAULT_ABOVE else "aggregated"
     if method == "aggregated":
-        return _aggregated_gain(c, r)
+        return _aggregated_gain(c, r, triples)
     if method == "exhaustive":
         return _exhaustive_gain(c, r)
     raise ValueError(f"unknown method {method!r}")

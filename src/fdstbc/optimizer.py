@@ -31,7 +31,7 @@ on integer grids.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -72,13 +72,14 @@ class CaseOneInvariantTable:
     bit.  grid_units: rows are exact int64 in grid units, and scale_sq
     (the grid scale squared) converts squared grid quantities back to
     constellation units; float rows are in constellation units with
-    scale_sq 1.
+    scale_sq 1.  triples: the projected triples the rows came from.
     """
 
     a: np.ndarray
     e: np.ndarray
     grid_units: bool
     scale_sq: Fraction
+    triples: tuple
 
     @property
     def n_rows(self) -> int:
@@ -87,12 +88,14 @@ class CaseOneInvariantTable:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Step 1's maximin t, its two coefficients and its A = B gain."""
+    """Step 1's maximin t, its two coefficients and its A = B gain, and
+    its table's triples for step 2's sweep (None if in grid units)."""
 
     t: float
     r_candidates: tuple
     case1_gain: float
     breakpoints_examined: int
+    triples: tuple | None = field(default=None, repr=False, compare=False)
 
 
 class Optimum(NamedTuple):
@@ -119,9 +122,9 @@ def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
     products of opposite-key groups instead of all pairs.
     """
     exact = c.grid is not None
-    dvals = difference_set(c)
-    a, b, g, _, _, _ = _projected_triples(
-        dvals, exact, c.grid.scale if exact else 1.0)
+    triples = _projected_triples(difference_set(c), exact,
+                                 c.grid.scale if exact else 1.0)
+    a, b, g = triples[:3]
     keys = _tol_keys(a - b)
     order = np.argsort(keys, kind="stable")
     ks = keys[order]
@@ -156,7 +159,7 @@ def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
     A = A[first].repeat(np.diff(np.r_[first, A.size]))
     return CaseOneInvariantTable(
         a=A, e=E, grid_units=exact,
-        scale_sq=c.grid.scale_sq if exact else Fraction(1))
+        scale_sq=c.grid.scale_sq if exact else Fraction(1), triples=triples)
 
 
 def _prune_rows(a_flat, e_flat):
@@ -263,7 +266,8 @@ def optimize_step1(c: Constellation) -> OptimizationResult:
     return OptimizationResult(
         t=t_star, r_candidates=rc,
         case1_gain=2.0 * f_val * f_val * float(table.scale_sq) ** 2,
-        breakpoints_examined=ts.size)
+        breakpoints_examined=ts.size,
+        triples=None if table.grid_units else table.triples)
 
 
 def verify_step2(c: Constellation, result: OptimizationResult) -> Optimum:
@@ -274,7 +278,7 @@ def verify_step2(c: Constellation, result: OptimizationResult) -> Optimum:
     broken, so it raises rather than reporting either number.
     """
     r = result.r_candidates[0]
-    rep = coding_gain(c, r)
+    rep = coding_gain(c, r, triples=result.triples)
     if not math.isclose(rep.case1_min, result.case1_gain,
                         rel_tol=1e-9, abs_tol=1e-12):
         raise RuntimeError(

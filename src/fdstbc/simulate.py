@@ -16,7 +16,11 @@ Y = X^T H + W model.
 There is one codeword builder and one channel model: each chunk builds
 its codewords with codes.build_codeword and receives them through
 transmit, both batched over the chunk, and the exhaustive-ML decoder
-builds its hypotheses with the same builder.
+builds its hypotheses with the same builder.  It scores the expanded
+metric ||Y - X^T H||^2 - ||Y||^2 = -2 Re sum_it X_it Z_it + e0 G00 +
+e1 G11 + 2 Re(c G01), with Z = H Y^H, G = H H^H per codeword and row
+energies e0, e1 and c = sum_t X_0t conj(X_1t) per hypothesis: a real
+length-12 inner product per pair, by einsum; BLAS is erratic at this size.
 
 The fast decoder is exact ML over at most M^2 hypotheses instead of
 M^4: condition on (s3, s4), cancel their contribution, and the residual
@@ -60,7 +64,7 @@ from .constellations import Constellation
 TX_SCALE = 1.0 / math.sqrt(2.0)
 CHUNK = 4096
 ML_TUPLE_GUARD = 10 ** 8
-_HYP_CHUNK = 256
+_ML_BLOCK = 2 ** 20  # metric entries per exhaustive-ML hypothesis block
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
@@ -164,9 +168,10 @@ def _ml_decode_batch(y: np.ndarray, h: np.ndarray, r: complex,
                      pts: np.ndarray) -> np.ndarray:
     """Exhaustive ML over all tuples for a batch: (n, 2, 2) -> (n, 4).
 
-    Hypotheses are scanned in lexicographic index order and ties keep
-    the first minimum, so the tie-break is lexicographic by
-    constellation index.
+    The expanded metric is scored in blocks of max(256, _ML_BLOCK //
+    max(n, 16)) hypotheses, scanned in lexicographic index order; ties
+    keep the first minimum (strict < across blocks), so the tie-break is
+    lexicographic by constellation index.
     """
     m = pts.size
     total = m ** 4
@@ -174,27 +179,29 @@ def _ml_decode_batch(y: np.ndarray, h: np.ndarray, r: complex,
         raise ValueError(f"{m}^4 = {total} exceeds the exhaustive-ML guard")
     n = y.shape[0]
     coef = DesignCoefficient.from_complex(r)
+    z = np.einsum("nij,ntj->nit", h, np.conj(y)).reshape(n, 4)
+    g = np.einsum("nij,nkj->nik", h, np.conj(h))
+    per_cw = np.column_stack([-2.0 * z.real, 2.0 * z.imag, g[:, 0, 0].real,
+                              g[:, 1, 1].real, 2.0 * g[:, 0, 1].real,
+                              -2.0 * g[:, 0, 1].imag])
     best = np.full(n, np.inf)
-    best_idx = np.zeros((n, 4), dtype=np.int64)
-    for lo in range(0, total, _HYP_CHUNK):
-        hi = min(lo + _HYP_CHUNK, total)
-        codes = np.arange(lo, hi, dtype=np.int64)
-        idx = np.empty((hi - lo, 4), dtype=np.int64)
-        idx[:, 3] = codes % m
-        idx[:, 2] = (codes // m) % m
-        idx[:, 1] = (codes // (m * m)) % m
-        idx[:, 0] = codes // (m * m * m)
-        x = build_codeword(*pts[idx].T, coef)
-        rec = np.einsum("kit,nij->kntj", x, h)
-        diff = y[None, :, :, :] - rec
-        metric = np.abs(diff).reshape(hi - lo, n, 4)
-        metric = (metric * metric).sum(axis=2)
-        kbest = metric.argmin(axis=0)
-        mbest = metric[kbest, np.arange(n)]
+    best_code = np.zeros(n, dtype=np.int64)
+    block = max(256, _ML_BLOCK // max(n, 16))
+    for lo in range(0, total, block):
+        codes = np.arange(lo, min(lo + block, total))
+        syms = pts[np.array(np.unravel_index(codes, (m,) * 4))]
+        x = build_codeword(*syms, coef).reshape(-1, 4).T
+        e = x.real ** 2 + x.imag ** 2
+        c = x[0] * np.conj(x[2]) + x[1] * np.conj(x[3])
+        per_hyp = np.vstack([x.real, x.imag, e[0] + e[1], e[2] + e[3],
+                             c.real, c.imag])
+        metric = np.einsum("nq,qk->nk", per_cw, per_hyp)
+        kbest = metric.argmin(axis=1)
+        mbest = metric[np.arange(n), kbest]
         upd = mbest < best
         best[upd] = mbest[upd]
-        best_idx[upd] = idx[kbest[upd]]
-    return best_idx
+        best_code[upd] = codes[kbest[upd]]
+    return np.stack(np.unravel_index(best_code, (m,) * 4), axis=1)
 
 
 def _equivalent_columns(h: np.ndarray, r: complex):

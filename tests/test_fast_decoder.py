@@ -1,11 +1,12 @@
-"""The vectorised fast decoder against its references.
+"""The vectorised decoders against their references.
 
-Four oracles: the per-(k3, k4) hypothesis loop the decoder replaced
-(kept here verbatim in behaviour), the loop that scored every s3 from
-stacked (n, 4) projections, which the bounded search and the
+Five oracles: the per-(k3, k4) hypothesis loop the fast decoder
+replaced (kept here verbatim in behaviour), the loop that scored every
+s3 from stacked (n, 4) projections, which the bounded search and the
 closed-form set-up replaced (kept here verbatim in behaviour), the
-full-scan nearest-point search for each slicer, and exhaustive ML on
-random constellations that no geometric slicer accepts.
+full-scan nearest-point search for each slicer, exhaustive ML on random
+constellations that no geometric slicer accepts, and, for exhaustive
+ML itself, the direct ||Y - X^T H||^2 loop its expanded metric replaced.
 """
 
 import math
@@ -145,6 +146,38 @@ def receptions(pts, r, n, snr_db, rng):
     return sim.transmit(x, h, n0, rng), h
 
 
+def direct_ml_decode(y, h, r, pts):
+    """Exhaustive ML by the direct difference Y - X^T H, 256 hypotheses
+    at a time, in lexicographic index order with a strict-< running
+    minimum across blocks, so ties keep the first minimum.
+    """
+    m = pts.size
+    total = m ** 4
+    n = y.shape[0]
+    coef = DesignCoefficient.from_complex(r)
+    best = np.full(n, np.inf)
+    best_idx = np.zeros((n, 4), dtype=np.int64)
+    for lo in range(0, total, 256):
+        hi = min(lo + 256, total)
+        codes = np.arange(lo, hi, dtype=np.int64)
+        idx = np.empty((hi - lo, 4), dtype=np.int64)
+        idx[:, 3] = codes % m
+        idx[:, 2] = (codes // m) % m
+        idx[:, 1] = (codes // (m * m)) % m
+        idx[:, 0] = codes // (m * m * m)
+        x = build_codeword(*pts[idx].T, coef)
+        rec = np.einsum("kit,nij->kntj", x, h)
+        diff = y[None, :, :, :] - rec
+        metric = np.abs(diff).reshape(hi - lo, n, 4)
+        metric = (metric * metric).sum(axis=2)
+        kbest = metric.argmin(axis=0)
+        mbest = metric[kbest, np.arange(n)]
+        upd = mbest < best
+        best[upd] = mbest[upd]
+        best_idx[upd] = idx[kbest[upd]]
+    return best_idx
+
+
 # the batch sizes the BER benchmark decodes, per constellation
 BENCH_BATCHES = (("qam16", 1024), ("apsk16", 1024), ("psk8", 2048),
                  ("qam64", 256), ("qam4", 4096))
@@ -270,3 +303,55 @@ def test_zero_channel_still_decides(ident):
     h = np.zeros((3, 2, 2), dtype=complex)
     out = sim._fast_decode_batch(y, h, R_ANALYTIC, pts)
     assert np.array_equal(out, unpruned_fast_decode(y, h, R_ANALYTIC, pts))
+
+
+ML_SNRS = st.one_of(st.none(), st.floats(0.0, 40.0))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       pts=st.one_of(st.integers(2, 8),
+                     st.sampled_from(("qam4", "psk8", "apsk8"))),
+       angle=st.floats(0.0, 2.0 * math.pi), n=st.integers(1, 40),
+       block=st.sampled_from((2 ** 20, 2 ** 12, 1)), snr_db=ML_SNRS)
+def test_ml_equals_direct_difference(seed, pts, angle, n, block, snr_db):
+    # a block bound below 2^20 splits the hypotheses into 256-row blocks
+    rng = np.random.default_rng(seed)
+    if isinstance(pts, str):
+        pts = cs.constellation_by_id(pts, UNIT).points
+    else:
+        pts = rng.normal(size=pts) + 1j * rng.normal(size=pts)
+        pts /= math.sqrt(np.mean(np.abs(pts) ** 2))
+    r = complex(math.cos(angle), math.sin(angle))
+    y, h = receptions(pts, r, n, snr_db, rng)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_ML_BLOCK", block)
+        ml = sim._ml_decode_batch(y, h, r, pts)
+    assert np.array_equal(ml, direct_ml_decode(y, h, r, pts))
+
+
+@pytest.mark.parametrize("snr_db", (0, 12, 40, None))
+@pytest.mark.parametrize("ident", ("psk8", "apsk8"))
+def test_ml_equals_direct_difference_across_blocks(ident, snr_db):
+    # 4096 hypotheses against 300 codewords: blocks of 3495 rows
+    c = cs.constellation_by_id(ident, UNIT)
+    rng = np.random.default_rng([len(c), 7 if snr_db is None else snr_db])
+    y, h = receptions(c.points, R_ANALYTIC, 300, snr_db, rng)
+    assert np.array_equal(sim._ml_decode_batch(y, h, R_ANALYTIC, c.points),
+                          direct_ml_decode(y, h, R_ANALYTIC, c.points))
+
+
+@pytest.mark.parametrize("block", (2 ** 20, 1))
+@pytest.mark.parametrize("ident", ("qam4", "psk8", "apsk8"))
+def test_ml_zero_channel_ties_go_to_index_zero(monkeypatch, ident, block):
+    # with H = 0 every hypothesis scores the same: the first one wins,
+    # also when later 256-row blocks tie with it
+    monkeypatch.setattr(sim, "_ML_BLOCK", block)
+    pts = cs.constellation_by_id(ident, UNIT).points
+    y = np.ones((3, 2, 2), dtype=complex)
+    y[1] = 0.0
+    y[2] = 1e3j
+    h = np.zeros((3, 2, 2), dtype=complex)
+    for decode in (sim._ml_decode_batch, direct_ml_decode):
+        assert not decode(y, h, R_ANALYTIC, pts).any()

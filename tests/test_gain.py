@@ -301,3 +301,75 @@ def test_triple_expansion_is_guarded_up_front():
     big = np.zeros(math.isqrt(gain.TRIPLE_PAIR_LIMIT) + 1, dtype=complex)
     with pytest.raises(ValueError, match=r"\|D\|\^2 = .* limit of 8388608"):
         gain._projected_triples(big, False)
+
+
+def argmin_tuple_by_key(ii, jj, wx, wy, a, b):
+    """The tie-break with its exact key run on every candidate: the
+    reference for gain._argmin_tuple, which narrows the ties in bulk."""
+    def key(c):
+        i, j = c
+        t = (wx[i], wx[j], wy[i], wy[j])
+        return tuple(round(abs(z) ** 2, 12) for z in t) + \
+            tuple(round(float(np.angle(z)), 12) for z in t)
+    i, j = min(zip(ii.tolist(), jj.tolist()), key=key)
+    tup = codes.DifferenceTuple(ds1=complex(wx[i]), ds2=complex(wx[j]),
+                                ds3=complex(wy[i]), ds4=complex(wy[j]))
+    if np.asarray(a).dtype.kind == "i":
+        case = "I" if a[i] + a[j] == b[i] + b[j] else "II"
+    else:
+        case = "I" if abs((a[i] + a[j]) - (b[i] + b[j])) <= 1e-9 else "II"
+    return tup, case
+
+
+def tie_witnesses(rng, size, zero):
+    """Witnesses whose key columns collide: equal moduli at other angles,
+    and moduli and angles a few ulps apart or next to a 12-decimal
+    rounding boundary."""
+    base = rng.choice([0.5, 1.0, 2.0, 2.0 - math.sqrt(2.0), 3.7]
+                      + [0.0] * zero, size)
+    k = np.floor(base * 1e12)
+    edge = (k + 0.5 + rng.uniform(-2e-3, 2e-3, size)) / 1e12
+    mod2 = np.where(rng.random(size) < 0.3, edge, base)
+    mod2 *= 1.0 + rng.integers(-4, 5, size) * 2.0 ** -52
+    ang = rng.choice([0.0, 0.25, -2.0, math.pi / 4, math.pi], size)
+    k = np.floor(ang * 1e12)
+    edge = (k + 0.5 + rng.uniform(-2e-3, 2e-3, size)) / 1e12
+    ang = np.where(rng.random(size) < 0.3, edge, ang)
+    ang *= 1.0 + rng.integers(-4, 5, size) * 2.0 ** -52
+    return np.sqrt(mod2) * np.exp(1j * ang)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), pool=st.integers(1, 12),
+       ties=st.integers(1, 60))
+def test_bulk_tie_break_equals_exact_key(seed, pool, ties):
+    rng = np.random.default_rng(seed)
+    # wy is never 0, so no candidate is the all-zero tuple
+    wx, wy = tie_witnesses(rng, pool, 1), tie_witnesses(rng, pool, 0)
+    ii = rng.integers(0, pool, ties)
+    jj = rng.integers(0, pool, ties)
+    a, b = np.abs(wx) ** 2, np.abs(wy) ** 2
+    assert gain._argmin_tuple(ii, jj, wx, wy, a, b) == \
+        argmin_tuple_by_key(ii, jj, wx, wy, a, b)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_bulk_tie_break_defers_to_the_key_at_a_rounding_boundary(sign):
+    # za's angle times 1e12 is the float +-...2.5, which rint takes to the
+    # even +-...2, but the key rounds the exact angle out to +-...3, level
+    # with zb's; the next column, the angle of wx[j], then decides
+    za = 0.9689124217100262 + 0.24740395925694522j
+    zb = complex(math.cos(0.2500000000029), math.sin(0.2500000000029))
+    wx = np.array([za, zb, np.exp(0.5j), np.exp(0.1j)])
+    if sign < 0:
+        wx = np.conj(wx)
+    t = float(np.angle(wx[0]))
+    assert (round(t, 12), np.round(t, 12)) == (sign * 0.250000000003,
+                                                sign * 0.250000000002)
+    wy = np.ones(4, dtype=complex)
+    ii, jj = np.array([0, 1]), np.array([2, 3])
+    a, b = np.abs(wx) ** 2, np.abs(wy) ** 2
+    got = gain._argmin_tuple(ii, jj, wx, wy, a, b)
+    assert got == argmin_tuple_by_key(ii, jj, wx, wy, a, b)
+    # 0.1 < 0.5 picks zb's row; -0.5 < -0.1 picks za's
+    assert got[0].ds1 == wx[1 if sign > 0 else 0]

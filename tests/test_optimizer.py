@@ -244,3 +244,20 @@ def test_step1_rejects_empty_case1():
     # (d, 0, 0, d) tuple; instead check step1 works on the smallest set
     res = opt.optimize_step1(cs.make_psk(2, MIND))
     assert res.case1_gain > 0
+
+
+def test_optimize_expands_the_triples_once(monkeypatch):
+    # step 1's table and step 2's float sweep share one expansion
+    calls = []
+    inner = gain._projected_triples
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(gain, "_projected_triples", counted)
+    monkeypatch.setattr(opt, "_projected_triples", counted)
+    best = opt.optimize(cs.constellation_by_id("psk22", UNIT))
+    assert calls == [False]
+    assert best.report.method == "aggregated"
+    assert best.report.case1_min == pytest.approx(best.case1_gain,
+                                                  rel=1e-9)

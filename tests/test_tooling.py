@@ -1,13 +1,14 @@
 """Guards for what the benchmark harness in perfbench/ uses of the package.
 
 perfbench/spans.py wraps module attributes by name for its traced run,
-perfbench/run.py takes the coefficient as optimize(c)[0], and
-perfbench/checks.py builds single codewords and sends them through
-transmit.  The traced run's span taggers read fields of what the layers
-return (a table's n_rows, step 1's breakpoints_examined, a gain report's
-route, a sweep's checked count).  A simplification that renames or
-reshapes any of these breaks `perfbench/run.py --trace 1` without
-failing another test.  These tests only read perfbench/.
+perfbench/run.py takes the coefficient as optimize(c)[0] and times the
+public decoders one reception at a time, and perfbench/checks.py builds
+single codewords and sends them through transmit.  The traced run's span
+taggers read fields of what the layers return (a table's n_rows, step
+1's breakpoints_examined, a gain report's route, a sweep's checked
+count).  A simplification that renames or reshapes any of these breaks
+`perfbench/run.py --trace 1` without failing another test.  These tests
+only read perfbench/.
 """
 
 import importlib.util
@@ -86,3 +87,13 @@ def test_decoder_check_receptions():
                                     [6.0])
     assert all(y.shape == h.shape == (2, 2) for y, h in recs)
     assert checks.check_decoders(c, r, recs) == []
+
+
+def test_traced_decoder_probe_times_both_decoders(monkeypatch):
+    # probe_decoders imports checks.py by its plain module name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    out = load("run").probe_decoders(load("spans").Tracer(), 0)
+    for name in ("qam16", "psk8"):
+        for label in ("fast", "ml"):
+            value, unit = out[f"simulate.{label}_decode_ms.{name}"]
+            assert unit == "ms" and value > 0.0
