@@ -15,6 +15,7 @@ are identical across worker counts.
 """
 
 import argparse
+from dataclasses import astuple
 import json
 import math
 import os
@@ -205,8 +206,7 @@ def cmd_gain(cfg, out):
     else:
         r = _parse_r(cfg["r"], c)
         rep = coding_gain(c, r, method=method)
-    wit = (rep.argmin.ds1, rep.argmin.ds2, rep.argmin.ds3, rep.argmin.ds4)
-    argmin = [x for s in wit for x in (s.real, s.imag)]
+    argmin = [x for s in astuple(rep.argmin) for x in (s.real, s.imag)]
     if cfg["emit"] == "csv":
         lines = _echo([("constellation", c.name), ("norm", c.normalization),
                        ("r", cfg["r"]), ("method", rep.method)])
@@ -257,10 +257,8 @@ def cmd_optimize(cfg, out):
                   f"case2_min = {_fmt(rep.case2_min)}",
                   f"case2_dominates = {res.case2_dominates}",
                   f"provenance = {r.provenance}",
-                  "witness = " + " ".join(
-                      _fmt(x) for s in (rep.argmin.ds1, rep.argmin.ds2,
-                                        rep.argmin.ds3, rep.argmin.ds4)
-                      for x in (s.real, s.imag))]
+                  "witness = " + " ".join(_fmt(x) for s in astuple(
+                      rep.argmin) for x in (s.real, s.imag))]
     _emit(lines, out)
     return 0
 

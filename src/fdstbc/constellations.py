@@ -39,23 +39,37 @@ def _tol_keys(x) -> np.ndarray:
     return np.round(x / DEDUP_TOL).astype(np.int64)
 
 
-def _first_of_runs(keys, ties=()) -> np.ndarray:
-    """Indices of one representative per distinct key tuple.
+def _first_of_runs(blocks, n_keys, n_ties=0) -> list:
+    """One row per distinct key tuple of a stream of column blocks.
 
-    keys and ties are sequences of arrays, most significant first, keyed
-    by _tol_keys.  Rows are sorted stably by keys, then ties; the first
-    row of each run of equal keys is returned, in sorted order.  Values
-    are never snapped to the key grid, so representatives keep full
-    precision.
+    A block holds equal-length columns: n_keys keys, n_ties ties, then
+    payload, each group most significant first; keys and ties compare by
+    _tol_keys.  A key keeps its row with the smallest ties, then the
+    earliest in the stream; rows come back as columns sorted by key.  A
+    block is deduplicated on arrival and its survivors merge into the
+    kept rows once they outnumber them, so every split of the stream
+    gives the same rows, in about one block plus twice the output.
     """
-    keys = [_tol_keys(k) for k in keys]
-    order = np.lexsort([_tol_keys(t) for t in ties[::-1]] + keys[::-1])
-    keep = np.zeros(order.size, dtype=bool)
-    keep[:1] = True
-    for k in keys:
-        k = k[order]
-        keep[1:] |= k[1:] != k[:-1]
-    return order[keep]
+    def dedup(cols):
+        ks = [_tol_keys(c) for c in cols[:n_keys + n_ties]]
+        order = np.lexsort(ks[::-1])
+        keep = np.zeros(order.size, dtype=bool)
+        keep[:1] = True
+        for k in ks[:n_keys]:
+            k = k[order]
+            keep[1:] |= k[1:] != k[:-1]
+        return [c[order[keep]] for c in cols]
+
+    def merged(parts):
+        return parts[0] if len(parts) == 1 else dedup(
+            [np.concatenate(c) for c in zip(*parts)])
+
+    parts = []  # the kept rows, then the survivors not merged yet
+    for block in blocks:
+        parts.append(dedup(block))
+        if sum(p[0].size for p in parts) > 2 * parts[0][0].size:
+            parts = [merged(parts)]
+    return merged(parts)
 
 
 @dataclass(frozen=True)
@@ -89,8 +103,7 @@ class Constellation:
             raise ValueError("constellation needs at least 2 points")
         if not np.isfinite(pts).all():
             raise ValueError("constellation points must be finite")
-        d = _min_pairwise_distance(pts)
-        if d <= DEDUP_TOL:
+        if _min_pairwise_distance(pts) <= DEDUP_TOL:
             raise ValueError("constellation points are not pairwise distinct")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -153,12 +166,10 @@ def papr(c: Constellation) -> float:
 
 
 def difference_set(c: Constellation) -> np.ndarray:
-    """Distinct differences p - q (DEDUP_TOL keys), sorted by (re, im).
-
-    A read-only complex128 array.
-    """
+    """Distinct differences p - q (DEDUP_TOL keys), sorted by (re, im),
+    as a read-only complex128 array."""
     diffs = (c.points[:, None] - c.points[None, :]).ravel()
-    vals = diffs[_first_of_runs((diffs.real, diffs.imag))]
+    vals = _first_of_runs([(diffs.real, diffs.imag, diffs)], 2)[-1]
     vals.flags.writeable = False
     return vals
 
@@ -180,17 +191,12 @@ def _grid_constellation(name, coords, norm, lattice_step=1):
     elif norm == NORM_MIN_DIST:
         d = coords[:, None] - coords[None, :]
         dsq = (d.real ** 2 + d.imag ** 2).round().astype(np.int64)
-        dmin = int(dsq[dsq > 0].min())
-        point_sq = Fraction(1, dmin)
+        point_sq = Fraction(1, int(dsq[dsq > 0].min()))
     else:
         raise ValueError(f"unknown normalization {norm!r}")
     scale_sq = point_sq * lattice_step ** 2
-    return Constellation(
-        name=name,
-        points=coords * math.sqrt(point_sq),
-        normalization=norm,
-        grid=GridInfo(scale_sq=scale_sq),
-    )
+    return Constellation(name=name, points=coords * math.sqrt(point_sq),
+                         normalization=norm, grid=GridInfo(scale_sq=scale_sq))
 
 
 def make_qam(m: int, norm: str = NORM_UNIT_POWER) -> Constellation:
@@ -206,8 +212,8 @@ def make_qam(m: int, norm: str = NORM_UNIT_POWER) -> Constellation:
 
 def make_psk(m: int, norm: str = NORM_UNIT_POWER) -> Constellation:
     """M-ary PSK, points exp(j*2*pi*k/M).  Integer grid only for M in {2, 4}."""
-    if m < 2:
-        raise ValueError("PSK needs M >= 2")
+    if not 2 <= m <= 2048:  # Constellation checks an M x M distance matrix
+        raise ValueError(f"PSK needs 2 <= M <= 2048, got {m}")
     name = f"psk{m}"
     if m in (2, 4):
         coords = np.exp(2j * np.pi * np.arange(m) / m).round()
@@ -282,19 +288,16 @@ def make_apsk_grid(spec: GridApskSpec, norm: str = NORM_UNIT_POWER,
     return _grid_constellation(name, arr[order], norm)
 
 
-_GRID_PRESETS = {
-    "apsk8-grid": (GRID_APSK_8, "apsk8-grid"),
-    "apsk16-grid": (GRID_APSK_16, "apsk16-grid"),
-}
+_GRID_PRESETS = {"apsk8-grid": GRID_APSK_8, "apsk16-grid": GRID_APSK_16}
 
 
 def make_apsk_grid_preset(which: str, norm: str = NORM_UNIT_POWER) -> Constellation:
     try:
-        spec, name = _GRID_PRESETS[which]
+        spec = _GRID_PRESETS[which]
     except KeyError:
         raise ValueError(f"unknown grid APSK preset {which!r}; "
                          f"have {sorted(_GRID_PRESETS)}") from None
-    return make_apsk_grid(spec, norm, name=name)
+    return make_apsk_grid(spec, norm, name=which)
 
 
 def constellation_by_id(ident: str, norm: str = NORM_UNIT_POWER) -> Constellation:

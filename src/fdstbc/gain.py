@@ -39,15 +39,17 @@ import math
 import numpy as np
 
 from .codes import DesignCoefficient, DifferenceTuple
-from .constellations import Constellation, _first_of_runs, difference_set
+from .constellations import (Constellation, _first_of_runs, _tol_keys,
+                             difference_set)
 
 EXHAUSTIVE_LIMIT = 1e10
 AGG_DEFAULT_ABOVE = 8
 _FLOAT_TIE = 1e-12
 _INT_SENTINEL = np.int64(2) ** 62
 _TILE_PAIRS = 2 ** 14  # pairs per tile: the temporaries stay in L2
-# |D|^2 difference pairs expanded at once; each costs about 140 bytes of
-# temporaries, so the limit is about 1.2 GB (psk64 needs 4,198,401 pairs)
+_BLOCK_PAIRS = 2 ** 18  # difference pairs expanded per dedup block
+# Expansion holds one block at a time, so this bounds time, not memory:
+# psk55's 8,826,841 pairs take 6.5 s and give a 3.2e9-pair sweep
 TRIPLE_PAIR_LIMIT = 2 ** 23
 
 
@@ -63,6 +65,15 @@ class GainReport:
     gain_exact: Fraction | None = None
 
 
+def _row_blocks(rows, cols):
+    """(rows[i], cols[j]) over rows x cols in row-major order, in blocks
+    of about _BLOCK_PAIRS pairs."""
+    step = max(1, _BLOCK_PAIRS // max(cols.size, 1))
+    for i0 in range(0, rows.size, step):
+        r = rows[i0:i0 + step]
+        yield r.repeat(cols.size), np.tile(cols, r.size)
+
+
 def _projected_triples(dvals: np.ndarray, as_int: bool, scale: float = 1.0):
     """Dedup (a, b, g) with g = Im(x*conj(y)) - Re(x*conj(y)).
 
@@ -70,38 +81,38 @@ def _projected_triples(dvals: np.ndarray, as_int: bool, scale: float = 1.0):
     witness of each triple is its smallest (x, y) by DEDUP_TOL keys.  With
     as_int the triples are exact int64 in grid units (dvals/scale must be
     Gaussian integers); witnesses stay in constellation units either way.
-    Raises ValueError up front if |D|^2 exceeds TRIPLE_PAIR_LIMIT.
+    D x D streams through _first_of_runs in row blocks; ValueError up
+    front if |D|^2 exceeds TRIPLE_PAIR_LIMIT.
     """
     d = np.asarray(dvals)
-    if d.size ** 2 > TRIPLE_PAIR_LIMIT:
-        raise ValueError(f"|D|^2 = {d.size ** 2} difference pairs exceed the "
+    n = d.size
+    if n ** 2 > TRIPLE_PAIR_LIMIT:
+        raise ValueError(f"|D|^2 = {n ** 2} difference pairs exceed the "
                          f"limit of {TRIPLE_PAIR_LIMIT}")
-    x = np.repeat(d, d.size)
-    y = np.tile(d, d.size)
+    u, sq = d, np.abs(d) ** 2
     if as_int:
-        xs = x / scale
-        ys = y / scale
-        xi = np.round(xs.real).astype(np.int64) + 0j
-        xi = xi + 1j * np.round(xs.imag).astype(np.int64)
-        yi = np.round(ys.real).astype(np.int64) + 0j
-        yi = yi + 1j * np.round(ys.imag).astype(np.int64)
-        if (np.max(np.abs(xs - xi)) > 1e-9) or (np.max(np.abs(ys - yi)) > 1e-9):
+        ds = d / scale
+        u = np.round(ds.real) + 1j * np.round(ds.imag)
+        if np.max(np.abs(ds - u)) > 1e-9:
             raise ValueError("differences are not on the integer grid")
-        a = np.round(np.abs(xi) ** 2).astype(np.int64)
-        b = np.round(np.abs(yi) ** 2).astype(np.int64)
-        cc = xi * np.conj(yi)
-        g = np.round(cc.imag - cc.real).astype(np.int64)
-    else:
-        a = np.abs(x) ** 2
-        b = np.abs(y) ** 2
-        cc = x * np.conj(y)
-        g = cc.imag - cc.real
-    keep = _first_of_runs((a, b, g), ties=(x.real, x.imag, y.real, y.imag))
-    a, b, g, wx, wy = a[keep], b[keep], g[keep], x[keep], y[keep]
+        sq = (u.real ** 2 + u.imag ** 2).astype(np.int64)
+    # numpy's fused complex product rounds by operand order, and elision
+    # runs x * conj(y) as conj(y) * x from 256 KiB up: use whole D x D's
+    swap = 16 * n * n >= 2 ** 18
+    kre, kim = _tol_keys(d.real), _tol_keys(d.imag)
+
+    def blocks():
+        for i, j in _row_blocks(np.arange(n), np.arange(n)):
+            x, cy = u[i], np.conj(u[j])
+            cc = cy * x if swap else x * cy
+            g = (cc.imag - cc.real).astype(sq.dtype, copy=False)
+            yield sq[i], sq[j], g, kre[i], kim[i], kre[j], kim[j], i, j
+
+    a, b, g, *_, i, j = _first_of_runs(blocks(), 3, 4)
     zero = np.flatnonzero((a == 0) & (b == 0) & (g == 0))
     if zero.size != 1:
         raise AssertionError("difference set must contain exactly one zero")
-    return a, b, g, wx, wy, int(zero[0])
+    return a, b, g, d[i], d[j], int(zero[0])
 
 
 def _sweep_upper(n, zero_idx, tile, *, q2, bound_coef):

@@ -40,7 +40,7 @@ import numpy as np
 from .codes import DesignCoefficient
 from .constellations import (NORM_MIN_DIST, Constellation, _first_of_runs,
                              _tol_keys, constellation_by_id, difference_set)
-from .gain import GainReport, coding_gain, _projected_triples
+from .gain import GainReport, coding_gain, _projected_triples, _row_blocks
 
 SQRT2 = math.sqrt(2.0)
 _TIE_TOL = 1e-12
@@ -127,34 +127,22 @@ def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
     a, b, g = triples[:3]
     keys = _tol_keys(a - b)
     order = np.argsort(keys, kind="stable")
-    ks = keys[order]
-    starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-    bounds = np.r_[starts, ks.size]
-    groups = {int(ks[s]): order[s:e] for s, e in zip(bounds[:-1], bounds[1:])}
+    ks, starts = np.unique(keys[order], return_index=True)
+    groups = dict(zip(ks.tolist(), np.split(order, starts[1:])))
 
-    rows_a, rows_e = [], []
-    for k in sorted(groups):
-        if k < 0 or -k not in groups:
-            continue
-        gi, gj = groups[k], groups[-k]
-        step = max(1, int(8_000_000 // max(gj.size, 1)))
-        for s in range(0, gi.size, step):
-            ii = gi[s:s + step]
-            A = (a[ii][:, None] + a[gj][None, :]).ravel()
-            E = (g[ii][:, None] + g[gj][None, :]).ravel()
-            keep = _first_of_runs((A, E))
-            rows_a.append(A[keep])
-            rows_e.append(E[keep])
-    A = np.concatenate(rows_a)
-    E = np.concatenate(rows_e)
+    def products():
+        for k in sorted(groups):
+            if k >= 0 and -k in groups:
+                for i, j in _row_blocks(groups[k], groups[-k]):
+                    yield a[i] + a[j], g[i] + g[j]
+
+    A, E = _first_of_runs(products(), 2)
     ka = _tol_keys(A)
-    keep = _first_of_runs((ka, E))
-    keep = keep[ka[keep] != 0]  # A = 0 forces B = 0: the all-zero tuple
+    keep = ka != 0  # A = 0 forces B = 0: the all-zero tuple
     A, E, ka = A[keep], E[keep], ka[keep]
-    # On the float path two sums can land in the same 1e-9 key while
-    # differing in the last bits (e.g. (2-sqrt(2)) + (2+sqrt(2)) vs
-    # 2 + 2); every row takes the first A of its key, so rows group by
-    # exact value.
+    # Float sums can share a 1e-9 key yet differ in the last bits
+    # ((2-sqrt(2)) + (2+sqrt(2)) vs 2 + 2); every row takes the first A
+    # of its key, so rows group by exact value.
     first = np.flatnonzero(np.r_[True, ka[1:] != ka[:-1]])
     A = A[first].repeat(np.diff(np.r_[first, A.size]))
     return CaseOneInvariantTable(

@@ -254,6 +254,11 @@ def test_bad_arguments_exit_2(capsys, argv):
     (("gain", "--constellation", "psk512"), None, "|D|^2 = 17180131329"),
     (("optimize", "--constellation", "psk256"), None, "|D|^2"),
     (("optimize", "--constellation", "psk512"), None, "|D|^2"),
+    # refused from M alone, before the M x M distance check is built
+    (("constellation", "--name", "psk100000"), None, "M <= 2048"),
+    (("gain", "--constellation", "psk100000"), None, "M <= 2048"),
+    (("simulate", "--constellation", "psk100000", "--codewords", "1"),
+     None, "M <= 2048"),
 ])
 def test_malformed_input_one_line_error(capsys, monkeypatch, tmp_path, argv,
                                         env, flag):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdstbc import constellations as cs
 
@@ -160,6 +161,56 @@ def test_difference_set_invariants():
         assert np.any(d == 0)
         neg = np.sort_complex(-d)
         assert np.allclose(np.sort_complex(d), neg, atol=1e-12)
+
+
+def test_psk_size_is_capped_before_the_distance_matrix():
+    # psk512 stays available; psk100000 would need a 149 GiB M x M matrix
+    assert len(cs.make_psk(2048, UNIT)) == 2048
+    with pytest.raises(ValueError, match="M <= 2048, got 100000"):
+        cs.make_psk(100000, UNIT)
+
+
+_TOL = cs.DEDUP_TOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 60))
+def test_streaming_dedup_keeps_smallest_ties_then_earliest(data, n):
+    # key columns: an int column and a float one whose planted
+    # near-duplicates sit well inside DEDUP_TOL of a base value
+    draw = data.draw
+    ints = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    bases = st.lists(st.sampled_from([0.0, 0.5, -1.25, 2.0 ** 0.5]),
+                     min_size=n, max_size=n)
+    jitter = st.lists(st.floats(-0.2, 0.2), min_size=n, max_size=n)
+    k_int = np.array(draw(ints), dtype=np.int64)
+    k_flt = np.array(draw(bases)) + np.array(draw(jitter)) * _TOL
+    t_flt = np.array(draw(bases)) + np.array(draw(jitter)) * _TOL
+    t_int = np.array(draw(ints), dtype=np.int64)
+    pos = np.arange(n)
+    cols = (k_int, k_flt, t_flt, t_int, pos)
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
+    edges = [0] + cuts + [n]
+    blocks = [[c[lo:hi] for c in cols] for lo, hi in zip(edges, edges[1:])]
+
+    whole = cs._first_of_runs([cols], 2, 2)
+    split = cs._first_of_runs(iter(blocks), 2, 2)
+    for w, s in zip(whole, split):
+        assert w.dtype == s.dtype
+        assert w.view(np.uint8).tobytes() == s.view(np.uint8).tobytes()
+
+    def keys(row, cols):
+        return tuple(int(round(float(c[row]) / _TOL)) if c.dtype.kind == "f"
+                     else int(c[row]) for c in cols)
+
+    best = {}
+    for row in range(n):
+        key = keys(row, cols[:2])
+        rank = keys(row, cols[2:4]) + (row,)
+        best[key] = min(best.get(key, rank), rank)
+    got = [keys(r, whole[:2]) for r in range(whole[0].size)]
+    assert got == sorted(best)
+    assert [int(p) for p in whole[4]] == [best[k][-1] for k in got]
 
 
 def test_grid_differences_are_integer_coordinates():

@@ -2,6 +2,7 @@ from dataclasses import dataclass
 import functools
 import math
 from fractions import Fraction
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fdstbc import codes
 from fdstbc import constellations as cs
 from fdstbc import gain
+from fdstbc import optimizer as opt
 from fdstbc.optimizer import (analytic_integer_optimum, optimize,
                               vanishing_probe)
 
@@ -301,6 +303,65 @@ def test_triple_expansion_is_guarded_up_front():
     big = np.zeros(math.isqrt(gain.TRIPLE_PAIR_LIMIT) + 1, dtype=complex)
     with pytest.raises(ValueError, match=r"\|D\|\^2 = .* limit of 8388608"):
         gain._projected_triples(big, False)
+
+
+def _expansions(c):
+    exact = c.grid is not None
+    d = cs.difference_set(c)
+    trips = [gain._projected_triples(d, False)]
+    if exact:
+        trips.append(gain._projected_triples(d, True, c.grid.scale))
+    tab = opt.build_case1_table(c)
+    return [np.atleast_1d(x) for t in trips for x in t] + [tab.a, tab.e]
+
+
+@pytest.mark.parametrize("norm", (UNIT, MIND))
+@pytest.mark.parametrize("ident", ("psk17", "apsk16", "qam16",
+                                   "apsk16-grid"))
+def test_blockwise_expansion_is_bitwise_the_one_block_answer(
+        monkeypatch, ident, norm):
+    # every tier-1 constellation below psk33 fits one default block, so
+    # shrink the blocks until both streams merge many times
+    c = cs.constellation_by_id(ident, norm)
+    assert cs.difference_set(c).size ** 2 <= gain._BLOCK_PAIRS
+    want = _expansions(c)
+    monkeypatch.setattr(gain, "_BLOCK_PAIRS", 40)
+    got = _expansions(c)
+    for w, g in zip(want, got):
+        assert w.dtype == g.dtype and w.shape == g.shape
+        assert w.view(np.uint8).tobytes() == g.view(np.uint8).tobytes()
+
+
+@pytest.mark.parametrize("ident", ("psk9", "psk17"))
+def test_blockwise_triples_round_as_the_whole_product(monkeypatch, ident):
+    # numpy's fused complex product rounds by operand order, and its
+    # temporary elision swaps the order of x * conj(y) from 256 KiB up
+    # (psk17's 74,529 pairs, not psk9's 5,329); blocks must round as
+    # the one-shot product over all of D x D does
+    d = cs.difference_set(cs.constellation_by_id(ident, UNIT))
+    x, y = np.repeat(d, d.size), np.tile(d, d.size)
+    cc = x * np.conj(y)
+    whole = cc.imag - cc.real
+    index = {v: k for k, v in enumerate(d.tolist())}
+    monkeypatch.setattr(gain, "_BLOCK_PAIRS", 40)
+    _, _, g, wx, wy, _ = gain._projected_triples(d, False)
+    at = [index[p] * d.size + index[q]
+          for p, q in zip(wx.tolist(), wy.tolist())]
+    assert whole[at].tobytes() == g.tobytes()
+
+
+def test_triple_expansion_memory_is_one_block():
+    # psk33's |D|^2 = 1,117,249 pairs span more than four blocks; the
+    # whole expansion at once peaked at 145 MiB
+    d = cs.difference_set(cs.constellation_by_id("psk33", UNIT))
+    assert d.size ** 2 == 1_117_249 > 4 * gain._BLOCK_PAIRS
+    tracemalloc.start()
+    try:
+        gain._projected_triples(d, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 145 / 2 * 2 ** 20
 
 
 def argmin_tuple_by_key(ii, jj, wx, wy, a, b):
