@@ -7,11 +7,14 @@ significant digits; table commands add *_rounded columns for eyeball
 comparison.
 
 A JSON config file (--config) may preset options: its keys are the
-long option names of the invoked subcommand.  Precedence is built-in
-default < config file < explicit flag.  The default worker count for
-simulate comes from the FDSTBC_WORKERS environment variable; --workers
-overrides it.  The worker count never appears in output, so CSV bytes
-are identical across worker counts.
+long option names of the invoked subcommand, and each entry goes to the
+parser as the flag --key=value, so config values are checked exactly
+like flags (the config and out keys are refused).  Precedence is
+built-in default < config file < explicit flag.  Every parse error is
+one 'error: ...' line on stderr with exit status 2.  The default worker
+count for simulate comes from the FDSTBC_WORKERS environment variable;
+--workers overrides it.  The worker count never appears in output, so
+CSV bytes are identical across worker counts.
 """
 
 import argparse
@@ -96,32 +99,29 @@ def _parse_snr(spec: str) -> tuple:
     return tuple(round(start + k * step, 9) for k in range(count))
 
 
-def _parse_int(val, name: str, low=None) -> int:
-    """int(val), or a ValueError naming the flag (and the lower bound).
+def _parse_int(val: str, low: int) -> int:
+    """int(val) if it is at least low; else an ArgumentTypeError saying why.
 
-    Bools and non-integral floats (a JSON config's true or 2.7) are
-    refused rather than truncated.
+    The type of --codewords, --seed and --workers; like int(), it
+    refuses '2.0' and 'true'.
     """
-    integral = not isinstance(val, bool) and (
-        not isinstance(val, float) or val.is_integer())
     try:
-        num = int(val) if integral else None
-    except (TypeError, ValueError):
+        num = int(val)
+    except ValueError:
         num = None
-    if num is None or (low is not None and num < low):
-        need = "an integer" if low is None else f"an integer >= {low}"
-        raise ValueError(f"{name} must be {need}, got {val!r}")
+    if num is None or num < low:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= {low}, got {val!r}")
     return num
 
 
-def _parse_workers(cfg):
-    """Worker count from --workers, else FDSTBC_WORKERS, else None (serial)."""
-    val, name = cfg.get("workers"), "--workers"
-    if val is None:
-        val, name = os.environ.get("FDSTBC_WORKERS") or None, "FDSTBC_WORKERS"
-        if val is None:
-            return None
-    return _parse_int(val, name, low=1)
+def _env_workers():
+    """Worker count from FDSTBC_WORKERS, else None (serial)."""
+    val = os.environ.get("FDSTBC_WORKERS") or None
+    try:
+        return None if val is None else _parse_int(val, 1)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"FDSTBC_WORKERS {exc}") from None
 
 
 def _emit(lines, out):
@@ -137,48 +137,11 @@ def _echo(pairs):
     return [f"# {k}={v}" for k, v in pairs]
 
 
-_DEFAULTS = {
-    "constellation": {"norm": cs.NORM_UNIT_POWER, "emit": "report"},
-    "gain": {"norm": cs.NORM_UNIT_POWER, "r": "auto", "method": "auto",
-             "emit": "report"},
-    "optimize": {"norm": cs.NORM_UNIT_POWER, "emit": "report"},
-    "lemmas": {"sweep": "small"},
-    "table1": {},
-    "table2": {},
-    "simulate": {"norm": cs.NORM_UNIT_POWER, "r": "auto", "decoder": "fast",
-                 "snr": "0:3:21", "codewords": 10000, "seed": 1,
-                 "emit": "csv"},
-}
-
-
-def _merge(ns: argparse.Namespace, command: str) -> dict:
-    """Resolve option values: default < config file < explicit flag."""
-    merged = dict(_DEFAULTS[command])
-    if getattr(ns, "config", None):
-        with open(ns.config) as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise ValueError("config file must hold a JSON object")
-        allowed = set(_DEFAULTS[command]) | {
-            k for k in vars(ns) if k not in ("command", "config", "out")}
-        for key, val in file_cfg.items():
-            if key not in allowed:
-                raise ValueError(f"unknown config key {key!r} for "
-                                 f"{command!r}")
-            merged[key] = val
-    for key, val in vars(ns).items():
-        if key in ("command", "config", "out"):
-            continue
-        if val is not None:
-            merged[key] = val
-    return merged
-
-
-def cmd_constellation(cfg, out):
-    c = cs.constellation_by_id(cfg["name"], cfg["norm"])
+def cmd_constellation(ns):
+    c = cs.constellation_by_id(ns.name, ns.norm)
     stats = (f"# min_distance={_fmt(cs.min_distance(c))}, "
              f"papr={_fmt(cs.papr(c))}, avg_power={_fmt(cs.avg_power(c))}")
-    if cfg["emit"] == "csv":
+    if ns.emit == "csv":
         lines = _echo([("name", c.name), ("norm", c.normalization)])
         lines.append("index,re,im")
         for k, p in enumerate(c.points):
@@ -193,23 +156,23 @@ def cmd_constellation(cfg, out):
                  f"papr = {_fmt(cs.papr(c))}"]
         for k, p in enumerate(c.points):
             lines.append(f"point[{k}] = {_fmt(p.real)} {_fmt(p.imag)}")
-    _emit(lines, out)
+    _emit(lines, ns.out)
     return 0
 
 
-def cmd_gain(cfg, out):
-    c = cs.constellation_by_id(cfg["constellation"], cfg["norm"])
-    method = None if cfg["method"] == "auto" else cfg["method"]
-    if cfg["r"] == "auto" and method is None:
+def cmd_gain(ns):
+    c = cs.constellation_by_id(ns.constellation, ns.norm)
+    method = None if ns.method == "auto" else ns.method
+    if ns.r == "auto" and method is None:
         # optimize already reports the gain of r under the default method
         r, rep, _ = opt.optimize(c)
     else:
-        r = _parse_r(cfg["r"], c)
+        r = _parse_r(ns.r, c)
         rep = coding_gain(c, r, method=method)
     argmin = [x for s in astuple(rep.argmin) for x in (s.real, s.imag)]
-    if cfg["emit"] == "csv":
+    if ns.emit == "csv":
         lines = _echo([("constellation", c.name), ("norm", c.normalization),
-                       ("r", cfg["r"]), ("method", rep.method)])
+                       ("r", ns.r), ("method", rep.method)])
         cols = ",".join(f"argmin{k // 2 + 1}_{'re' if k % 2 == 0 else 'im'}"
                         for k in range(8))
         lines.append(f"constellation,norm,u,v,gain,case,{cols}")
@@ -230,15 +193,15 @@ def cmd_gain(cfg, out):
                   f"case2_bound_min = {_fmt(rep.case2_bound_min)}",
                   f"method = {rep.method}",
                   "argmin = " + " ".join(_fmt(x) for x in argmin)]
-    _emit(lines, out)
+    _emit(lines, ns.out)
     return 0
 
 
-def cmd_optimize(cfg, out):
-    c = cs.constellation_by_id(cfg["constellation"], cfg["norm"])
+def cmd_optimize(ns):
+    c = cs.constellation_by_id(ns.constellation, ns.norm)
     res = opt.optimize(c)
     r, rep = res.r, res.report
-    if cfg["emit"] == "csv":
+    if ns.emit == "csv":
         lines = _echo([("constellation", c.name),
                        ("norm", c.normalization)])
         lines.append("name,min_distance,u,v,gain")
@@ -259,13 +222,13 @@ def cmd_optimize(cfg, out):
                   f"provenance = {r.provenance}",
                   "witness = " + " ".join(_fmt(x) for s in astuple(
                       rep.argmin) for x in (s.real, s.imag))]
-    _emit(lines, out)
+    _emit(lines, ns.out)
     return 0
 
 
-def cmd_lemmas(cfg, out):
-    results = nt.run_sweeps(cfg["sweep"])
-    lines = [f"sweep = {cfg['sweep']}"]
+def cmd_lemmas(ns):
+    results = nt.run_sweeps(ns.sweep)
+    lines = [f"sweep = {ns.sweep}"]
     bad = 0
     for r in results:
         tag = "PASS" if r.ok else "FAIL"
@@ -273,11 +236,11 @@ def cmd_lemmas(cfg, out):
         lines.append(f"{r.label}: checked={r.checked} "
                      f"failures={r.failures} [{tag}]")
     lines.append(f"total = {len(results)} sweeps, {bad} failing")
-    _emit(lines, out)
+    _emit(lines, ns.out)
     return 0 if bad == 0 else 1
 
 
-def cmd_table1(cfg, out):
+def cmd_table1(ns):
     rows = []
     for m in (4, 16):
         c = cs.make_qam(m, cs.NORM_UNIT_POWER)
@@ -289,11 +252,11 @@ def cmd_table1(cfg, out):
     lines.append("code,constellation,gain,gain_rounded")
     for code, name, g in rows:
         lines.append(f"{code},{name},{_fmt(g)},{_rounded(g, 3)}")
-    _emit(lines, out)
+    _emit(lines, ns.out)
     return 0
 
 
-def cmd_table2(cfg, out):
+def cmd_table2(ns):
     lines = _echo([("norm", cs.NORM_UNIT_POWER)])
     lines.append("apsk,min_distance,u,v,gain,"
                  "min_distance_rounded,u_rounded,v_rounded,gain_rounded")
@@ -305,26 +268,23 @@ def cmd_table2(cfg, out):
             c.name, _fmt(mind), _fmt(r.u), _fmt(r.v), _fmt(rep.gain),
             _rounded(mind), _rounded(r.u), _rounded(r.v),
             _rounded(rep.gain)]))
-    _emit(lines, out)
+    _emit(lines, ns.out)
     return 0
 
 
-def cmd_simulate(cfg, out):
-    c = cs.constellation_by_id(cfg["constellation"], cfg["norm"])
-    r = _parse_r(cfg["r"], c)
-    sim_cfg = SimConfig(constellation=c, r=r, decoder=cfg["decoder"],
-                        snr_grid_db=_parse_snr(cfg["snr"]),
-                        codewords_per_point=_parse_int(
-                            cfg["codewords"], "--codewords", low=1),
-                        seed=_parse_int(cfg["seed"], "--seed", low=0))
-    workers = _parse_workers(cfg)
-    res = run_ber(sim_cfg, workers=workers)
+def cmd_simulate(ns):
+    c = cs.constellation_by_id(ns.constellation, ns.norm)
+    r = _parse_r(ns.r, c)
+    sim_cfg = SimConfig(constellation=c, r=r, decoder=ns.decoder,
+                        snr_grid_db=_parse_snr(ns.snr),
+                        codewords_per_point=ns.codewords, seed=ns.seed)
+    res = run_ber(sim_cfg, workers=ns.workers or _env_workers())
     lines = _echo([("constellation", c.name), ("norm", c.normalization),
                    ("u", _fmt(r.u)), ("v", _fmt(r.v)),
-                   ("decoder", res.decoder), ("snr", cfg["snr"]),
+                   ("decoder", res.decoder), ("snr", ns.snr),
                    ("codewords", sim_cfg.codewords_per_point),
                    ("seed", res.seed)])
-    if cfg["emit"] == "csv":
+    if ns.emit == "csv":
         lines.append("snr_db,codewords,bits,bit_errors,ber,decoder,seed")
         for p in res.points:
             lines.append(",".join([
@@ -335,7 +295,7 @@ def cmd_simulate(cfg, out):
         for p in res.points:
             lines.append(f"snr={_fmt(p.snr_db)} ber={_fmt(p.ber)} "
                          f"errors={p.bit_errors}/{p.bits}")
-    _emit(lines, out)
+    _emit(lines, ns.out)
     return 0
 
 
@@ -350,9 +310,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors reach main() as a ValueError."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="fdstbc", description=__doc__)
+    top = _Parser(prog="fdstbc", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    unit = cs.NORM_UNIT_POWER
 
     def common(p):
         p.add_argument("--config", help="JSON file presetting options")
@@ -360,26 +328,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constellation", help="list points and stats")
     p.add_argument("--name", required=True)
-    p.add_argument("--norm", choices=cs.NORMALIZATIONS)
-    p.add_argument("--emit", choices=("report", "csv"))
+    p.add_argument("--norm", choices=cs.NORMALIZATIONS, default=unit)
+    p.add_argument("--emit", choices=("report", "csv"), default="report")
     common(p)
 
     p = sub.add_parser("gain", help="coding gain for a coefficient")
     p.add_argument("--constellation", required=True)
-    p.add_argument("--norm", choices=cs.NORMALIZATIONS)
-    p.add_argument("--r", help="'auto' or 'u,v' (normalized to |r|=1)")
-    p.add_argument("--method", choices=("auto", "aggregated", "exhaustive"))
-    p.add_argument("--emit", choices=("report", "csv"))
+    p.add_argument("--norm", choices=cs.NORMALIZATIONS, default=unit)
+    p.add_argument("--r", default="auto",
+                   help="'auto' or 'u,v' (normalized to |r|=1)")
+    p.add_argument("--method", choices=("auto", "aggregated", "exhaustive"),
+                   default="auto")
+    p.add_argument("--emit", choices=("report", "csv"), default="report")
     common(p)
 
     p = sub.add_parser("optimize", help="best design coefficient")
     p.add_argument("--constellation", required=True)
-    p.add_argument("--norm", choices=cs.NORMALIZATIONS)
-    p.add_argument("--emit", choices=("report", "csv"))
+    p.add_argument("--norm", choices=cs.NORMALIZATIONS, default=unit)
+    p.add_argument("--emit", choices=("report", "csv"), default="report")
     common(p)
 
     p = sub.add_parser("lemmas", help="integer-identity sweeps")
-    p.add_argument("--sweep", choices=("small", "full"))
+    p.add_argument("--sweep", choices=("small", "full"), default="small")
     common(p)
 
     p = sub.add_parser("table1", help="coding-gain comparison rows")
@@ -390,24 +360,45 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo BER over an SNR grid")
     p.add_argument("--constellation", required=True)
-    p.add_argument("--norm", choices=cs.NORMALIZATIONS)
-    p.add_argument("--r", help="'auto' or 'u,v' (normalized to |r|=1)")
-    p.add_argument("--decoder", choices=("ml", "fast"))
-    p.add_argument("--snr", help="start:step:stop in dB")
-    p.add_argument("--codewords", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--emit", choices=("report", "csv"))
+    p.add_argument("--norm", choices=cs.NORMALIZATIONS, default=unit)
+    p.add_argument("--r", default="auto",
+                   help="'auto' or 'u,v' (normalized to |r|=1)")
+    p.add_argument("--decoder", choices=("ml", "fast"), default="fast")
+    p.add_argument("--snr", default="0:3:21", help="start:step:stop in dB")
+    p.add_argument("--codewords", type=lambda v: _parse_int(v, 1),
+                   default=10000)
+    p.add_argument("--seed", type=lambda v: _parse_int(v, 0), default=1)
+    p.add_argument("--workers", type=lambda v: _parse_int(v, 1))
+    p.add_argument("--emit", choices=("report", "csv"), default="csv")
     common(p)
 
     return top
 
 
+def _config_flags(path) -> list:
+    """A JSON config file's entries as --key=value flags for the parser."""
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config file must hold a JSON object")
+    for key in ("config", "out"):
+        if key in cfg:
+            raise ValueError(f"--{key} cannot be set in a config file")
+    return [f"--{k}={v if isinstance(v, str) else json.dumps(v)}"
+            for k, v in cfg.items()]
+
+
 def main(argv=None) -> int:
-    ns = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = _merge(ns, ns.command)
-        return _COMMANDS[ns.command](cfg, ns.out)
+        pre = _Parser(add_help=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(argv)[0].config
+        if path is not None:
+            # after the subcommand, before every explicit flag: flags win
+            argv[1:1] = _config_flags(path)
+        ns = _build_parser().parse_args(argv)
+        return _COMMANDS[ns.command](ns)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

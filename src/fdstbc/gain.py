@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .codes import DesignCoefficient, DifferenceTuple
+from .codes import CASE_TOL, DesignCoefficient, DifferenceTuple
 from .constellations import (Constellation, _first_of_runs, _tol_keys,
                              difference_set)
 
@@ -135,7 +135,7 @@ def _sweep_upper(n, zero_idx, tile, *, q2, bound_coef):
         for j0 in range(i0, n, side):
             j1 = min(j0 + side, n)
             val, am_b = tile(slice(i0, i1), slice(j0, j1))
-            case1 = am_b == 0 if is_int else np.abs(am_b) <= 1e-9
+            case1 = am_b == 0 if is_int else np.abs(am_b) <= CASE_TOL
             if j0 == i0:  # diagonal tile: drop (j, i) copies and zero
                 lower = np.tri(i1 - i0, k=-1, dtype=bool)
                 val = np.where(lower, big, val)
@@ -234,7 +234,7 @@ def _argmin_tuple(ii, jj, wx, wy, a, b):
     i, j = min(zip(ii[rows].tolist(), jj[rows].tolist()), key=key)
     tup = DifferenceTuple(ds1=complex(wx[i]), ds2=complex(wx[j]),
                           ds3=complex(wy[i]), ds4=complex(wy[j]))
-    case = "I" if abs((a[i] + a[j]) - (b[i] + b[j])) <= 1e-9 else "II"
+    case = "I" if abs((a[i] + a[j]) - (b[i] + b[j])) <= CASE_TOL else "II"
     return tup, case
 
 

@@ -52,15 +52,19 @@ def analytic_integer_optimum() -> tuple[DesignCoefficient, ...]:
     u = (+-1 +- sqrt(7))/4 with v = u - t, t = +-1/2; all four reach the
     same gain, the principal one (both signs +) is listed first.
     """
-    s7 = math.sqrt(7.0)
-    out = []
-    for t in (0.5, -0.5):
-        for sgn in (1.0, -1.0):
-            u = (2.0 * t + sgn * s7) / 4.0
-            out.append(DesignCoefficient(
-                u=u, v=u - t, provenance="analytic",
-                t_exact=Fraction(1, 2) if t > 0 else Fraction(-1, 2)))
-    return tuple(out)
+    return (_coefficients_at(0.5, "analytic", Fraction(1, 2))
+            + _coefficients_at(-0.5, "analytic", Fraction(-1, 2)))
+
+
+def _coefficients_at(t: float, provenance: str, t_exact=None) -> tuple:
+    """Both unit-modulus r = u + jv with u - v = t, larger u first.
+
+    u = (t +- sqrt(2 - t^2))/2 and v = u - t.
+    """
+    root = math.sqrt(max(2.0 - t * t, 0.0))
+    return tuple(DesignCoefficient(u=u, v=u - t, provenance=provenance,
+                                   t_exact=t_exact)
+                 for u in ((t + root) / 2.0, (t - root) / 2.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,14 +249,8 @@ def optimize_step1(c: Constellation) -> OptimizationResult:
     t_star, f_val = min(zip(ts[near].tolist(), fs[near].tolist()),
                         key=lambda s: (round(abs(s[0]), 12), -s[0]))
 
-    root = math.sqrt(max(2.0 - t_star * t_star, 0.0))
-    rc = tuple(
-        DesignCoefficient(u=(t_star + s * root) / 2.0,
-                          v=(t_star + s * root) / 2.0 - t_star,
-                          provenance="maximin")
-        for s in (1.0, -1.0))
     return OptimizationResult(
-        t=t_star, r_candidates=rc,
+        t=t_star, r_candidates=_coefficients_at(t_star, "maximin"),
         case1_gain=2.0 * f_val * f_val * float(table.scale_sq) ** 2,
         breakpoints_examined=ts.size,
         triples=None if table.grid_units else table.triples)

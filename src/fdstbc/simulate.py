@@ -59,7 +59,7 @@ import time
 import numpy as np
 
 from .codes import DesignCoefficient, build_codeword
-from .constellations import Constellation
+from .constellations import Constellation, _tol_keys
 
 TX_SCALE = 1.0 / math.sqrt(2.0)
 CHUNK = 4096
@@ -67,10 +67,6 @@ ML_TUPLE_GUARD = 10 ** 8
 _ML_BLOCK = 2 ** 20  # metric entries per exhaustive-ML hypothesis block
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-
-def gray_code(k: int) -> int:
-    return k ^ (k >> 1)
 
 
 def bit_labels(c: Constellation) -> np.ndarray:
@@ -87,19 +83,15 @@ def bit_labels(c: Constellation) -> np.ndarray:
     pts = c.points
     side = int(round(math.sqrt(m)))
     if c.name.startswith("qam") and side * side == m:
-        half = nbits // 2
-        xlev = np.unique(np.round(pts.real, 9))
-        ylev = np.unique(np.round(pts.imag, 9))
-        kx = np.searchsorted(xlev, np.round(pts.real, 9))
-        ky = np.searchsorted(ylev, np.round(pts.imag, 9))
-        gx = np.array([gray_code(int(k)) for k in kx], dtype=np.int64)
-        gy = np.array([gray_code(int(k)) for k in ky], dtype=np.int64)
-        return (gx << half) | gy
+        _, kx = np.unique(_tol_keys(pts.real), return_inverse=True)
+        _, ky = np.unique(_tol_keys(pts.imag), return_inverse=True)
+        return ((kx ^ (kx >> 1)) << (nbits // 2)) | (ky ^ (ky >> 1))
     r2 = np.round(np.abs(pts), 9)
     ang = np.round(np.mod(np.angle(pts), 2.0 * np.pi), 9)
     order = np.lexsort((ang, r2))
     labels = np.empty(m, dtype=np.int64)
-    labels[order] = [gray_code(k) for k in range(m)]
+    k = np.arange(m)
+    labels[order] = k ^ (k >> 1)
     return labels
 
 
@@ -235,7 +227,7 @@ def _lattice_slicer(pts: np.ndarray):
     axes = []
     for v in (pts.real, pts.imag):
         lo, hi = v.min(), v.max()
-        count = np.unique(np.round(v, 9)).size
+        count = np.unique(_tol_keys(v)).size
         step = (hi - lo) / (count - 1) if count > 1 else 1.0
         k = np.rint((v - lo) / step).astype(np.intp)
         if np.abs(v - (lo + k * step)).max() > _GEOM_TOL * max(step, 1.0):
@@ -463,15 +455,13 @@ def _chunk_counts(total: int):
 
 
 def _run_chunk(args):
-    (pts, r, decoder, n0, seed, point_idx, chunk_idx, n,
-     labels, zero_noise) = args
+    pts, r, decoder, n0, seed, point_idx, chunk_idx, n, labels = args
     rng = np.random.default_rng([seed, point_idx, chunk_idx])
     tx = rng.integers(0, pts.size, size=(n, 4))
     h = (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
     h *= math.sqrt(0.5)
     heff = TX_SCALE * h
-    y = transmit(build_codeword(*pts[tx].T, r), heff,
-                 0.0 if zero_noise else n0, rng)
+    y = transmit(build_codeword(*pts[tx].T, r), heff, n0, rng)
     decode = _fast_decode_batch if decoder == "fast" else _ml_decode_batch
     rx = decode(y, heff, r.r, pts)
     return _bit_count(labels[tx] ^ labels[rx])
@@ -493,7 +483,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_ber(cfg: SimConfig, workers=None, zero_noise: bool = False) -> SimResult:
+def run_ber(cfg: SimConfig, workers=None) -> SimResult:
     """BER over the SNR grid; bit-exact for fixed (cfg, seed).
 
     Every chunk derives its random stream from (seed, point index,
@@ -516,7 +506,7 @@ def run_ber(cfg: SimConfig, workers=None, zero_noise: bool = False) -> SimResult
         n0 = noise_variance(snr)
         for ci, n in enumerate(_chunk_counts(cfg.codewords_per_point)):
             tasks.append((c.points, cfg.r, cfg.decoder, n0, cfg.seed,
-                          pi, ci, n, labels, zero_noise))
+                          pi, ci, n, labels))
     workers = min(workers or 1, len(tasks), _usable_cpus())
     if workers > 1:
         chunksize = min(4, math.ceil(len(tasks) / workers))

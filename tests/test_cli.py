@@ -177,6 +177,19 @@ def test_simulate_config_precedence(capsys, tmp_path):
     assert "# seed=9" in out
 
 
+def test_config_supplies_required_option_and_flags_win(capsys, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"name": "qam4", "emit": "csv"}))
+    code, out, _ = run_cli(capsys, "constellation", "--config", str(cfg))
+    assert code == 0
+    assert parse_csv(out)[1] == ["index", "re", "im"]
+    code, out, _ = run_cli(capsys, "constellation", "--config", str(cfg),
+                           "--name", "psk8", "--emit", "report")
+    assert code == 0
+    assert "constellation = psk8" in out
+    assert "size = 8" in out
+
+
 def test_config_rejects_unknown_key(capsys, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"bogus": 1}))
@@ -259,6 +272,21 @@ def test_bad_arguments_exit_2(capsys, argv):
     (("gain", "--constellation", "psk100000"), None, "M <= 2048"),
     (("simulate", "--constellation", "psk100000", "--codewords", "1"),
      None, "M <= 2048"),
+    # config values go through the same parser as flags
+    (("simulate", "--constellation", "qam4", "--config", {"snr": 5}), None,
+     "--snr"),
+    (("simulate", "--constellation", "qam4", "--config", {"r": 1}), None,
+     "--r"),
+    (("simulate", "--constellation", "qam4", "--codewords", "1",
+      "--config", {"emit": "xml"}), None, "--emit"),
+    (("simulate", "--constellation", "qam4", "--codewords", "1",
+      "--config", {"emit": 0}), None, "--emit"),
+    (("simulate", "--constellation", "qam4", "--config",
+      {"codewords": 2.0}), None, "--codewords"),
+    (("simulate", "--constellation", "qam4", "--codewords", "1",
+      "--config", {"out": "x"}), None, "--out"),
+    (("gain", "--constellation", "qam4", "--norm", "bogus"), None, "--norm"),
+    ((), None, "command"),
 ])
 def test_malformed_input_one_line_error(capsys, monkeypatch, tmp_path, argv,
                                         env, flag):

@@ -227,11 +227,12 @@ def test_run_ber_ml_equals_fast():
     assert rf.points[0].bit_errors == rm.points[0].bit_errors
 
 
-def test_zero_noise_gives_zero_ber():
+def test_zero_noise_gives_zero_ber(monkeypatch):
+    monkeypatch.setattr(sim, "noise_variance", lambda snr_db: 0.0)
     c = cs.make_qam(16, UNIT)
     cfg = sim.SimConfig(constellation=c, r=R_ANALYTIC, decoder="fast",
                         snr_grid_db=(0.0,), codewords_per_point=2000, seed=7)
-    res = sim.run_ber(cfg, zero_noise=True)
+    res = sim.run_ber(cfg)
     assert res.points[0].bit_errors == 0
     assert res.points[0].ber == 0.0
 
