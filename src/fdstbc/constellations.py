@@ -32,11 +32,19 @@ DEDUP_TOL = 1e-9
 
 
 def _tol_keys(x) -> np.ndarray:
-    """int64 keys of x on the DEDUP_TOL grid; integer arrays are their own."""
+    """int64 keys of x on the DEDUP_TOL grid; integer arrays are their own.
+
+    ValueError on a non-finite value or a key past int64 (|x| >= about
+    9.2e9), which the cast would otherwise wrap into a wrong key.
+    """
     x = np.asarray(x)
     if x.dtype.kind == "i":
         return x
-    return np.round(x / DEDUP_TOL).astype(np.int64)
+    k = np.round(x / DEDUP_TOL)
+    if k.size and not np.abs(k).max() < 2.0 ** 63:
+        raise ValueError("values must be finite and below 9.2e9 in "
+                         "magnitude to key them on the 1e-9 grid")
+    return k.astype(np.int64)
 
 
 def _first_of_runs(blocks, n_keys, n_ties=0) -> list:

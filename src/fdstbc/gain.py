@@ -15,21 +15,28 @@ routes are implemented and must agree:
 
   where dt = Im(C) - Re(C), so the sweep only needs the per-pair
   triples (|x|^2, |y|^2, Im(x*conj(y)) - Re(x*conj(y))) deduplicated
-  over D x D, then all pairs of triples.  On integer grids with a
-  rational t every quantity is an integer and the minimum is exact.
+  over D x D, then all pairs of triples.
 
 Completing the square in dt gives
     |det|^2 = (A-B)^2*(2-t^2)/2 + 2*(dt - (A+B)*t/2)^2
-so |det|^2 >= (B-A)^2*(u+v)^2/2 for every tuple (the case II floor);
-the sweep asserts this on every enumerated pair.
+so |det|^2 >= (B-A)^2*(u+v)^2/2 for every tuple (the case II floor),
+which is asserted for every pair of triples.
 
-Both routes supply only a value function to one sweep over index pairs
-i <= j in square tiles of about _TILE_PAIRS pairs, whose temporaries
-stay in cache; only diagonal tiles mask the triangle and the zero pair.
-Every pair tying the running minimum is kept, tiles above the tie limit
-are skipped, so the tie set and the reported argmin do not depend on
-the tiling.  The int64 path raises ValueError up front if its values
-could reach the 2^62 sentinel.
+The exhaustive route and the float aggregated route supply a value
+function to one sweep over index pairs i <= j in square tiles of about
+_TILE_PAIRS pairs, whose temporaries stay in cache; only diagonal tiles
+mask the triangle and the zero pair.  Every pair tying the running
+minimum is kept, so the tie set and the reported argmin do not depend
+on the tiling.
+
+On integer grids with a rational t = p/q the aggregated route is exact
+and sweeps no pairs.  With s = a - b and w = 2q*dt - p*(a + b) per
+triple, q^2*|det|^2 = (c*S^2 + W^2)/2, c = 2q^2 - p^2, where S and W
+are the pair sums of s and w.  _search_pairs sorts the triples by
+(s, w), takes only the sums S whose floor c*S^2/2 can reach the
+minimum, and finds the least |W| at each by a nearest-neighbour lookup;
+the floor check is decided per S.  It raises ValueError up front if its
+int64 values could reach 2^62.
 """
 
 from dataclasses import dataclass
@@ -45,7 +52,9 @@ from .constellations import (Constellation, _first_of_runs, _tol_keys,
 EXHAUSTIVE_LIMIT = 1e10
 AGG_DEFAULT_ABOVE = 8
 _FLOAT_TIE = 1e-12
-_INT_SENTINEL = np.int64(2) ** 62
+_INT_LIMIT = np.int64(2) ** 62  # exact values stay below it
+_FLOOR_MSG = ("case II lower bound violated; "
+              "determinant reduction is inconsistent")
 _TILE_PAIRS = 2 ** 14  # pairs per tile: the temporaries stay in L2
 _BLOCK_PAIRS = 2 ** 18  # difference pairs expanded per dedup block
 # Expansion holds one block at a time, so this bounds time, not memory:
@@ -115,19 +124,15 @@ def _projected_triples(dvals: np.ndarray, as_int: bool, scale: float = 1.0):
     return a, b, g, d[i], d[j], int(zero[0])
 
 
-def _sweep_upper(n, zero_idx, tile, *, q2, bound_coef):
+def _sweep_upper(n, zero_idx, tile, *, bound_coef):
     """Shared tiled sweep over pairs (i, j), i <= j, of n indices.
 
-    tile(rows, cols) gives (val, A - B) on one block; the zero pair is
-    excluded.  q2 is q^2 when val is the int64 q^2*|det|^2, None when
-    val is a float |det|^2.  Returns (case1_min, case2_min, bound_min, ii, jj) where
-    (ii, jj) are exactly the pairs with val within the tie tolerance of
-    the minimum (val == min on the int path), whatever the tiling.
+    tile(rows, cols) gives (val, A - B) on one block, val the float
+    |det|^2; the zero pair is excluded.  Returns (case1_min, case2_min,
+    bound_min, ii, jj) where (ii, jj) are exactly the pairs with val
+    within the tie tolerance of the minimum, whatever the tiling.
     """
-    is_int = q2 is not None
-    big = _INT_SENTINEL if is_int else np.inf
-    c1_min = c2_min = run = big
-    bound_min = np.inf
+    c1_min = c2_min = run = bound_min = np.inf
     hits = []
     side = max(1, math.isqrt(_TILE_PAIRS))
     for i0 in range(0, n, side):
@@ -135,82 +140,159 @@ def _sweep_upper(n, zero_idx, tile, *, q2, bound_coef):
         for j0 in range(i0, n, side):
             j1 = min(j0 + side, n)
             val, am_b = tile(slice(i0, i1), slice(j0, j1))
-            case1 = am_b == 0 if is_int else np.abs(am_b) <= CASE_TOL
+            case1 = np.abs(am_b) <= CASE_TOL
             if j0 == i0:  # diagonal tile: drop (j, i) copies and zero
                 lower = np.tri(i1 - i0, k=-1, dtype=bool)
-                val = np.where(lower, big, val)
+                val = np.where(lower, np.inf, val)
                 if i0 <= zero_idx < i1:
-                    val[zero_idx - i0, zero_idx - i0] = big
+                    val[zero_idx - i0, zero_idx - i0] = np.inf
                 upper = ~lower
                 case1 &= upper
                 case2 = ~case1 & upper
             else:
                 case2 = ~case1
             if case2.any():
-                vf = val.astype(np.float64)
-                if is_int:
-                    vf /= q2
-                bnd = am_b.astype(np.float64) ** 2 * bound_coef
-                if (case2 & (vf < bnd - 1e-9)).any():
-                    raise RuntimeError("case II lower bound violated; "
-                                       "determinant reduction is inconsistent")
+                bnd = am_b ** 2 * bound_coef
+                if (case2 & (val < bnd - 1e-9)).any():
+                    raise RuntimeError(_FLOOR_MSG)
                 bound_min = min(bound_min, float(bnd[case2].min()))
                 c2_min = min(c2_min, val[case2].min())
-            c1_min = min(c1_min, np.where(case1, val, big).min())
+            c1_min = min(c1_min, np.where(case1, val, np.inf).min())
             m = val.min()
-            if m < big and m <= _tie_limit(run, is_int):
+            if m < np.inf and m <= _tie_limit(run):
                 run = min(run, m)
-                ii, jj = np.nonzero(val <= _tie_limit(run, is_int))
+                ii, jj = np.nonzero(val <= _tie_limit(run))
                 hits.append((ii + i0, jj + j0, val[ii, jj]))
     best = min(c1_min, c2_min)
     ii, jj, vals = (np.concatenate(h) for h in zip(*hits))
-    keep = vals <= _tie_limit(best, is_int)
+    keep = vals <= _tie_limit(best)
     return c1_min, c2_min, bound_min, ii[keep], jj[keep]
 
 
-def _tie_limit(x, is_int):
-    return x if is_int else x + _FLOAT_TIE * max(1.0, abs(x))
+def _tie_limit(x):
+    return x + _FLOAT_TIE * max(1.0, abs(x))
 
 
-def _sweep_pairs(a, b, g, zero_idx, *, t=None, pq=None, bound_coef):
-    """Min |det|^2 over all pairs of triples (upper triangle, i <= j).
+def _sweep_pairs(a, b, g, zero_idx, *, t, bound_coef):
+    """Min float |det|^2 over all pairs of triples (upper triangle, i <= j).
 
     Returns (case1_min, case2_min, bound_min, ii, jj) where (ii, jj) are
-    the pairs tying the overall minimum.  Values are q^2 * |det|^2 as
-    int64 when pq is given, plain float64 otherwise; bound_min is always
-    float in the same units.  Raises ValueError when the int64 values
-    could reach the 2^62 sentinel.
+    the pairs tying the overall minimum.
     """
-    if pq is not None:
-        p, q = pq
-        am, bm, gm = (2 * int(np.abs(x).max()) for x in (a, b, g))
-        worst = q * q * max(am, bm) ** 2 + 2 * p * p * am * bm \
-            + 2 * q * q * gm * gm + 2 * abs(p) * q * (am + bm) * gm
-        if worst >= _INT_SENTINEL:
-            raise ValueError(
-                f"exact gain sweep would overflow int64: |q^2 det^2| can "
-                f"reach {float(worst):.3g} with t = {p}/{q} on this grid")
-        p, q = np.int64(p), np.int64(q)
-        k1, k2, k3, k4 = q * q, 2 * p * p, 2 * q * q, 2 * p * q
-    else:
-        k2, k4 = 2.0 * t * t, 2.0 * t
+    k2, k4 = 2.0 * t * t, 2.0 * t
 
     def tile(rows, cols):
         A = a[rows, None] + a[None, cols]
         B = b[rows, None] + b[None, cols]
         D = g[rows, None] + g[None, cols]
         am_b = A - B
-        if pq is not None:
-            val = k1 * (am_b * am_b) + k2 * (A * B) + k3 * (D * D) \
-                - k4 * ((A + B) * D)
-        else:
-            val = am_b * am_b + k2 * (A * B) + 2.0 * (D * D) \
-                - k4 * ((A + B) * D)
+        val = am_b * am_b + k2 * (A * B) + 2.0 * (D * D) \
+            - k4 * ((A + B) * D)
         return val, am_b
 
-    return _sweep_upper(a.size, zero_idx, tile,
-                        q2=None if pq is None else float(pq[1]) ** 2,
-                        bound_coef=bound_coef)
+    return _sweep_upper(a.size, zero_idx, tile, bound_coef=bound_coef)
+
+
+def _distinct(x):
+    """Sorted distinct values of an int array, by one sort (np.unique
+    hashes first, several times slower on these sizes)."""
+    x = np.sort(x, axis=None)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
+def _search_pairs(a, b, g, zero_idx, p, q, *, bound_coef):
+    """Exact min of q^2*|det|^2 = (c*S^2 + W^2)/2 over pairs of triples.
+
+    a, b, g are int64 triples and t = p/q; c = 2q^2 - p^2, and S, W are
+    the pair sums of s = a - b and w = 2q*g - p*(a + b).  Returns
+    (case1_min, case2_min, bound_min, ii, jj) like _sweep_upper, with
+    int minima and (ii, jj), ii <= jj, exactly the pairs equal to the
+    minimum.  Only sums S whose floor c*S^2/2 is within the best pair
+    with the zero triple are searched; at each S the least |W| is a
+    nearest-neighbour lookup over the triples sorted by (s, w).  The
+    case-II floor check is decided for every S: the value at a fixed S
+    grows with |W|, so a pair fails it exactly when the least |W| at
+    its S fails, and the W = 0 bound clears nearly every S unsearched.
+    Raises ValueError up front when a value could reach 2^62.
+    """
+    am, bm, gm = (2 * int(np.abs(x).max()) for x in (a, b, g))
+    worst = q * q * max(am, bm) ** 2 + 2 * p * p * am * bm \
+        + 2 * q * q * gm * gm + 2 * abs(p) * q * (am + bm) * gm
+    if worst >= _INT_LIMIT:
+        raise ValueError(
+            f"exact gain sweep would overflow int64: |q^2 det^2| can "
+            f"reach {float(worst):.3g} with t = {p}/{q} on this grid")
+    if p * p >= 2 * q * q:
+        raise ValueError(f"exact gain search needs |t| < sqrt(2), "
+                         f"got t = {p}/{q}")
+    c = np.int64(2 * q * q - p * p)
+    s, w = a - b, 2 * q * g - p * (a + b)
+    # key = (rank of s) * wr + w - min(w) stays below 2^23 * 2^33: there
+    # are at most TRIPLE_PAIR_LIMIT triples, and w_i^2 is at most twice
+    # the value of the pair (zero triple, i), below 2^62
+    sig, wmin = _distinct(s), w.min()
+    wr = w.max() - wmin + 2
+    key = sig.searchsorted(s) * wr + (w - wmin)
+    order = key.argsort()
+    key, s, w = key[order], s[order], w[order]
+    n = s.size
+    zpos = int((order == zero_idx).argmax())
+    lo = key.searchsorted(np.arange(sig.size) * wr)
+    hi = np.concatenate((lo[1:], [n]))
+    # where -w_i falls in a group, clamped to the group's own key range
+    near = np.minimum(np.maximum(-w - wmin, 0), wr - 1)
+
+    def least(S):
+        """Exact minimum value at each sum in S (every one present), and
+        for each (S, triple i) the neighbours j and their |W|."""
+        part = S[:, None] - s
+        grp = np.minimum(sig.searchsorted(part), sig.size - 1)
+        # the nearest w to -w_i on either side in the partner group.  The
+        # zero triple asks no query: (z, j) is found from j, and (z, z)
+        # is no pair
+        j = key.searchsorted(grp * wr + near)[..., None] + np.arange(-1, 1)
+        ok = (sig[grp] == part)[..., None] & (j >= lo[grp][..., None]) \
+            & (j < hi[grp][..., None])
+        ok[:, zpos] = False
+        j = np.minimum(j, n - 1)
+        aw = np.where(ok, np.abs(w[:, None] + w[j]), _INT_LIMIT)
+        least_w = aw.min(axis=(1, 2))
+        return (c * S * S + least_w * least_w) // 2, j, aw
+
+    def floor_fails(S):
+        step = max(1, _BLOCK_PAIRS // n)
+        return any((least(x)[0].astype(np.float64) / q2
+                    < x.astype(np.float64) ** 2 * bound_coef - 1e-9).any()
+                   for x in (S[k:k + step] for k in range(0, S.size, step)))
+
+    step = max(1, _BLOCK_PAIRS // sig.size)
+    present = _distinct(np.concatenate(
+        [_distinct(sig[k:k + step, None] + sig)
+         for k in range(0, sig.size, step)]))
+    nz = present[present != 0]
+    # case II is at most its best pair with the zero triple, so only
+    # sums whose floor c*S^2/2 is below that can reach or tie it
+    top = ((c * s * s + w * w) // 2)[s != 0].min()
+    S = np.concatenate(([0], nz[c * nz * nz // 2 <= top]))
+    val, j, aw = least(S)
+    c1, c2 = int(val[0]), int(val[1:].min())
+    bnd = nz.astype(np.float64) ** 2 * bound_coef
+    q2 = float(q) ** 2
+    doubt = ((c * nz * nz + 1) // 2).astype(np.float64) / q2 < bnd - 1e-9
+    if doubt.any() and floor_fails(nz[doubt]):
+        raise RuntimeError(_FLOOR_MSG)
+    # the tie set: each neighbour at the least |W| of a sum worth the
+    # minimum, widened to every triple sharing its exact (s, w) key
+    tie_w = np.where(val == min(c1, c2), aw.min(axis=(1, 2)), -1)
+    m, i, col = np.nonzero(aw == tie_w[:, None, None])
+    k = key[j[m, i, col]]
+    left = key.searchsorted(k)
+    cnt = key.searchsorted(k + 1) - left
+    i = order[i.repeat(cnt)]
+    j = order[np.arange(cnt.sum()) + (left - cnt.cumsum() + cnt).repeat(cnt)]
+    pair = _distinct(np.minimum(i, j) * n + np.maximum(i, j))
+    ii, jj = np.divmod(pair, n)
+    return c1, c2, float(bnd.min()), ii, jj
 
 
 def _argmin_tuple(ii, jj, wx, wy, a, b):
@@ -246,8 +328,8 @@ def _aggregated_gain(c: Constellation, r: DesignCoefficient,
         difference_set(c), exact, c.grid.scale if exact else 1.0)
     if exact:
         p, q = r.t_exact.numerator, r.t_exact.denominator
-        c1, c2, bmin, ii, jj = _sweep_pairs(a, b, g, z, pq=(p, q),
-                                            bound_coef=bound_coef)
+        c1, c2, bmin, ii, jj = _search_pairs(a, b, g, z, p, q,
+                                             bound_coef=bound_coef)
         scale4 = c.grid.scale_sq ** 2
         qq = q * q
         gain_exact = Fraction(int(min(c1, c2)), qq) * scale4
@@ -289,7 +371,7 @@ def _exhaustive_gain(c: Constellation, r: DesignCoefficient) -> GainReport:
         return val, (a[rows, None] + a[None, cols]) \
             - (b[rows, None] + b[None, cols])
 
-    c1, c2, bmin, ii, jj = _sweep_upper(F.size, zero, tile, q2=None,
+    c1, c2, bmin, ii, jj = _sweep_upper(F.size, zero, tile,
                                         bound_coef=(r.u + r.v) ** 2 / 2.0)
     tup, case = _argmin_tuple(ii, jj, x, y, a, b)
     return GainReport(gain=float(min(c1, c2)), argmin=tup,

@@ -229,17 +229,20 @@ def _norm_index(limit: int):
     # (c, d) may follow (a, b) iff c >= b: a suffix of the pair list
     first = np.searchsorted(lo, np.arange(n))
     tail = lo.size - first[hi]
-    p = np.repeat(np.arange(lo.size), tail)
-    q = np.arange(p.size) - np.repeat(np.cumsum(tail) - tail, tail) \
-        + first[hi[p]]
-    norm = lo * lo + hi * hi
-    s = norm[p] + norm[q]
+    idx = np.int32 if tail.sum() < 2 ** 31 else np.int64
+    p = np.repeat(np.arange(lo.size, dtype=idx), tail)
+    q = np.repeat((first[hi] - np.cumsum(tail) + tail).astype(idx), tail)
+    q += np.arange(p.size, dtype=idx)
     smax = 4 * limit * limit
     # norms fit 16 bits for limit <= 64, where a stable sort is a radix sort
-    order = np.argsort(s.astype(np.uint16 if smax < 1 << 16 else np.int64),
-                       kind="stable")
-    rows = np.stack([p[order], q[order]], axis=1)
+    norm = (lo * lo + hi * hi).astype(np.uint16 if smax < 1 << 16
+                                      else np.int64)
+    s = norm[p]
+    s += norm[q]
+    order = np.argsort(s, kind="stable")
     count = np.bincount(s, minlength=smax + 1)
+    del s
+    rows = np.stack([p[order], q[order]], axis=1)
     start = np.concatenate(([0], np.cumsum(count)[:-1]))
     return pairs, rows, start, count
 

@@ -434,3 +434,184 @@ def test_bulk_tie_break_defers_to_the_key_at_a_rounding_boundary(sign):
     assert got == argmin_tuple_by_key(ii, jj, wx, wy, a, b)
     # 0.1 < 0.5 picks zb's row; -0.5 < -0.1 picks za's
     assert got[0].ds1 == wx[1 if sign > 0 else 0]
+
+
+def int_sweep_oracle(a, b, g, zero_idx, p, q, bound_coef, side=128):
+    """The exact path's former search, kept as the reference for
+    gain._search_pairs: every pair i <= j of int64 triples, tile by
+    tile, as q^2*|det|^2 in its expanded form, with the case-II floor
+    checked on each pair.  Returns (case1_min, case2_min, bound_min,
+    ties), ties the set of pairs equal to the minimum."""
+    q2 = float(q) ** 2
+    p, q = np.int64(p), np.int64(q)
+    k1, k2, k3, k4 = q * q, 2 * p * p, 2 * q * q, 2 * p * q
+    c1 = c2 = run = np.int64(2) ** 62
+    bound_min = math.inf
+    hits = []
+    for i0 in range(0, a.size, side):
+        for j0 in range(i0, a.size, side):
+            rows, cols = slice(i0, i0 + side), slice(j0, j0 + side)
+            A = a[rows, None] + a[None, cols]
+            B = b[rows, None] + b[None, cols]
+            D = g[rows, None] + g[None, cols]
+            am_b = A - B
+            val = k1 * (am_b * am_b) + k2 * (A * B) + k3 * (D * D) \
+                - k4 * ((A + B) * D)
+            ii, jj = np.indices(val.shape)
+            ii += i0
+            jj += j0
+            pair = (ii <= jj) & ((ii != zero_idx) | (jj != zero_idx))
+            case2 = pair & (am_b != 0)
+            if case2.any():
+                bnd = am_b.astype(np.float64) ** 2 * bound_coef
+                if (case2 & (val.astype(np.float64) / q2
+                             < bnd - 1e-9)).any():
+                    raise RuntimeError("case II lower bound violated; "
+                                       "determinant reduction is "
+                                       "inconsistent")
+                bound_min = min(bound_min, float(bnd[case2].min()))
+                c2 = min(c2, val[case2].min())
+            if (pair & (am_b == 0)).any():
+                c1 = min(c1, val[pair & (am_b == 0)].min())
+            run = min(run, val[pair].min())
+            tie = pair & (val == run)
+            hits.append((ii[tie], jj[tie], val[tie]))
+    best = min(c1, c2)
+    ties = {(i, j) for h in hits for i, j, v in zip(*(x.tolist() for x in h))
+            if v == best}
+    return int(c1), int(c2), bound_min, ties
+
+
+def search(trip, p, q, bound_coef):
+    a, b, g, _, _, z = trip
+    c1, c2, bmin, ii, jj = gain._search_pairs(a, b, g, z, p, q,
+                                              bound_coef=bound_coef)
+    ties = list(zip(ii.tolist(), jj.tolist()))
+    assert len(ties) == len(set(ties))
+    return c1, c2, bmin, set(ties)
+
+
+def oracle(trip, p, q, bound_coef):
+    a, b, g, _, _, z = trip
+    return int_sweep_oracle(a, b, g, z, p, q, bound_coef)
+
+
+def exact_triples(c):
+    return gain._projected_triples(cs.difference_set(c), True, c.grid.scale)
+
+
+GRID_IDS = ("qam4", "qam16", "qam64", "apsk8-grid", "apsk16-grid")
+
+
+@pytest.mark.parametrize("norm", (UNIT, MIND))
+@pytest.mark.parametrize("ident", GRID_IDS)
+def test_search_matches_int_sweep_oracle_on_grid_presets(ident, norm):
+    trip = exact_triples(cs.constellation_by_id(ident, norm))
+    bc = (2.0 - R_GRID.t ** 2) / 2.0
+    assert search(trip, 1, 2, bc) == oracle(trip, 1, 2, bc)
+
+
+@pytest.mark.parametrize("t", (Fraction(1, 3), Fraction(0), Fraction(7, 5),
+                               Fraction(-5, 4)))
+@pytest.mark.parametrize("ident", ("qam16", "apsk16-grid"))
+def test_search_matches_int_sweep_oracle_off_the_optimum(ident, t):
+    trip = exact_triples(cs.constellation_by_id(ident, MIND))
+    for r in opt._coefficients_at(float(t), "test", t):
+        bc = (2.0 - r.t ** 2) / 2.0
+        want = oracle(trip, t.numerator, t.denominator, bc)
+        assert search(trip, t.numerator, t.denominator, bc) == want
+
+
+# rationals in (-sqrt(2), sqrt(2)): zero, negative, and convergents of
+# sqrt(2) from below, where c = 2q^2 - p^2 is 1 or 2
+RATIONAL_T = st.one_of(
+    st.sampled_from((Fraction(0), Fraction(7, 5), Fraction(-7, 5),
+                     Fraction(41, 29), Fraction(-239, 169),
+                     Fraction(4, 3), Fraction(-1, 2))),
+    st.fractions(min_value=Fraction(-7, 5), max_value=Fraction(7, 5),
+                 max_denominator=12))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(coords=st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                      min_size=2, max_size=7),
+       t=RATIONAL_T,
+       nudge=st.sampled_from((0.0, 0.0, 1e-12, 1e-10, 1e-6, 1e-3)))
+def test_search_equals_int_sweep_on_random_gaussian_integers(coords, t,
+                                                             nudge):
+    pts = np.array([complex(x, y) for x, y in sorted(coords)])
+    c = cs._grid_constellation("random", pts, cs.NORM_INTEGER)
+    trip = exact_triples(c)
+    # a nudged floor coefficient makes some sums fail the case-II check:
+    # both raise, or neither does and they agree
+    bc = (2.0 - float(t) ** 2) / 2.0 * (1.0 + nudge)
+    p, q = t.numerator, t.denominator
+    try:
+        want = oracle(trip, p, q, bc)
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="case II lower bound"):
+            search(trip, p, q, bc)
+        return
+    assert search(trip, p, q, bc) == want
+
+
+@pytest.mark.parametrize("ident", ("qam16", "qam64", "apsk16-grid"))
+def test_exact_path_never_enters_the_tiled_sweep(monkeypatch, ident):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact path swept pairs")
+    monkeypatch.setattr(gain, "_sweep_upper", refuse)
+    for norm in (UNIT, MIND):
+        c = cs.constellation_by_id(ident, norm)
+        assert gain.coding_gain(c, R_GRID).gain_exact is not None
+        assert optimize(c).report.gain_exact is not None
+
+
+def test_floor_check_raises_at_a_sum_the_search_pruned():
+    # qam16 at t = 1/2: val = (7 S^2 + W^2)/2 with q^2 = 4.  Raise the
+    # floor coefficient just past the first sum S it fails at: that S
+    # lies above case II's minimum by its floor 7 S^2/2 alone, so the
+    # level walk never visits it, and only the per-S decision sees it
+    trip = exact_triples(cs.constellation_by_id("qam16", MIND))
+    a, b, g, _, _, _ = trip
+    c1, c2, _, _ = search(trip, 1, 2, (2.0 - R_GRID.t ** 2) / 2.0)
+    s, w = a - b, 4 * g - (a + b)
+    S = (s[:, None] + s[None, :]).ravel()
+    W = (w[:, None] + w[None, :]).ravel()
+    sums, at = np.unique(S[S != 0], return_inverse=True)
+    vmin = np.full(sums.size, np.inf)
+    np.minimum.at(vmin, at, ((7 * S ** 2 + W ** 2) // 2)[S != 0])
+    edge = (vmin / 4.0 + 1e-9) / sums.astype(float) ** 2
+    first = int(sums[edge.argmin()])
+    assert 7 * first ** 2 // 2 > c2
+    assert search(trip, 1, 2, edge.min() * (1 - 1e-9))[:2] == (c1, c2)
+    for coef in (edge.min() * (1 + 1e-9), edge.min() * 1.001):
+        with pytest.raises(RuntimeError, match="case II lower bound"):
+            oracle(trip, 1, 2, coef)
+        with pytest.raises(RuntimeError, match="case II lower bound"):
+            search(trip, 1, 2, coef)
+
+
+def test_exact_search_refuses_t_outside_the_unit_circle():
+    # t = 99/70 is 7e-5 above sqrt(2): 2q^2 - p^2 = -1
+    trip = exact_triples(cs.constellation_by_id("qam4", MIND))
+    with pytest.raises(ValueError, match="sqrt"):
+        search(trip, 99, 70, 0.0)
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="the float floor check's absolute 1e-9 does not "
+                   "scale with alpha^4, so rounding at alpha = 1e3 trips it")
+def test_scaled_grid_passes_its_floor_check_at_alpha_1e3():
+    c = cs.constellation_by_id("qam16", UNIT)
+    rep = gain.coding_gain_scaled(c, R_GRID, 1e3)
+    assert math.isclose(rep.gain, 1e12 * 0.08, rel_tol=1e-9)
+
+
+def test_scaling_refuses_keys_past_int64():
+    c, r, base = _optimized("psk16")
+    scaled = gain.coding_gain_scaled(c, r, 1e4)
+    assert math.isclose(scaled.gain / 1e16, base, rel_tol=1e-9)
+    # |x|^2 reaches 4e10: its 1e-9 key wraps int64
+    with pytest.raises(ValueError, match="1e-9 grid"):
+        gain.coding_gain_scaled(c, r, 1e5)
