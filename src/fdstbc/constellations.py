@@ -47,23 +47,22 @@ def _tol_keys(x) -> np.ndarray:
     return k.astype(np.int64)
 
 
-def _first_of_runs(blocks, n_keys, n_ties=0) -> list:
+def _first_of_runs(blocks, n_keys) -> list:
     """One row per distinct key tuple of a stream of column blocks.
 
-    A block holds equal-length columns: n_keys keys, n_ties ties, then
-    payload, each group most significant first; keys and ties compare by
-    _tol_keys.  A key keeps its row with the smallest ties, then the
-    earliest in the stream; rows come back as columns sorted by key.  A
-    block is deduplicated on arrival and its survivors merge into the
-    kept rows once they outnumber them, so every split of the stream
-    gives the same rows, in about one block plus twice the output.
+    A block holds equal-length columns: n_keys keys, most significant
+    first, compared by _tol_keys, then payload.  A key keeps its earliest
+    row in the stream; rows come back as columns sorted by key.  A block
+    is deduplicated on arrival and its survivors merge into the kept rows
+    once they outnumber them, so every split of the stream gives the same
+    rows, in about one block plus twice the output.
     """
     def dedup(cols):
-        ks = [_tol_keys(c) for c in cols[:n_keys + n_ties]]
-        order = np.lexsort(ks[::-1])
+        ks = [_tol_keys(c) for c in cols[:n_keys]]
+        order = np.lexsort(ks[::-1])  # stable: the earliest row leads
         keep = np.zeros(order.size, dtype=bool)
         keep[:1] = True
-        for k in ks[:n_keys]:
+        for k in ks:
             k = k[order]
             keep[1:] |= k[1:] != k[:-1]
         return [c[order[keep]] for c in cols]

@@ -46,8 +46,7 @@ import math
 import numpy as np
 
 from .codes import CASE_TOL, DesignCoefficient, DifferenceTuple
-from .constellations import (Constellation, _first_of_runs, _tol_keys,
-                             difference_set)
+from .constellations import Constellation, _first_of_runs, difference_set
 
 EXHAUSTIVE_LIMIT = 1e10
 AGG_DEFAULT_ABOVE = 8
@@ -86,12 +85,14 @@ def _row_blocks(rows, cols):
 def _projected_triples(dvals: np.ndarray, as_int: bool, scale: float = 1.0):
     """Dedup (a, b, g) with g = Im(x*conj(y)) - Re(x*conj(y)).
 
-    Returns (a, b, g, wit_x, wit_y, zero_index), sorted by (a, b, g); the
-    witness of each triple is its smallest (x, y) by DEDUP_TOL keys.  With
-    as_int the triples are exact int64 in grid units (dvals/scale must be
-    Gaussian integers); witnesses stay in constellation units either way.
-    D x D streams through _first_of_runs in row blocks; ValueError up
-    front if |D|^2 exceeds TRIPLE_PAIR_LIMIT.
+    Returns (a, b, g, wit_x, wit_y, zero_index), sorted by (a, b, g).
+    dvals must be sorted by distinct (re, im) DEDUP_TOL keys, as
+    difference_set returns them: D x D then streams through
+    _first_of_runs row-major, so each triple's witness, its first (x, y)
+    in the stream, is its smallest (x, y) by keys.  With as_int the
+    triples are exact int64 in grid units (dvals/scale must be Gaussian
+    integers); witnesses stay in constellation units either way.
+    ValueError up front if |D|^2 exceeds TRIPLE_PAIR_LIMIT.
     """
     d = np.asarray(dvals)
     n = d.size
@@ -108,16 +109,15 @@ def _projected_triples(dvals: np.ndarray, as_int: bool, scale: float = 1.0):
     # numpy's fused complex product rounds by operand order, and elision
     # runs x * conj(y) as conj(y) * x from 256 KiB up: use whole D x D's
     swap = 16 * n * n >= 2 ** 18
-    kre, kim = _tol_keys(d.real), _tol_keys(d.imag)
 
     def blocks():
         for i, j in _row_blocks(np.arange(n), np.arange(n)):
             x, cy = u[i], np.conj(u[j])
             cc = cy * x if swap else x * cy
             g = (cc.imag - cc.real).astype(sq.dtype, copy=False)
-            yield sq[i], sq[j], g, kre[i], kim[i], kre[j], kim[j], i, j
+            yield sq[i], sq[j], g, i, j
 
-    a, b, g, *_, i, j = _first_of_runs(blocks(), 3, 4)
+    a, b, g, i, j = _first_of_runs(blocks(), 3)
     zero = np.flatnonzero((a == 0) & (b == 0) & (g == 0))
     if zero.size != 1:
         raise AssertionError("difference set must contain exactly one zero")
@@ -153,7 +153,8 @@ def _sweep_upper(n, zero_idx, tile, *, bound_coef):
                 case2 = ~case1
             if case2.any():
                 bnd = am_b ** 2 * bound_coef
-                if (case2 & (val < bnd - 1e-9)).any():
+                slack = 1e-9 * np.maximum(bnd, 1.0)  # relative above 1
+                if (case2 & (val < bnd - slack)).any():
                     raise RuntimeError(_FLOOR_MSG)
                 bound_min = min(bound_min, float(bnd[case2].min()))
                 c2_min = min(c2_min, val[case2].min())
@@ -412,14 +413,15 @@ def golden_coding_gain(c: Constellation) -> float:
 
     det factors through q(x, y) = x^2 + x*y - y^2 on the two symbol
     pairs: det = (2/5)*(2+j)*(q(ds1, ds2) - j*q(ds3, ds4)), so the
-    search only needs the deduplicated q values over D x D.
+    search only needs the q values over D x D, deduplicated by
+    DEDUP_TOL keys.
     """
     d = difference_set(c)
     x = np.repeat(d, d.size)
     y = np.tile(d, d.size)
     nz = ~((x == 0) & (y == 0))
-    qv = x * x + x * y - y * y
-    qnz = np.unique(qv[nz])
+    qv = (x * x + x * y - y * y)[nz]
+    qnz = _first_of_runs([(qv.real, qv.imag, qv)], 2)[-1]
     m = np.abs(qnz[:, None] - 1j * qnz[None, :]) ** 2
     best = float(m.min())
     # tuples where one symbol pair is identically zero

@@ -154,15 +154,6 @@ def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
         scale_sq=c.grid.scale_sq if exact else Fraction(1), triples=triples)
 
 
-def _prune_rows(a_flat, e_flat):
-    """Float rows, without those whose V never dips below another's ceiling."""
-    af = a_flat.astype(np.float64)
-    ef = e_flat.astype(np.float64)
-    ceiling = float(np.min(af * SQRT2 + np.abs(ef)))
-    keep = (np.abs(ef) - af * SQRT2) <= ceiling + 1e-9
-    return af[keep], ef[keep]
-
-
 def _f_at(a, e, ts) -> np.ndarray:
     """f at every t of ts, in float, from rows sorted by (a, e).
 
@@ -208,7 +199,7 @@ def optimize_step1(c: Constellation) -> OptimizationResult:
     table = build_case1_table(c)
     if table.n_rows == 0:
         raise ValueError("empty A = B table; nothing to optimize")
-    a_all, e_all = af, ef = _prune_rows(table.a, table.e)
+    a_all, e_all = af, ef = table.a.astype(float), table.e.astype(float)
     hi = float(np.min(af * SQRT2 + np.abs(ef)))
     for lo in (float(_f_at(af, ef, np.linspace(-SQRT2, SQRT2, 33)).max()),
                0.0):

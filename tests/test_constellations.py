@@ -175,7 +175,7 @@ _TOL = cs.DEDUP_TOL
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(1, 60))
-def test_streaming_dedup_keeps_smallest_ties_then_earliest(data, n):
+def test_streaming_dedup_keeps_the_earliest_row_of_each_key(data, n):
     # key columns: an int column and a float one whose planted
     # near-duplicates sit well inside DEDUP_TOL of a base value
     draw = data.draw
@@ -185,32 +185,29 @@ def test_streaming_dedup_keeps_smallest_ties_then_earliest(data, n):
     jitter = st.lists(st.floats(-0.2, 0.2), min_size=n, max_size=n)
     k_int = np.array(draw(ints), dtype=np.int64)
     k_flt = np.array(draw(bases)) + np.array(draw(jitter)) * _TOL
-    t_flt = np.array(draw(bases)) + np.array(draw(jitter)) * _TOL
-    t_int = np.array(draw(ints), dtype=np.int64)
     pos = np.arange(n)
-    cols = (k_int, k_flt, t_flt, t_int, pos)
+    cols = (k_int, k_flt, pos)
     cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
     edges = [0] + cuts + [n]
     blocks = [[c[lo:hi] for c in cols] for lo, hi in zip(edges, edges[1:])]
 
-    whole = cs._first_of_runs([cols], 2, 2)
-    split = cs._first_of_runs(iter(blocks), 2, 2)
+    whole = cs._first_of_runs([cols], 2)
+    split = cs._first_of_runs(iter(blocks), 2)
     for w, s in zip(whole, split):
         assert w.dtype == s.dtype
         assert w.view(np.uint8).tobytes() == s.view(np.uint8).tobytes()
 
     def keys(row, cols):
-        return tuple(int(round(float(c[row]) / _TOL)) if c.dtype.kind == "f"
-                     else int(c[row]) for c in cols)
+        return (int(cols[0][row]), int(round(float(cols[1][row]) / _TOL)))
 
-    best = {}
+    first = {}
     for row in range(n):
-        key = keys(row, cols[:2])
-        rank = keys(row, cols[2:4]) + (row,)
-        best[key] = min(best.get(key, rank), rank)
-    got = [keys(r, whole[:2]) for r in range(whole[0].size)]
-    assert got == sorted(best)
-    assert [int(p) for p in whole[4]] == [best[k][-1] for k in got]
+        first.setdefault(keys(row, cols), row)
+    got = [keys(r, whole) for r in range(whole[0].size)]
+    assert got == sorted(first)
+    assert [int(p) for p in whole[2]] == [first[k] for k in got]
+    # the kept float is the earliest row's own, not another of its key
+    assert np.array_equal(whole[1], k_flt[whole[2]])
 
 
 def test_grid_differences_are_integer_coordinates():

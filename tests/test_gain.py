@@ -30,15 +30,18 @@ R8 = codes.DesignCoefficient(u=U8, v=U8 - T8, provenance="closed-form")
 
 @dataclass(frozen=True)
 class PairTriple:
-    """(|x|^2, |y|^2, x*conj(y)) for one (x, y) in D x D."""
+    """(|x|^2, |y|^2, x*conj(y)) for one (x, y) in D x D, and that (x, y)."""
 
     a: float
     b: float
     c: complex
+    x: complex
+    y: complex
 
 
 def pair_triples(diffs):
-    """Deduplicated pair triples over D x D (tolerance 1e-9 per component).
+    """Deduplicated pair triples over D x D (tolerance 1e-9 per component),
+    each with its first (x, y) in row-major order, listed in that order.
 
     Oracle for gain._projected_triples, which keeps only
     g = Im(c) - Re(c) of c.
@@ -55,8 +58,8 @@ def pair_triples(diffs):
     keys = keys.astype(np.int64)
     _, idx = np.unique(keys, axis=0, return_index=True)
     idx.sort()
-    return [PairTriple(a=float(a[i]), b=float(b[i]), c=complex(c[i]))
-            for i in idx]
+    return [PairTriple(a=float(a[i]), b=float(b[i]), c=complex(c[i]),
+                       x=complex(x[i]), y=complex(y[i])) for i in idx]
 
 
 def test_pair_triples_tiny_set():
@@ -70,20 +73,27 @@ def test_pair_triples_tiny_set():
 
 @pytest.mark.parametrize("ident", ("qam16", "psk8", "apsk16",
                                    "apsk8-grid"))
-def test_projected_triples_match_pair_triples(ident):
+def test_projected_triples_match_pair_triples(monkeypatch, ident):
     d = cs.difference_set(cs.constellation_by_id(ident, UNIT))
-    want = {(round(t.a / 1e-9), round(t.b / 1e-9),
-             round((t.c.imag - t.c.real) / 1e-9))
-            for t in pair_triples(d)}
-    a, b, g, wx, wy, z = gain._projected_triples(d, False)
-    got = [(round(p / 1e-9), round(q / 1e-9), round(e / 1e-9))
-           for p, q, e in zip(a.tolist(), b.tolist(), g.tolist())]
-    assert len(got) == len(set(got))
-    assert set(got) == want
-    assert got == sorted(got)
-    assert np.array_equal(a, np.abs(wx) ** 2)
-    assert np.array_equal(b, np.abs(wy) ** 2)
-    assert got[z] == (0, 0, 0)
+    # each (a, b, g) key's witness: its first (x, y) in row-major order
+    want = {}
+    for t in pair_triples(d):
+        key = (round(t.a / 1e-9), round(t.b / 1e-9),
+               round((t.c.imag - t.c.real) / 1e-9))
+        want.setdefault(key, (t.x, t.y))
+    # one default block, then 40 pairs per block: many blocks and merges
+    for block_pairs in (gain._BLOCK_PAIRS, 40):
+        monkeypatch.setattr(gain, "_BLOCK_PAIRS", block_pairs)
+        a, b, g, wx, wy, z = gain._projected_triples(d, False)
+        got = [(round(p / 1e-9), round(q / 1e-9), round(e / 1e-9))
+               for p, q, e in zip(a.tolist(), b.tolist(), g.tolist())]
+        assert len(got) == len(set(got))
+        assert set(got) == set(want)
+        assert got == sorted(got)
+        assert list(zip(wx.tolist(), wy.tolist())) == [want[k] for k in got]
+        assert np.array_equal(a, np.abs(wx) ** 2)
+        assert np.array_equal(b, np.abs(wy) ** 2)
+        assert got[z] == (0, 0, 0)
 
 
 @pytest.mark.parametrize("ident,norm,expected", [
@@ -599,13 +609,25 @@ def test_exact_search_refuses_t_outside_the_unit_circle():
         search(trip, 99, 70, 0.0)
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError,
-                   reason="the float floor check's absolute 1e-9 does not "
-                   "scale with alpha^4, so rounding at alpha = 1e3 trips it")
 def test_scaled_grid_passes_its_floor_check_at_alpha_1e3():
+    # values near 1e11: an absolute 1e-9 slack is below one ulp there
     c = cs.constellation_by_id("qam16", UNIT)
     rep = gain.coding_gain_scaled(c, R_GRID, 1e3)
     assert math.isclose(rep.gain, 1e12 * 0.08, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("alpha", (1.0, 1e3))
+def test_float_floor_check_raises_on_a_raised_floor(monkeypatch, alpha):
+    # the relative slack is not blind: a floor coefficient 0.1% above
+    # the true (u + v)^2 / 2 must fail some case-II pair at any scale
+    c = cs.constellation_by_id("qam16", UNIT)
+    sweep = gain._sweep_upper
+
+    def nudged(n, zero_idx, tile, *, bound_coef):
+        return sweep(n, zero_idx, tile, bound_coef=bound_coef * (1 + 1e-3))
+    monkeypatch.setattr(gain, "_sweep_upper", nudged)
+    with pytest.raises(RuntimeError, match="case II lower bound"):
+        gain.coding_gain_scaled(c, R_GRID, alpha, method="aggregated")
 
 
 def test_scaling_refuses_keys_past_int64():

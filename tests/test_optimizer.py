@@ -203,6 +203,37 @@ def test_step1_is_maximin_on_random_constellations(pts):
     assert key(res.t) == min(map(key, near))
 
 
+PRESETS = ("qam4", "qam16", "qam64", "psk3", "psk8", "psk16", "apsk8",
+           "apsk16", "apsk8-grid", "apsk16-grid")
+
+
+def assert_rows_within_the_sqrt2_cone(c):
+    # |dt| = |Im C - Re C| <= sqrt(2)|C| <= sqrt(2)(A + B)/2 = sqrt(2) A
+    # on every A = B row, so each row's V reaches 0 on [-sqrt 2, sqrt 2]
+    # and no ceiling min(A sqrt 2 + |dt|) can rule a row out
+    tab = opt.build_case1_table(c)
+    a, e = tab.a.astype(float), tab.e.astype(float)
+    assert tab.n_rows and (a > 0).all()
+    assert (np.abs(e) <= SQRT2 * a * (1 + 1e-12)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(3, 8),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_case1_rows_lie_within_sqrt2_a_on_random_constellations(seed, m,
+                                                                 scale):
+    rng = np.random.default_rng(seed)
+    pts = scale * (rng.normal(size=m) + 1j * rng.normal(size=m))
+    assert_rows_within_the_sqrt2_cone(
+        cs.Constellation(name="random", points=pts, normalization="scaled"))
+
+
+@pytest.mark.parametrize("norm", (UNIT, MIND))
+@pytest.mark.parametrize("ident", PRESETS)
+def test_case1_rows_lie_within_sqrt2_a_on_presets(ident, norm):
+    assert_rows_within_the_sqrt2_cone(cs.constellation_by_id(ident, norm))
+
+
 def test_step1_psk8_closed_form():
     res = opt.optimize_step1(cs.make_psk(8, UNIT))
     assert abs(res.t - T8) < 1e-12

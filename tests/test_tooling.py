@@ -8,11 +8,13 @@ taggers read fields of what the layers return (a table's n_rows, step
 1's breakpoints_examined, a gain report's route, a sweep's checked
 count).  A simplification that renames or reshapes any of these breaks
 `perfbench/run.py --trace 1` without failing another test.  These tests
-only read perfbench/.
+only read perfbench/.  One more guard keeps the package numpy-only.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from fdstbc import optimizer as opt
 from fdstbc.codes import DesignCoefficient
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fdstbc"
 
 
 def load(name):
@@ -97,3 +100,26 @@ def test_traced_decoder_probe_times_both_decoders(monkeypatch):
         for label in ("fast", "ml"):
             value, unit = out[f"simulate.{label}_decode_ms.{name}"]
             assert unit == "ms" and value > 0.0
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    own = {p.stem for p in PACKAGE.glob("*.py")}
+    allowed = set(sys.stdlib_module_names) | {"numpy", "fdstbc"}
+    seen = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                tops = {a.name.split(".")[0] for a in node.names}
+                bad = tops - allowed
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                tops = {node.module.split(".")[0]} if node.module \
+                    else {a.name for a in node.names}
+                bad = tops - own
+            elif isinstance(node, ast.ImportFrom):
+                tops = {node.module.split(".")[0]}
+                bad = tops - allowed
+            else:
+                continue
+            assert not bad, f"{path.name}:{node.lineno} imports {bad}"
+            seen |= tops
+    assert {"numpy", "codes", "math"} <= seen
