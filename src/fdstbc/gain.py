@@ -22,12 +22,18 @@ Completing the square in dt gives
 so |det|^2 >= (B-A)^2*(u+v)^2/2 for every tuple (the case II floor),
 which is asserted for every pair of triples.
 
-The exhaustive route and the float aggregated route supply a value
-function to one sweep over index pairs i <= j in square tiles of about
-_TILE_PAIRS pairs, whose temporaries stay in cache; only diagonal tiles
-mask the triangle and the zero pair.  Every pair tying the running
-minimum is kept, so the tie set and the reported argmin do not depend
-on the tiling.
+The exhaustive route supplies a value function to a sweep over index
+pairs i <= j in square tiles of about _TILE_PAIRS pairs, whose
+temporaries stay in cache; only diagonal tiles mask the triangle and
+the zero pair.  Every pair tying the running minimum is kept, so the
+tie set and the reported argmin do not depend on the tiling.
+
+The float aggregated route scores only the pairs of triples that can
+reach a minimum, its tie band or the floor check: with s = a - b and
+w = g - (a + b)*t/2 per triple (g its dt), a pair is worth
+c*S^2 + 2*W^2, c = 1 - t^2/2, S and W its sums.  _window_pairs lists
+the pairs in the window that the zero triple's pairs set, by s groups
+sorted by w, and scores them with the expanded form above, bit for bit.
 
 On integer grids with a rational t = p/q the aggregated route is exact
 and sweeps no pairs.  With s = a - b and w = 2q*dt - p*(a + b) per
@@ -57,7 +63,7 @@ _FLOOR_MSG = ("case II lower bound violated; "
 _TILE_PAIRS = 2 ** 14  # pairs per tile: the temporaries stay in L2
 _BLOCK_PAIRS = 2 ** 18  # difference pairs expanded per dedup block
 # Expansion holds one block at a time, so this bounds time, not memory:
-# psk55's 8,826,841 pairs take 6.5 s and give a 3.2e9-pair sweep
+# psk55's 8,826,841 pairs take 6.5 s and its case-I table 24 s
 TRIPLE_PAIR_LIMIT = 2 ** 23
 
 
@@ -125,7 +131,7 @@ def _projected_triples(dvals: np.ndarray, as_int: bool, scale: float = 1.0):
 
 
 def _sweep_upper(n, zero_idx, tile, *, bound_coef):
-    """Shared tiled sweep over pairs (i, j), i <= j, of n indices.
+    """The exhaustive route's tiled sweep over pairs (i, j), i <= j.
 
     tile(rows, cols) gives (val, A - B) on one block, val the float
     |det|^2; the zero pair is excluded.  Returns (case1_min, case2_min,
@@ -174,24 +180,129 @@ def _tie_limit(x):
     return x + _FLOAT_TIE * max(1.0, abs(x))
 
 
-def _sweep_pairs(a, b, g, zero_idx, *, t, bound_coef):
-    """Min float |det|^2 over all pairs of triples (upper triangle, i <= j).
+def _expand(starts, counts):
+    """(k, starts[k] + m) for every m < counts[k], in blocks of about
+    _BLOCK_PAIRS items however wide a single range is."""
+    ends, total = np.cumsum(counts), int(np.sum(counts))
+    for lo in range(0, total, _BLOCK_PAIRS):
+        at = np.arange(lo, min(lo + _BLOCK_PAIRS, total))
+        k = ends.searchsorted(at, side="right")
+        yield k, starts[k] + (at - ends[k] + counts[k])
 
-    Returns (case1_min, case2_min, bound_min, ii, jj) where (ii, jj) are
-    the pairs tying the overall minimum.
+
+def _window_pairs(a, b, g, zero_idx, *, t, bound_coef):
+    """(case1_min, case2_min, bound_min, ii, jj) bit for bit as a sweep
+    of every pair i <= j of triples gives them, by a pair-sum window.
+
+    Pairs scored are scored by the same expanded form.  A pair left out
+    has c*S^2 + 2*W^2 - err, a lower bound on its value, above its case's
+    bound from the zero triple's pairs and clear of the floor check; the
+    check's doubt window of small |W| opens wide if bound_coef exceeds c.
     """
+    n = a.size
     k2, k4 = 2.0 * t * t, 2.0 * t
+    c = (2.0 - t * t) / 2.0 - 2.0 ** -51  # below the exact 1 - t^2/2
+    pm, qm = 2.0 * float((a + b).max()), 2.0 * float(np.abs(g).max())
+    err = 2.0 ** -46 * (pm * pm + qm * qm)  # forward error of one value
+    pad = 2.0 ** -44 * (pm + qm)  # rounding of s, w, A - B and their sums
 
-    def tile(rows, cols):
-        A = a[rows, None] + a[None, cols]
-        B = b[rows, None] + b[None, cols]
-        D = g[rows, None] + g[None, cols]
+    def score(i, j):
+        A, B, D = a[i] + a[j], b[i] + b[j], g[i] + g[j]
         am_b = A - B
-        val = am_b * am_b + k2 * (A * B) + 2.0 * (D * D) \
-            - k4 * ((A + B) * D)
-        return val, am_b
+        return am_b * am_b + k2 * (A * B) + 2.0 * (D * D) \
+            - k4 * ((A + B) * D), am_b
 
-    return _sweep_upper(a.size, zero_idx, tile, bound_coef=bound_coef)
+    v0, m0 = score(zero_idx, np.delete(np.arange(n), zero_idx))
+    one = np.abs(m0) <= CASE_TOL  # zero pairs bound both minima
+    lim = _tie_limit(max(v0[one].min(initial=np.inf),
+                         v0[~one].min(initial=np.inf)))
+
+    # groups by the 1e-9 key of s, each sorted by w; gk ranks (group, w)
+    s, w = a - b, g - (a + b) * (t / 2.0)
+    key = np.round(s * 1e9)
+    order = np.lexsort((w, key))
+    key, s, w = key[order], s[order], w[order]
+    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    size = np.diff(np.append(start, n))
+    smin, smax = np.minimum.reduceat(s, start), np.maximum.reduceat(s, start)
+    wo = np.sort(w)
+    gk = np.repeat(np.arange(start.size), size) * (n + 1) + wo.searchsorted(w)
+
+    # the floor check can fail only where 2*W^2 < d2, and d2 < 0 for all
+    # |S| past xd once the relative slack outgrows the doubt
+    hi_c, lo_c = bound_coef * (1 + 2.0 ** -40), bound_coef * (1 - 2.0 ** -40)
+    r9 = 1e-9 * (1 - 2.0 ** -40)
+    kap = r9 * lo_c + c - hi_c
+    dlt = 2.0 * float((smax - smin).max()) + 3.0 * pad
+    xd = math.inf
+    if kap > 0 and lo_c > 0:
+        beta = 2.0 * (hi_c * dlt + r9 * lo_c * pad)
+        xd = max(beta / kap + math.sqrt((err + hi_c * dlt * dlt) / kap),
+                 pad + 1.0 / math.sqrt(lo_c)) * (1 + 1e-6)
+    x = max(math.sqrt((lim + err) / c) if c > 0 else math.inf, xd)
+    # group pairs g1 <= g2 whose S range meets [-x, x]
+    lo = np.maximum(smax.searchsorted(-x - pad - smax), np.arange(start.size))
+    hi = smin.searchsorted(x + pad - smin, side="right")
+
+    c1 = c2 = run = np.inf
+    hits = []
+    for g1, g2 in _expand(lo, np.maximum(hi - lo, 0)):
+        s_lo, s_hi = smin[g1] + smin[g2] - pad, smax[g1] + smax[g2] + pad
+        near = np.maximum(np.maximum(s_lo, -s_hi), 0.0)
+        far = np.maximum(-s_lo, s_hi) + pad
+        d2 = err + hi_c * far * far - c * near * near - r9 * np.maximum(
+            lo_c * np.maximum(near - pad, 0.0) ** 2, 1.0)
+        w2 = np.maximum(lim + err - c * near * near, d2)
+        ok = w2 >= 0
+        half = np.sqrt(w2[ok] / 2.0) + 2.0 * pad
+        g1, base = g1[ok], g2[ok] * (n + 1)
+        for m, p in _expand(start[g1], size[g1]):
+            jlo = gk.searchsorted(base[m] + wo.searchsorted(-w[p] - half[m]))
+            jhi = gk.searchsorted(
+                base[m] + wo.searchsorted(-w[p] + half[m], "right"))
+            for r, q in _expand(jlo, jhi - jlo):
+                # g1 <= g2 and groups sit in order: p <= q lists each once
+                keep = (p[r] < q) | ((p[r] == q) & (order[q] != zero_idx))
+                i, j = np.sort((order[p[r][keep]], order[q[keep]]), axis=0)
+                val, am_b = score(i, j)
+                case1 = np.abs(am_b) <= CASE_TOL
+                bnd = am_b ** 2 * bound_coef  # slack: relative above 1
+                if (~case1 & (val < bnd - 1e-9 * np.maximum(bnd, 1.0))).any():
+                    raise RuntimeError(_FLOOR_MSG)
+                c1 = min(c1, val[case1].min(initial=np.inf))
+                c2 = min(c2, val[~case1].min(initial=np.inf))
+                run = min(run, val.min(initial=np.inf))
+                k = val <= _tie_limit(run)
+                hits.append((i[k], j[k], val[k]))
+    ii, jj, vals = (np.concatenate(h) for h in zip(*hits))
+    keep = vals <= _tie_limit(min(c1, c2))
+    return c1, c2, _bound_min(a, b, pad, bound_coef), ii[keep], jj[keep]
+
+
+def _bound_min(a, b, pad, bound_coef):
+    """Least case-II floor (A - B)^2*bound_coef over pairs of triples.
+
+    A - B, as a sweep computes it, depends only on the pair's two exact
+    (a, b) rows.  Only row sums from the case-I band up to the nearest
+    sum past it, on either side, can reach the least |A - B|.
+    """
+    ab = np.unique(a + 1j * b)
+    ab = ab[(ab.real - ab.imag).argsort()]
+    rs = ab.real - ab.imag
+    edge = (rs.searchsorted(CASE_TOL + 2 * pad - rs),
+            rs.searchsorted(-CASE_TOL - 2 * pad - rs, "right") - 1)
+    top = min(np.abs(rs + rs[e % rs.size])[(e >= 0) & (e < rs.size)]
+              .min(initial=np.inf) for e in edge) + 2 * pad
+    lo = rs.searchsorted(np.concatenate((CASE_TOL - 2 * pad - rs, -top - rs)))
+    hi = rs.searchsorted(np.concatenate((top - rs, 2 * pad - CASE_TOL - rs)),
+                         "right")
+    bmin = np.inf
+    for k, j in _expand(lo, np.maximum(hi - lo, 0)):
+        i = k % rs.size
+        am_b = (ab.real[i] + ab.real[j]) - (ab.imag[i] + ab.imag[j])
+        bnd = (am_b ** 2 * bound_coef)[np.abs(am_b) > CASE_TOL]
+        bmin = min(bmin, float(bnd.min(initial=np.inf)))
+    return bmin
 
 
 def _distinct(x):
@@ -342,8 +453,8 @@ def _aggregated_gain(c: Constellation, r: DesignCoefficient,
             case2_min=float(Fraction(int(c2), qq) * scale4),
             case2_bound_min=bmin * f4,
             method="aggregated", gain_exact=gain_exact)
-    c1, c2, bmin, ii, jj = _sweep_pairs(a, b, g, z, t=r.t,
-                                        bound_coef=bound_coef)
+    c1, c2, bmin, ii, jj = _window_pairs(a, b, g, z, t=r.t,
+                                         bound_coef=bound_coef)
     tup, case = _argmin_tuple(ii, jj, wx, wy, a, b)
     return GainReport(gain=float(min(c1, c2)), argmin=tup,
                       case_of_argmin=case, case1_min=float(c1),
@@ -386,7 +497,7 @@ def coding_gain(c: Constellation, r: DesignCoefficient,
     """Minimum |det|^2 over all nonzero difference tuples of c under r.
 
     method None picks exhaustive for small constellations (<= 8 points)
-    and the aggregated triple-pair sweep otherwise, which uses triples
+    and the aggregated triple-pair search otherwise, which uses triples
     (the _projected_triples of c's difference set it needs) if given.
     """
     if method is None:

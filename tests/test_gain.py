@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from fdstbc import codes
 from fdstbc import constellations as cs
@@ -266,8 +266,9 @@ def test_report_and_ties_do_not_depend_on_tiling(monkeypatch, ident, norm, r):
         return pick(ii, jj, *args)
     monkeypatch.setattr(gain, "_argmin_tuple", spy)
     reports = []
-    for tile in (2 ** 10, 2 ** 15):
+    for tile, block in ((2 ** 10, 2 ** 10), (2 ** 15, gain._BLOCK_PAIRS)):
         monkeypatch.setattr(gain, "_TILE_PAIRS", tile)
+        monkeypatch.setattr(gain, "_BLOCK_PAIRS", block)
         reports.append(gain.coding_gain(c, r, method="aggregated"))
     assert reports[0] == reports[1]
     assert ties[0] == ties[1]
@@ -621,11 +622,12 @@ def test_float_floor_check_raises_on_a_raised_floor(monkeypatch, alpha):
     # the relative slack is not blind: a floor coefficient 0.1% above
     # the true (u + v)^2 / 2 must fail some case-II pair at any scale
     c = cs.constellation_by_id("qam16", UNIT)
-    sweep = gain._sweep_upper
+    search = gain._window_pairs
 
-    def nudged(n, zero_idx, tile, *, bound_coef):
-        return sweep(n, zero_idx, tile, bound_coef=bound_coef * (1 + 1e-3))
-    monkeypatch.setattr(gain, "_sweep_upper", nudged)
+    def nudged(a, b, g, zero_idx, *, t, bound_coef):
+        return search(a, b, g, zero_idx, t=t,
+                      bound_coef=bound_coef * (1 + 1e-3))
+    monkeypatch.setattr(gain, "_window_pairs", nudged)
     with pytest.raises(RuntimeError, match="case II lower bound"):
         gain.coding_gain_scaled(c, R_GRID, alpha, method="aggregated")
 
@@ -637,3 +639,123 @@ def test_scaling_refuses_keys_past_int64():
     # |x|^2 reaches 4e10: its 1e-9 key wraps int64
     with pytest.raises(ValueError, match="1e-9 grid"):
         gain.coding_gain_scaled(c, r, 1e5)
+
+
+def float_sweep_oracle(a, b, g, zero_idx, *, t, bound_coef):
+    """The float aggregated route's former search, kept as the reference
+    for gain._window_pairs: every pair i <= j of triples, tile by tile
+    through gain._sweep_upper, scored by the expanded form with the
+    case-II floor checked on each pair."""
+    k2, k4 = 2.0 * t * t, 2.0 * t
+
+    def tile(rows, cols):
+        A = a[rows, None] + a[None, cols]
+        B = b[rows, None] + b[None, cols]
+        D = g[rows, None] + g[None, cols]
+        am_b = A - B
+        val = am_b * am_b + k2 * (A * B) + 2.0 * (D * D) \
+            - k4 * ((A + B) * D)
+        return val, am_b
+
+    return gain._sweep_upper(a.size, zero_idx, tile, bound_coef=bound_coef)
+
+
+def window_and_oracle(trip, t, bound_coef):
+    """(window search, oracle) as (case1_min, case2_min, bound_min, ties),
+    or the message of the RuntimeError each raised."""
+    a, b, g, _, _, z = trip
+    out = []
+    for run in (gain._window_pairs, float_sweep_oracle):
+        try:
+            c1, c2, bmin, ii, jj = run(a, b, g, z, t=t, bound_coef=bound_coef)
+        except RuntimeError as exc:
+            out.append(str(exc))
+            continue
+        ties = list(zip(ii.tolist(), jj.tolist()))
+        assert len(ties) == len(set(ties))
+        assert all(i <= j for i, j in ties)
+        out.append((float(c1), float(c2), float(bmin), set(ties)))
+    return out
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 8),
+       scale=st.sampled_from((1e-3, 1.0, 1e3)),
+       angle=st.floats(0.0, 2.0 * math.pi),
+       nudge=st.sampled_from((0.0, 0.0, 1e-12, 1e-10, 1e-6, 1e-3)))
+def test_window_search_equals_float_sweep_on_random_constellations(
+        seed, m, scale, angle, nudge):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=m) + 1j * rng.normal(size=m)
+    pts *= scale / math.sqrt(np.mean(np.abs(pts) ** 2))
+    c = cs.Constellation(name="random", points=pts, normalization="scaled")
+    d = cs.difference_set(c)
+    # a difference with |x|^2 below the 1e-9 key shares the zero triple's
+    # key, and _projected_triples refuses such a set: no search to test
+    assume(np.abs(d[d != 0]).min() ** 2 >= 1e-9)
+    trip = gain._projected_triples(d, False)
+    r = codes.DesignCoefficient(u=math.cos(angle), v=math.sin(angle))
+    # a nudged floor coefficient makes some pairs fail the case-II check:
+    # both raise, or neither does and they agree bit for bit
+    got, want = window_and_oracle(trip, r.t,
+                                  (2.0 - r.t ** 2) / 2.0 * (1.0 + nudge))
+    assert got == want
+
+
+def _step1_case(ident, norm):
+    res = opt.optimize_step1(cs.constellation_by_id(ident, norm))
+    return res.triples, res.r_candidates[0].t
+
+
+def _edge_case(ident, t):
+    c = cs.constellation_by_id(ident, UNIT)
+    return gain._projected_triples(cs.difference_set(c), False), t
+
+
+WINDOW_CASES = [
+    pytest.param(_step1_case, (ident, norm), id=f"{ident}-{norm}")
+    for ident in [f"psk{m}" for m in range(9, 29)] + ["apsk8", "apsk16"]
+    for norm in (UNIT, MIND)] + [
+    # u = v: the gain is 0 and over 6,000 pairs tie for it
+    pytest.param(_edge_case, ("qam64", 0.0), id="qam64-u=v"),
+    # c = 1 - t^2/2 near 0: the S window spans every sum
+    pytest.param(_edge_case, ("psk16", math.sqrt(2.0) * (1 - 1e-9)),
+                 id="psk16-t=+sqrt2"),
+    pytest.param(_edge_case, ("apsk16", -math.sqrt(2.0) * (1 - 1e-9)),
+                 id="apsk16-t=-sqrt2")]
+
+
+@pytest.mark.parametrize("make,args", WINDOW_CASES)
+def test_window_search_equals_float_sweep_on_presets(make, args):
+    trip, t = make(*args)
+    got, want = window_and_oracle(trip, t, (2.0 - t ** 2) / 2.0)
+    assert not isinstance(want, str)
+    assert got == want
+
+
+@pytest.mark.parametrize("ident", ("psk16", "psk22", "apsk16"))
+def test_float_route_never_enters_the_tiled_sweep(monkeypatch, ident):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the float aggregated route swept pairs")
+    monkeypatch.setattr(gain, "_sweep_upper", refuse)
+    for norm in (UNIT, MIND):
+        c = cs.constellation_by_id(ident, norm)
+        r = optimize(c)[0]
+        assert gain.coding_gain(c, r).method == "aggregated"
+
+
+def test_window_search_memory_is_one_block(monkeypatch):
+    # t next to sqrt(2) leaves c near 0, so the S window spans every sum
+    # and psk32's triples ask about 250,000 partner queries: at the
+    # default block they peak near 17 MiB
+    trip, t = _edge_case("psk32", math.sqrt(2.0) * (1 - 1e-9))
+    a, b, g, _, _, z = trip
+    monkeypatch.setattr(gain, "_BLOCK_PAIRS", 2 ** 10)
+    tracemalloc.start()
+    try:
+        gain._window_pairs(a, b, g, z, t=t, bound_coef=(2.0 - t * t) / 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20

@@ -8,11 +8,13 @@ taggers read fields of what the layers return (a table's n_rows, step
 1's breakpoints_examined, a gain report's route, a sweep's checked
 count).  A simplification that renames or reshapes any of these breaks
 `perfbench/run.py --trace 1` without failing another test.  These tests
-only read perfbench/.  One more guard keeps the package numpy-only.
+only read perfbench/.  One more guard keeps the package numpy-only, and
+one runs the benchmark's own answer checks on the `design` requests.
 """
 
 import ast
 import importlib.util
+import json
 from pathlib import Path
 import sys
 
@@ -123,3 +125,17 @@ def test_package_imports_only_the_standard_library_and_numpy():
             assert not bad, f"{path.name}:{node.lineno} imports {bad}"
             seen |= tops
     assert {"numpy", "codes", "math"} <= seen
+
+
+def test_design_answers_pass_the_benchmark_checks(capsys):
+    # the benchmark refuses a change whose answers move past
+    # expected.json's 1e-10 relative check; fail here first
+    from fdstbc import cli
+
+    checks = load("checks")
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    for req in load("workloads").make_pass("design", 1, 0):
+        capsys.readouterr()
+        rc = cli.main(list(req.argv))
+        out = capsys.readouterr().out
+        assert checks.check_answer(req, rc, out, expected) == [], req.slot
