@@ -98,7 +98,8 @@ def _projected_triples(dvals: np.ndarray, as_int: bool, scale: float = 1.0):
     in the stream, is its smallest (x, y) by keys.  With as_int the
     triples are exact int64 in grid units (dvals/scale must be Gaussian
     integers); witnesses stay in constellation units either way.
-    ValueError up front if |D|^2 exceeds TRIPLE_PAIR_LIMIT.
+    ValueError up front if |D|^2 exceeds TRIPLE_PAIR_LIMIT, and if a
+    nonzero difference shares the zero triple's 1e-9 keys.
     """
     d = np.asarray(dvals)
     n = d.size
@@ -117,17 +118,26 @@ def _projected_triples(dvals: np.ndarray, as_int: bool, scale: float = 1.0):
     swap = 16 * n * n >= 2 ** 18
 
     def blocks():
-        for i, j in _row_blocks(np.arange(n), np.arange(n)):
-            x, cy = u[i], np.conj(u[j])
-            cc = cy * x if swap else x * cy
-            g = (cc.imag - cc.real).astype(sq.dtype, copy=False)
+        ids = np.arange(n, dtype=np.int32)
+        for i, j in _row_blocks(ids, ids):
+            g = _dt(u[i], np.conj(u[j]), swap, sq.dtype)
             yield sq[i], sq[j], g, i, j
 
     a, b, g, i, j = _first_of_runs(blocks(), 3)
     zero = np.flatnonzero((a == 0) & (b == 0) & (g == 0))
     if zero.size != 1:
-        raise AssertionError("difference set must contain exactly one zero")
+        tiny = float(sq[sq > 0].min())
+        raise ValueError(f"a nonzero difference with |x|^2 = {tiny:.3g} "
+                         f"keys to 0 on the 1e-9 dedup grid: scale the "
+                         f"constellation up")
     return a, b, g, d[i], d[j], int(zero[0])
+
+
+def _dt(x, cy, swap, dtype):
+    """Im(x*conj(y)) - Re(x*conj(y)) given cy = conj(y), in dtype; its
+    complex temporaries die before the caller's dedup sees the block."""
+    cc = cy * x if swap else x * cy
+    return (cc.imag - cc.real).astype(dtype, copy=False)
 
 
 def _sweep_upper(n, zero_idx, tile, *, bound_coef):

@@ -113,27 +113,27 @@ def _dichotomy_counts(limit: int, pre: int, full: int):
     checked counts the quadruples with pre | a^2+b^2+c^2+d^2.  Each one
     scores a failure if `full` divides some but not all of a..d, and
     (for full >= 2) one more if full/2 does not divide all of them.
-    Three numbers about (b, c, d) decide both: b^2+c^2+d^2 mod pre and
-    how many of b, c, d full and full/2 divide.  One bincount over the
-    cube counts every class, and each a reads the row at (-a^2) mod
-    pre, so every quadruple in the box is still counted.
+    Three numbers about a pair of values decide both: its sum of
+    squares mod pre and how many of the two full and full/2 divide.
+    One histogram of those classes over all (limit+1)^2 pairs, read at
+    residues r and -r for (a, b) and (c, d), counts every quadruple in
+    the box.
     """
     x = np.arange(limit + 1, dtype=np.int64)
     sq = x * x % pre
     by_full = (x % full == 0).astype(np.int64)
     by_half = (x % max(full // 2, 1) == 0).astype(np.int64)
-
-    def cube(v):
-        return (v[:, None, None] + v[None, :, None] + v[None, None, :]).ravel()
-
-    key = (cube(sq) % pre * 4 + cube(by_full)) * 4 + cube(by_half)
-    rows = np.bincount(key, minlength=pre * 16).reshape(pre, 4, 4)
-    rows = rows[-sq % pre]                     # (a, b..d by full, by half)
-    hits = by_full[:, None] + np.arange(4)     # a..d divisible by full
-    bad = ((hits != 0) & (hits != 4))[:, :, None].astype(np.int64)
+    i, j = np.repeat(x, x.size), np.tile(x, x.size)
+    two = np.zeros((pre, 3, 3), np.int64)  # (residue, by full, by half)
+    np.add.at(two, ((sq[i] + sq[j]) % pre, by_full[i] + by_full[j],
+                    by_half[i] + by_half[j]), 1)
+    # quads[f1, h1, f2, h2]: quadruples whose pairs are in those classes
+    quads = np.einsum("rab,rcd->abcd", two, two[-np.arange(pre) % pre])
+    hits = np.add.outer(np.arange(3), np.arange(3))
+    bad = ((hits != 0) & (hits != 4)).astype(np.int64)[:, None, :, None]
     if full >= 2:
-        bad = bad + (by_half[:, None] + np.arange(4) != 4)[:, None, :]
-    return int(rows.sum()), int((rows * bad).sum())
+        bad = bad + (hits != 4)[None, :, None, :]
+    return int(quads.sum()), int((quads * bad).sum())
 
 
 def sweep_dichotomy(limit: int = 64, k_max: int = 5) -> SweepResult:
@@ -194,7 +194,9 @@ def sweep_cross_term_exhaustive(limit: int = 8,
     quads = np.stack(np.meshgrid(r, r, r, r, indexing="ij"),
                      axis=-1).reshape(-1, 4)
     s = (quads * quads).sum(axis=1)
-    order = np.argsort(s, kind="stable")
+    # in 16 bits (limit <= 127) a stable argsort is a radix sort
+    narrow = s.astype(np.min_scalar_type(4 * limit * limit))
+    order = np.argsort(narrow, kind="stable")
     quads, s = quads[order], s[order]
     bounds = np.flatnonzero(np.diff(s)) + 1
     starts = np.concatenate(([0], bounds)).tolist()
@@ -214,48 +216,66 @@ def sweep_cross_term_exhaustive(limit: int = 8,
                        checked, failures)
 
 
-def _norm_index(limit: int):
-    """Sorted non-negative quadruples by norm, as pair indices.
+_SORT_BLOCK = 2 ** 16  # quadruple norms placed per counting-sort block
 
-    Returns (pairs, rows, start, count).  pairs lists every
-    0 <= a <= b <= limit in lexicographic order; rows[j] = (p, q) is
-    the quadruple pairs[p] + pairs[q], and rows[start[S]:start[S] +
-    count[S]] lists, in lexicographic order, every sorted quadruple
-    0 <= a <= b <= c <= d <= limit with a^2+b^2+c^2+d^2 = S.
+
+def _pair_runs(limit: int):
+    """Pairs 0 <= a <= b <= limit, lexicographic, and their id runs.
+
+    Returns (lo, hi, tail).  Pair (c, d) may follow pair p = (a, b) in a
+    sorted quadruple iff c >= b: the last tail[p] pairs of the list.
+    Quadruple ids number the (p, q) p-major, so pair p owns tail[p]
+    consecutive ids, and its last one pairs it with the last pair.
     """
     n = limit + 1
     lo, hi = np.triu_indices(n)
-    pairs = np.stack([lo, hi], axis=1).astype(np.int64)
-    # (c, d) may follow (a, b) iff c >= b: a suffix of the pair list
-    first = np.searchsorted(lo, np.arange(n))
-    tail = lo.size - first[hi]
-    idx = np.int32 if tail.sum() < 2 ** 31 else np.int64
-    p = np.repeat(np.arange(lo.size, dtype=idx), tail)
-    q = np.repeat((first[hi] - np.cumsum(tail) + tail).astype(idx), tail)
-    q += np.arange(p.size, dtype=idx)
-    smax = 4 * limit * limit
-    # norms fit 16 bits for limit <= 64, where a stable sort is a radix sort
-    norm = (lo * lo + hi * hi).astype(np.uint16 if smax < 1 << 16
-                                      else np.int64)
-    s = norm[p]
-    s += norm[q]
-    order = np.argsort(s, kind="stable")
-    count = np.bincount(s, minlength=smax + 1)
-    del s
-    rows = np.stack([p[order], q[order]], axis=1)
-    start = np.concatenate(([0], np.cumsum(count)[:-1]))
-    return pairs, rows, start, count
+    return lo, hi, lo.size - np.searchsorted(lo, np.arange(n))[hi]
 
 
-def _representations_by_norm(limit: int):
-    """Sorted non-negative quadruples indexed by norm.
+def _signed(limit: int):
+    """The narrowest signed integer type that holds +-limit."""
+    return np.min_scalar_type(-limit - 1)
 
-    Returns (quads, start, count) where quads[start[S]:start[S]+count[S]]
-    lists every sorted quadruple 0 <= a <= b <= c <= d <= limit with
-    a^2+b^2+c^2+d^2 = S: ``_norm_index`` with its rows spelled out.
+
+def _quadruples(limit: int, ids) -> np.ndarray:
+    """The sorted quadruples (a, b, c, d) of quadruple ids, as (n, 4)
+    in the narrowest signed integer type that holds +-limit."""
+    lo, hi, tail = _pair_runs(limit)
+    ends = np.cumsum(tail)
+    p = ends.searchsorted(ids, side="right")
+    q = ids - ends[p] + lo.size
+    pairs = np.stack([lo, hi], axis=1).astype(_signed(limit))
+    return np.concatenate([pairs[p], pairs[q]], axis=1)
+
+
+def _norm_index(limit: int):
+    """Sorted non-negative quadruples by norm, as quadruple ids.
+
+    Returns (order, start, count): order[start[S]:start[S] + count[S]]
+    lists, in lexicographic order, the ids (see _pair_runs and
+    _quadruples) of every sorted quadruple 0 <= a <= b <= c <= d <=
+    limit with a^2+b^2+c^2+d^2 = S.  One norm per id, 16 bits for
+    limit <= 127, goes through a stable counting sort in blocks of
+    _SORT_BLOCK ids, so no sort index wider than a block exists.
     """
-    pairs, rows, start, count = _norm_index(limit)
-    return pairs[rows].reshape(-1, 4), start, count
+    lo, hi, tail = _pair_runs(limit)
+    smax = 4 * limit * limit
+    norm = (lo * lo + hi * hi).astype(np.min_scalar_type(smax))
+    s = np.repeat(norm, tail)
+    s += np.concatenate([norm[-t:] for t in tail.tolist()])
+    blocks = [s[i:i + _SORT_BLOCK] for i in range(0, s.size, _SORT_BLOCK)]
+    count = sum(np.bincount(b, minlength=smax + 1) for b in blocks)
+    start = np.cumsum(count) - count
+    order = np.empty(s.size, np.int32 if s.size < 2 ** 31 else np.int64)
+    at = start.copy()  # where the next id of each norm goes
+    for i, b in enumerate(blocks):
+        ob = np.argsort(b, kind="stable")
+        nb = np.bincount(b, minlength=smax + 1)
+        # the m-th id of norm S in this block goes to at[S] + m
+        shift = at - (np.cumsum(nb) - nb)
+        order[shift[b[ob]] + np.arange(b.size)] = ob + i * _SORT_BLOCK
+        at += nb
+    return order, start, count
 
 
 def sweep_cross_term_random(n: int = 100_000, limit: int = 64,
@@ -265,19 +285,21 @@ def sweep_cross_term_random(n: int = 100_000, limit: int = 64,
     Draws (a, b, c, d) uniformly in the +-limit box, then picks a
     second quadruple of the same norm from a representation table,
     with random signs and a random coordinate order.  Only the picked
-    rows of the table are spelled out.
+    rows of the table are spelled out, and the samples stay in the
+    narrowest integer type until the int64 products.
     """
     rng = np.random.default_rng(seed)
-    pairs, rows, start, count = _norm_index(limit)
-    x = rng.integers(-limit, limit + 1, size=(n, 4)).astype(np.int64)
-    s = (x * x).sum(axis=1)
+    order, start, count = _norm_index(limit)
+    narrow = _signed(limit)
+    x = rng.integers(-limit, limit + 1, size=(n, 4)).astype(narrow)
+    s = np.einsum("ij,ij->i", x, x, dtype=np.int64)
     pick = start[s] + (rng.random(n) * count[s]).astype(np.int64)
-    y = pairs[rows[pick]].reshape(n, 4)
-    y = y * (rng.integers(0, 2, size=(n, 4)) * 2 - 1)
-    perm = np.argsort(rng.random((n, 4)), axis=1)
+    y = _quadruples(limit, order[pick])
+    del order, pick
+    y *= rng.integers(0, 2, size=(n, 4)).astype(narrow) * 2 - 1
+    perm = np.argsort(rng.random((n, 4)), axis=1).astype(np.int8)
     y = np.take_along_axis(y, perm, axis=1)
-    t1, t2, _, _ = euler_four_square(x[:, 0], x[:, 1], x[:, 2], x[:, 3],
-                                     y[:, 0], y[:, 1], y[:, 2], y[:, 3])
+    t1, t2, _, _ = euler_four_square(*x.astype(np.int64).T, *y.T)
     cross = t1 + t2
     nz = s > 0
     k = np.zeros(n, dtype=np.int64)

@@ -641,6 +641,16 @@ def test_scaling_refuses_keys_past_int64():
         gain.coding_gain_scaled(c, r, 1e5)
 
 
+def test_differences_below_the_key_grid_raise_a_value_error():
+    # at alpha 1e-5 qam16's smallest nonzero |x|^2 is 4e-11: it keys to
+    # the zero triple's 0 on the 1e-9 grid
+    c = cs.constellation_by_id("qam16", UNIT)
+    with pytest.raises(ValueError, match=r"\|x\|\^2 = 4e-11 .* 1e-9"):
+        gain.coding_gain_scaled(c, R_GRID, 1e-5)
+    rep = gain.coding_gain_scaled(c, R_GRID, 1e-4)
+    assert math.isclose(rep.gain, 1e-16 * 0.08, rel_tol=1e-9)
+
+
 def float_sweep_oracle(a, b, g, zero_idx, *, t, bound_coef):
     """The float aggregated route's former search, kept as the reference
     for gain._window_pairs: every pair i <= j of triples, tile by tile

@@ -173,6 +173,70 @@ def representations_oracle(limit):
     return quads, start, count
 
 
+def dichotomy_counts_cube(limit, pre, full):
+    """nt._dichotomy_counts by one bincount over the (b, c, d) cube.
+
+    The package's former class count, kept as the reference for its
+    pair-histogram form: each a reads the cube's row at (-a^2) mod pre.
+    """
+    x = np.arange(limit + 1, dtype=np.int64)
+    sq = x * x % pre
+    by_full = (x % full == 0).astype(np.int64)
+    by_half = (x % max(full // 2, 1) == 0).astype(np.int64)
+
+    def cube(v):
+        return (v[:, None, None] + v[None, :, None] + v[None, None, :]).ravel()
+
+    key = (cube(sq) % pre * 4 + cube(by_full)) * 4 + cube(by_half)
+    rows = np.bincount(key, minlength=pre * 16).reshape(pre, 4, 4)
+    rows = rows[-sq % pre]                     # (a, b..d by full, by half)
+    hits = by_full[:, None] + np.arange(4)     # a..d divisible by full
+    bad = ((hits != 0) & (hits != 4))[:, :, None].astype(np.int64)
+    if full >= 2:
+        bad = bad + (by_half[:, None] + np.arange(4) != 4)[:, None, :]
+    return int(rows.sum()), int((rows * bad).sum())
+
+
+def representations_by_norm(limit):
+    """The random cross-term sweep's former table, spelled out.
+
+    Every (p, q) pair-index row is built at once, stably argsorted by
+    norm and expanded to quadruples: the reference for nt._norm_index's
+    counting sort and nt._quadruples' id lookup.  Returns (quads, start,
+    count) as representations_oracle does.
+    """
+    n = limit + 1
+    lo, hi = np.triu_indices(n)
+    pairs = np.stack([lo, hi], axis=1).astype(np.int64)
+    first = np.searchsorted(lo, np.arange(n))
+    tail = lo.size - first[hi]
+    p = np.repeat(np.arange(lo.size), tail)
+    q = np.repeat(first[hi] - np.cumsum(tail) + tail, tail)
+    q += np.arange(p.size)
+    norm = lo * lo + hi * hi
+    s = norm[p] + norm[q]
+    order = np.argsort(s, kind="stable")
+    count = np.bincount(s, minlength=4 * limit * limit + 1)
+    start = np.concatenate(([0], np.cumsum(count)[:-1]))
+    quads = np.concatenate([pairs[p[order]], pairs[q[order]]], axis=1)
+    return quads, start, count
+
+
+def random_picks_oracle(n, limit, seed):
+    """(x, y0, y) as sweep_cross_term_random drew them from the spelled-
+    out table: x the drawn quadruples, y0 the picked table rows and y
+    those rows after random signs and a random coordinate order."""
+    rng = np.random.default_rng(seed)
+    quads, start, count = representations_by_norm(limit)
+    x = rng.integers(-limit, limit + 1, size=(n, 4)).astype(np.int64)
+    s = (x * x).sum(axis=1)
+    pick = start[s] + (rng.random(n) * count[s]).astype(np.int64)
+    y0 = quads[pick]
+    y = y0 * (rng.integers(0, 2, size=(n, 4)) * 2 - 1)
+    perm = np.argsort(rng.random((n, 4)), axis=1)
+    return x, y0, np.take_along_axis(y, perm, axis=1)
+
+
 def test_classify_none_divisible():
     w = classify_four_square(1, 1, 1, 1, k=1)
     assert w.classification == NONE_DIVISIBLE
@@ -390,24 +454,59 @@ def test_cross_term_counts_failures_one_power_up(limit, k_max):
     assert failures > 0
 
 
+@pytest.mark.parametrize("limit", range(17))
+def test_dichotomy_counts_match_the_cube_histogram(limit):
+    for k in range(5):
+        for full in (1 << k, 1 << (k + 1)):
+            got = nt._dichotomy_counts(limit, 1 << (2 * k), full)
+            assert got == dichotomy_counts_cube(limit, 1 << (2 * k), full)
+            assert type(got[0]) is int and type(got[1]) is int
+
+
 @pytest.mark.parametrize("limit", [0, 1, 4, 16])
 def test_representations_by_norm_match_itertools_table(limit):
-    got = nt._representations_by_norm(limit)
     want = representations_oracle(limit)
-    for g, w in zip(got, want):
+    for g, w in zip(representations_by_norm(limit), want):
         assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    order, start, count = nt._norm_index(limit)
+    quads = nt._quadruples(limit, order)
+    assert quads.dtype == np.int8
+    for g, w in zip((quads, start, count), want):
         assert np.array_equal(g, w)
 
 
+@pytest.mark.parametrize("limit", [1, 4, 16, 64])
+def test_random_sweep_picks_the_spelled_out_tables_quadruples(
+        monkeypatch, limit):
+    seen = []
+    euler = nt.euler_four_square
+
+    def spy(*cols):
+        seen.append(np.stack(cols, axis=1))
+        return euler(*cols)
+    monkeypatch.setattr(nt, "euler_four_square", spy)
+    got = nt.sweep_cross_term_random(n=100_000, limit=limit)
+    assert got.checked == 100_000 and got.failures == 0
+    x, y0, y = random_picks_oracle(100_000, limit, 0)
+    (xy,) = seen
+    assert np.array_equal(xy[:, :4], x)
+    # the table rows are sorted and non-negative: undo signs and order
+    assert np.array_equal(np.sort(np.abs(xy[:, 4:]), axis=1), y0)
+    assert np.array_equal(xy[:, 4:], y)
+
+
 def test_norm_index_builds_in_narrow_integers():
-    # limit 64 gives 814,385 rows: built in int64 with its temporaries
-    # the table peaked at 49.8 MiB, in int32 and uint16 at 25.1 MiB
+    # limit 64 gives 814,385 quadruple ids.  Built in int64 with its
+    # temporaries the table peaked at 49.8 MiB, as int32 (p, q) rows
+    # from one argsort at 25.1 MiB, as int32 ids by the blockwise
+    # counting sort at 7.3 MiB
     tracemalloc.start()
     try:
-        _, rows, start, count = nt._norm_index(64)
+        order, start, count = nt._norm_index(64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows.shape == (814_385, 2)
-    assert count.sum() == rows.shape[0] and start[-1] + count[-1] == 814_385
-    assert peak < 32 * 2 ** 20
+    assert order.shape == (814_385,) and order.dtype == np.int32
+    assert count.sum() == order.size and start[-1] + count[-1] == 814_385
+    assert peak < 9 * 2 ** 20

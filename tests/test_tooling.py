@@ -8,8 +8,9 @@ taggers read fields of what the layers return (a table's n_rows, step
 1's breakpoints_examined, a gain report's route, a sweep's checked
 count).  A simplification that renames or reshapes any of these breaks
 `perfbench/run.py --trace 1` without failing another test.  These tests
-only read perfbench/.  One more guard keeps the package numpy-only, and
-one runs the benchmark's own answer checks on the `design` requests.
+only read perfbench/.  One more guard keeps the package numpy-only, one
+runs the benchmark's own answer checks on the `design` requests, and one
+holds each of those requests to a traced-memory budget.
 """
 
 import ast
@@ -17,6 +18,7 @@ import importlib.util
 import json
 from pathlib import Path
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,3 +141,21 @@ def test_design_answers_pass_the_benchmark_checks(capsys):
         rc = cli.main(list(req.argv))
         out = capsys.readouterr().out
         assert checks.check_answer(req, rc, out, expected) == [], req.slot
+
+
+def test_design_requests_stay_within_a_memory_budget(capsys):
+    # the design workload's peak RSS follows its largest request; the
+    # largest are optimize psk28 (the triple expansion) and lemmas (the
+    # norm table of the random cross-term sweep)
+    from fdstbc import cli
+
+    for req in load("workloads").make_pass("design", 1, 0):
+        tracemalloc.start()
+        try:
+            rc = cli.main(list(req.argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert rc == 0, req.slot
+        assert peak <= 12 * 2 ** 20, (req.slot, peak / 2 ** 20)
