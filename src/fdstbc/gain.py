@@ -28,21 +28,18 @@ temporaries stay in cache; only diagonal tiles mask the triangle and
 the zero pair.  Every pair tying the running minimum is kept, so the
 tie set and the reported argmin do not depend on the tiling.
 
-The float aggregated route scores only the pairs of triples that can
-reach a minimum, its tie band or the floor check: with s = a - b and
-w = g - (a + b)*t/2 per triple (g its dt), a pair is worth
-c*S^2 + 2*W^2, c = 1 - t^2/2, S and W its sums.  _window_pairs lists
-the pairs in the window that the zero triple's pairs set, by s groups
-sorted by w, and scores them with the expanded form above, bit for bit.
-
-On integer grids with a rational t = p/q the aggregated route is exact
-and sweeps no pairs.  With s = a - b and w = 2q*dt - p*(a + b) per
-triple, q^2*|det|^2 = (c*S^2 + W^2)/2, c = 2q^2 - p^2, where S and W
-are the pair sums of s and w.  _search_pairs sorts the triples by
-(s, w), takes only the sums S whose floor c*S^2/2 can reach the
-minimum, and finds the least |W| at each by a nearest-neighbour lookup;
-the floor check is decided per S.  It raises ValueError up front if its
-int64 values could reach 2^62.
+Both aggregated routes score, through one kernel _pair_window, only the
+pairs of triples that can reach a minimum, its tie band or the floor
+check.  With s = a - b and w = g - (a + b)*t/2 per triple (g its dt), a
+pair is worth c*S^2 + 2*W^2, c = 1 - t^2/2, S and W its sums.  The
+kernel groups triples by s, sorts each group by w, and lists the pairs
+in the window that the zero triple's pairs set.  _window_pairs pads
+each edge by a forward error bound and scores with the expanded form
+above, bit for bit.  On integer grids with a rational t = p/q,
+_search_pairs is exact with no padding: w = 2q*g - p*(a + b) and
+q^2*|det|^2 = (c*S^2 + W^2)/2, c = 2q^2 - p^2, in int64 (ValueError up
+front if a value could reach 2^62).  Where c*S^2/2 alone cannot clear
+the floor check at a sum S, it widens the window there to decide it.
 """
 
 from dataclasses import dataclass
@@ -219,74 +216,99 @@ def _window_pairs(a, b, g, zero_idx, *, t, bound_coef):
     def score(i, j):
         A, B, D = a[i] + a[j], b[i] + b[j], g[i] + g[j]
         am_b = A - B
-        return am_b * am_b + k2 * (A * B) + 2.0 * (D * D) \
-            - k4 * ((A + B) * D), am_b
+        val = am_b * am_b + k2 * (A * B) + 2.0 * (D * D) \
+            - k4 * ((A + B) * D)
+        case1 = np.abs(am_b) <= CASE_TOL
+        bnd = am_b ** 2 * bound_coef  # slack: relative above 1
+        if (~case1 & (val < bnd - 1e-9 * np.maximum(bnd, 1.0))).any():
+            raise RuntimeError(_FLOOR_MSG)
+        return val, case1
 
-    v0, m0 = score(zero_idx, np.delete(np.arange(n), zero_idx))
-    one = np.abs(m0) <= CASE_TOL  # zero pairs bound both minima
+    v0, one = score(zero_idx, np.delete(np.arange(n), zero_idx))
     lim = _tie_limit(max(v0[one].min(initial=np.inf),
                          v0[~one].min(initial=np.inf)))
-
-    # groups by the 1e-9 key of s, each sorted by w; gk ranks (group, w)
-    s, w = a - b, g - (a + b) * (t / 2.0)
-    key = np.round(s * 1e9)
-    order = np.lexsort((w, key))
-    key, s, w = key[order], s[order], w[order]
-    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    size = np.diff(np.append(start, n))
-    smin, smax = np.minimum.reduceat(s, start), np.maximum.reduceat(s, start)
-    wo = np.sort(w)
-    gk = np.repeat(np.arange(start.size), size) * (n + 1) + wo.searchsorted(w)
 
     # the floor check can fail only where 2*W^2 < d2, and d2 < 0 for all
     # |S| past xd once the relative slack outgrows the doubt
     hi_c, lo_c = bound_coef * (1 + 2.0 ** -40), bound_coef * (1 - 2.0 ** -40)
     r9 = 1e-9 * (1 - 2.0 ** -40)
     kap = r9 * lo_c + c - hi_c
-    dlt = 2.0 * float((smax - smin).max()) + 3.0 * pad
-    xd = math.inf
-    if kap > 0 and lo_c > 0:
-        beta = 2.0 * (hi_c * dlt + r9 * lo_c * pad)
-        xd = max(beta / kap + math.sqrt((err + hi_c * dlt * dlt) / kap),
-                 pad + 1.0 / math.sqrt(lo_c)) * (1 + 1e-6)
-    x = max(math.sqrt((lim + err) / c) if c > 0 else math.inf, xd)
-    # group pairs g1 <= g2 whose S range meets [-x, x]
-    lo = np.maximum(smax.searchsorted(-x - pad - smax), np.arange(start.size))
-    hi = smin.searchsorted(x + pad - smin, side="right")
 
-    c1 = c2 = run = np.inf
-    hits = []
-    for g1, g2 in _expand(lo, np.maximum(hi - lo, 0)):
-        s_lo, s_hi = smin[g1] + smin[g2] - pad, smax[g1] + smax[g2] + pad
+    def reach(width):
+        dlt = 2.0 * width + 3.0 * pad
+        xd = math.inf
+        if kap > 0 and lo_c > 0:
+            beta = 2.0 * (hi_c * dlt + r9 * lo_c * pad)
+            xd = max(beta / kap + math.sqrt((err + hi_c * dlt * dlt) / kap),
+                     pad + 1.0 / math.sqrt(lo_c)) * (1 + 1e-6)
+        return max(math.sqrt((lim + err) / c) if c > 0 else math.inf, xd)
+
+    def half(s_lo, s_hi):
         near = np.maximum(np.maximum(s_lo, -s_hi), 0.0)
         far = np.maximum(-s_lo, s_hi) + pad
         d2 = err + hi_c * far * far - c * near * near - r9 * np.maximum(
             lo_c * np.maximum(near - pad, 0.0) ** 2, 1.0)
         w2 = np.maximum(lim + err - c * near * near, d2)
-        ok = w2 >= 0
-        half = np.sqrt(w2[ok] / 2.0) + 2.0 * pad
-        g1, base = g1[ok], g2[ok] * (n + 1)
+        return np.where(w2 >= 0, np.sqrt(np.maximum(w2, 0.0) / 2.0)
+                        + 2.0 * pad, -1.0)
+
+    s = a - b
+    c1, c2, ii, jj = _pair_window(
+        s, g - (a + b) * (t / 2.0), np.round(s * 1e9), zero_idx,
+        reach=reach, pad=pad, half=half, score=score, tie=_tie_limit)
+    return c1, c2, _bound_min(a, b, pad, bound_coef), ii, jj
+
+
+def _pair_window(s, w, key, zero_idx, *, reach, pad, half, score, tie):
+    """Minima and ties over the pairs i <= j of triples that a window on
+    the pair sums S = s_i + s_j and W = w_i + w_j holds.
+
+    Triples are grouped by key and sorted by w in each group.  Group
+    pairs whose S range, widened by pad, meets [-x, x], x = reach(widest
+    group's s span), get a W half-width from half(s_lo, s_hi) (negative:
+    none), and each triple of the first lists its partners in the second
+    in blocks of about _BLOCK_PAIRS.  score(i, j) gives (value, case1)
+    and runs the floor check; values up to tie(minimum) tie.  Returns
+    (case1_min, case2_min, ii, jj), ii <= jj the tied pairs.
+    """
+    n = s.size
+    order = np.lexsort((w, key))
+    key, s, w = key[order], s[order], w[order]
+    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    size = np.diff(np.append(start, n))
+    smin, smax = np.minimum.reduceat(s, start), np.maximum.reduceat(s, start)
+    wo = np.sort(w)
+    # gk ranks (group, w), so one searchsorted finds a w in a group
+    gk = np.repeat(np.arange(start.size), size) * (n + 1) + wo.searchsorted(w)
+    x = reach(float((smax - smin).max()))
+    # group pairs g1 <= g2 whose S range meets [-x, x]
+    lo = np.maximum(smax.searchsorted(-x - pad - smax), np.arange(start.size))
+    hi = smin.searchsorted(x + pad - smin, side="right")
+
+    c1 = c2 = np.inf
+    hits = []
+    for g1, g2 in _expand(lo, np.maximum(hi - lo, 0)):
+        width = half(smin[g1] + smin[g2] - pad, smax[g1] + smax[g2] + pad)
+        ok = width >= 0
+        g1, base, width = g1[ok], g2[ok] * (n + 1), width[ok]
         for m, p in _expand(start[g1], size[g1]):
-            jlo = gk.searchsorted(base[m] + wo.searchsorted(-w[p] - half[m]))
+            jlo = gk.searchsorted(base[m] + wo.searchsorted(-w[p] - width[m]))
             jhi = gk.searchsorted(
-                base[m] + wo.searchsorted(-w[p] + half[m], "right"))
+                base[m] + wo.searchsorted(-w[p] + width[m], "right"))
             for r, q in _expand(jlo, jhi - jlo):
                 # g1 <= g2 and groups sit in order: p <= q lists each once
                 keep = (p[r] < q) | ((p[r] == q) & (order[q] != zero_idx))
                 i, j = np.sort((order[p[r][keep]], order[q[keep]]), axis=0)
-                val, am_b = score(i, j)
-                case1 = np.abs(am_b) <= CASE_TOL
-                bnd = am_b ** 2 * bound_coef  # slack: relative above 1
-                if (~case1 & (val < bnd - 1e-9 * np.maximum(bnd, 1.0))).any():
-                    raise RuntimeError(_FLOOR_MSG)
-                c1 = min(c1, val[case1].min(initial=np.inf))
-                c2 = min(c2, val[~case1].min(initial=np.inf))
-                run = min(run, val.min(initial=np.inf))
-                k = val <= _tie_limit(run)
+                val, case1 = score(i, j)
+                if case1.any():
+                    c1 = min(c1, val[case1].min())
+                if not case1.all():
+                    c2 = min(c2, val[~case1].min())
+                k = val <= tie(min(c1, c2))
                 hits.append((i[k], j[k], val[k]))
     ii, jj, vals = (np.concatenate(h) for h in zip(*hits))
-    keep = vals <= _tie_limit(min(c1, c2))
-    return c1, c2, _bound_min(a, b, pad, bound_coef), ii[keep], jj[keep]
+    keep = vals <= tie(min(c1, c2))
+    return c1, c2, ii[keep], jj[keep]
 
 
 def _bound_min(a, b, pad, bound_coef):
@@ -296,9 +318,12 @@ def _bound_min(a, b, pad, bound_coef):
     (a, b) rows.  Only row sums from the case-I band up to the nearest
     sum past it, on either side, can reach the least |A - B|.
     """
-    ab = np.unique(a + 1j * b)
-    ab = ab[(ab.real - ab.imag).argsort()]
-    rs = ab.real - ab.imag
+    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    rs = a - b
+    o = np.lexsort((b, rs))
+    a, b, rs = a[o], b[o], rs[o]
+    new = np.concatenate(([True], (rs[1:] != rs[:-1]) | (b[1:] != b[:-1])))
+    a, b, rs = a[new], b[new], rs[new]
     edge = (rs.searchsorted(CASE_TOL + 2 * pad - rs),
             rs.searchsorted(-CASE_TOL - 2 * pad - rs, "right") - 1)
     top = min(np.abs(rs + rs[e % rs.size])[(e >= 0) & (e < rs.size)]
@@ -309,17 +334,10 @@ def _bound_min(a, b, pad, bound_coef):
     bmin = np.inf
     for k, j in _expand(lo, np.maximum(hi - lo, 0)):
         i = k % rs.size
-        am_b = (ab.real[i] + ab.real[j]) - (ab.imag[i] + ab.imag[j])
+        am_b = (a[i] + a[j]) - (b[i] + b[j])
         bnd = (am_b ** 2 * bound_coef)[np.abs(am_b) > CASE_TOL]
         bmin = min(bmin, float(bnd.min(initial=np.inf)))
     return bmin
-
-
-def _distinct(x):
-    """Sorted distinct values of an int array, by one sort (np.unique
-    hashes first, several times slower on these sizes)."""
-    x = np.sort(x, axis=None)
-    return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
 def _search_pairs(a, b, g, zero_idx, p, q, *, bound_coef):
@@ -329,13 +347,11 @@ def _search_pairs(a, b, g, zero_idx, p, q, *, bound_coef):
     the pair sums of s = a - b and w = 2q*g - p*(a + b).  Returns
     (case1_min, case2_min, bound_min, ii, jj) like _sweep_upper, with
     int minima and (ii, jj), ii <= jj, exactly the pairs equal to the
-    minimum.  Only sums S whose floor c*S^2/2 is within the best pair
-    with the zero triple are searched; at each S the least |W| is a
-    nearest-neighbour lookup over the triples sorted by (s, w).  The
-    case-II floor check is decided for every S: the value at a fixed S
-    grows with |W|, so a pair fails it exactly when the least |W| at
-    its S fails, and the W = 0 bound clears nearly every S unsearched.
-    Raises ValueError up front when a value could reach 2^62.
+    minimum.  It is _pair_window with no padding: each group is one
+    exact s, and at each sum S it scores W^2 <= 2*lim - c*S^2, lim the
+    larger of the zero triple's best pair per case, and the least |W|
+    that could fail the case-II check.  Raises ValueError up front when
+    a value could reach 2^62.
     """
     am, bm, gm = (2 * int(np.abs(x).max()) for x in (a, b, g))
     worst = q * q * max(am, bm) ** 2 + 2 * p * p * am * bm \
@@ -348,73 +364,35 @@ def _search_pairs(a, b, g, zero_idx, p, q, *, bound_coef):
         raise ValueError(f"exact gain search needs |t| < sqrt(2), "
                          f"got t = {p}/{q}")
     c = np.int64(2 * q * q - p * p)
-    s, w = a - b, 2 * q * g - p * (a + b)
-    # key = (rank of s) * wr + w - min(w) stays below 2^23 * 2^33: there
-    # are at most TRIPLE_PAIR_LIMIT triples, and w_i^2 is at most twice
-    # the value of the pair (zero triple, i), below 2^62
-    sig, wmin = _distinct(s), w.min()
-    wr = w.max() - wmin + 2
-    key = sig.searchsorted(s) * wr + (w - wmin)
-    order = key.argsort()
-    key, s, w = key[order], s[order], w[order]
-    n = s.size
-    zpos = int((order == zero_idx).argmax())
-    lo = key.searchsorted(np.arange(sig.size) * wr)
-    hi = np.concatenate((lo[1:], [n]))
-    # where -w_i falls in a group, clamped to the group's own key range
-    near = np.minimum(np.maximum(-w - wmin, 0), wr - 1)
-
-    def least(S):
-        """Exact minimum value at each sum in S (every one present), and
-        for each (S, triple i) the neighbours j and their |W|."""
-        part = S[:, None] - s
-        grp = np.minimum(sig.searchsorted(part), sig.size - 1)
-        # the nearest w to -w_i on either side in the partner group.  The
-        # zero triple asks no query: (z, j) is found from j, and (z, z)
-        # is no pair
-        j = key.searchsorted(grp * wr + near)[..., None] + np.arange(-1, 1)
-        ok = (sig[grp] == part)[..., None] & (j >= lo[grp][..., None]) \
-            & (j < hi[grp][..., None])
-        ok[:, zpos] = False
-        j = np.minimum(j, n - 1)
-        aw = np.where(ok, np.abs(w[:, None] + w[j]), _INT_LIMIT)
-        least_w = aw.min(axis=(1, 2))
-        return (c * S * S + least_w * least_w) // 2, j, aw
-
-    def floor_fails(S):
-        step = max(1, _BLOCK_PAIRS // n)
-        return any((least(x)[0].astype(np.float64) / q2
-                    < x.astype(np.float64) ** 2 * bound_coef - 1e-9).any()
-                   for x in (S[k:k + step] for k in range(0, S.size, step)))
-
-    step = max(1, _BLOCK_PAIRS // sig.size)
-    present = _distinct(np.concatenate(
-        [_distinct(sig[k:k + step, None] + sig)
-         for k in range(0, sig.size, step)]))
-    nz = present[present != 0]
-    # case II is at most its best pair with the zero triple, so only
-    # sums whose floor c*S^2/2 is below that can reach or tie it
-    top = ((c * s * s + w * w) // 2)[s != 0].min()
-    S = np.concatenate(([0], nz[c * nz * nz // 2 <= top]))
-    val, j, aw = least(S)
-    c1, c2 = int(val[0]), int(val[1:].min())
-    bnd = nz.astype(np.float64) ** 2 * bound_coef
     q2 = float(q) ** 2
-    doubt = ((c * nz * nz + 1) // 2).astype(np.float64) / q2 < bnd - 1e-9
-    if doubt.any() and floor_fails(nz[doubt]):
-        raise RuntimeError(_FLOOR_MSG)
-    # the tie set: each neighbour at the least |W| of a sum worth the
-    # minimum, widened to every triple sharing its exact (s, w) key
-    tie_w = np.where(val == min(c1, c2), aw.min(axis=(1, 2)), -1)
-    m, i, col = np.nonzero(aw == tie_w[:, None, None])
-    k = key[j[m, i, col]]
-    left = key.searchsorted(k)
-    cnt = key.searchsorted(k + 1) - left
-    i = order[i.repeat(cnt)]
-    j = order[np.arange(cnt.sum()) + (left - cnt.cumsum() + cnt).repeat(cnt)]
-    pair = _distinct(np.minimum(i, j) * n + np.maximum(i, j))
-    ii, jj = np.divmod(pair, n)
-    return c1, c2, float(bnd.min()), ii, jj
+    s, w = a - b, 2 * q * g - p * (a + b)
+
+    def score(i, j):
+        S, W = s[i] + s[j], w[i] + w[j]
+        val = (c * S * S + W * W) // 2
+        bnd = S.astype(np.float64) ** 2 * bound_coef
+        if ((S != 0) & (val.astype(np.float64) / q2 < bnd - 1e-9)).any():
+            raise RuntimeError(_FLOOR_MSG)
+        return val, S == 0
+
+    v0, one = score(zero_idx, np.delete(np.arange(s.size), zero_idx))
+    lim = max(v0[one].min(), v0[~one].min())
+
+    def half(S, _):
+        # past 2*lim - c*S^2, a W can only matter to the floor check, and
+        # only where c*S^2/2 rounded up, the least value at S, fails it
+        Sf = S.astype(np.float64)
+        bnd = Sf ** 2 * bound_coef
+        doubt = (S != 0) & (((c * S * S + 1) // 2) / q2 < bnd - 1e-9)
+        w2 = np.maximum(2 * lim - c * S * S, np.where(
+            doubt, 2 * q2 * bnd * (1 + 2.0 ** -40) - c * Sf ** 2 + 2, -1))
+        return np.where(w2 >= 0, np.sqrt(np.maximum(w2, 0)).astype(np.int64)
+                        + 1, -1)
+
+    c1, c2, ii, jj = _pair_window(s, w, s, zero_idx, reach=lambda _: math.inf,
+                                  pad=0, half=half, score=score,
+                                  tie=lambda v: v)
+    return int(c1), int(c2), _bound_min(a, b, 0.0, bound_coef), ii, jj
 
 
 def _argmin_tuple(ii, jj, wx, wy, a, b):
@@ -535,7 +513,7 @@ def golden_coding_gain(c: Constellation) -> float:
     det factors through q(x, y) = x^2 + x*y - y^2 on the two symbol
     pairs: det = (2/5)*(2+j)*(q(ds1, ds2) - j*q(ds3, ds4)), so the
     search only needs the q values over D x D, deduplicated by
-    DEDUP_TOL keys.
+    DEDUP_TOL keys, and their pairs in row blocks of about _BLOCK_PAIRS.
     """
     d = difference_set(c)
     x = np.repeat(d, d.size)
@@ -543,8 +521,9 @@ def golden_coding_gain(c: Constellation) -> float:
     nz = ~((x == 0) & (y == 0))
     qv = (x * x + x * y - y * y)[nz]
     qnz = _first_of_runs([(qv.real, qv.imag, qv)], 2)[-1]
-    m = np.abs(qnz[:, None] - 1j * qnz[None, :]) ** 2
-    best = float(m.min())
+    step = max(1, _BLOCK_PAIRS // qnz.size)
+    best = min(float((np.abs(qnz[k:k + step, None] - 1j * qnz[None, :]) ** 2)
+                     .min()) for k in range(0, qnz.size, step))
     # tuples where one symbol pair is identically zero
     best = min(best, float(np.min(np.abs(qnz) ** 2)))
     return (4.0 / 5.0) * best

@@ -25,6 +25,7 @@ reports.
 
 from dataclasses import dataclass
 from fractions import Fraction
+import math
 
 import numpy as np
 
@@ -69,6 +70,8 @@ def verify_lemma1_bound(c, t) -> Lemma1BoundReport:
     2*min|A*t - dt|^2 and compares against 1/2.  t may be a float or a
     Fraction; Fractions are evaluated exactly.
     """
+    if not (isinstance(t, Fraction) or math.isfinite(t)):
+        raise ValueError(f"t must be finite, got {t}")
     tab = build_case1_table(c)
     if not tab.grid_units:
         raise ValueError("constellation differences are not on an "

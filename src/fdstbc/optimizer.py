@@ -291,6 +291,9 @@ def vanishing_probe(family: str, sizes=None):
         default, pattern = _PROBE_FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown family {family!r}") from None
+    sizes = default if sizes is None else tuple(sizes)
+    if not sizes:
+        raise ValueError("sizes must not be empty")
     return [(m, optimize(constellation_by_id(pattern.format(m),
                                              NORM_MIN_DIST)).report.gain)
-            for m in sizes or default]
+            for m in sizes]

@@ -110,6 +110,10 @@ class SimConfig:
         if self.codewords_per_point < 1:
             raise ValueError("codewords_per_point must be >= 1")
         grid = tuple(float(s) for s in self.snr_grid_db)
+        if not grid:
+            raise ValueError("snr grid is empty")
+        if not all(math.isfinite(s) for s in grid):
+            raise ValueError(f"snr values must be finite, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr grid must be strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)
@@ -150,8 +154,8 @@ def transmit(x: np.ndarray, h: np.ndarray, n0: float, rng) -> np.ndarray:
     and it is drawn even for n0 = 0, so the random stream that follows
     does not depend on the noise level.
     """
-    if n0 < 0:
-        raise ValueError("n0 must be >= 0")
+    if not (math.isfinite(n0) and n0 >= 0):
+        raise ValueError(f"n0 must be finite and >= 0, got {n0}")
     w = rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
     return np.einsum("...it,...ij->...tj", x, h) + math.sqrt(n0 / 2.0) * w
 

@@ -202,6 +202,23 @@ def test_golden_gains_match_brute_force():
     assert math.isclose(g4, best, rel_tol=1e-9)
 
 
+def test_golden_gain_takes_its_minimum_in_row_blocks(monkeypatch):
+    # qam64's 4,997 distinct q values made a 4,997 x 4,997 complex
+    # matrix at once: a 574 MiB peak.  Blocks keep every value's bits
+    c = cs.make_qam(64, UNIT)
+    tracemalloc.start()
+    try:
+        assert gain.golden_coding_gain(c) == 0.007256235827664078
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    c16 = cs.make_qam(16, UNIT)
+    want = gain.golden_coding_gain(c16)
+    monkeypatch.setattr(gain, "_BLOCK_PAIRS", 40)
+    assert gain.golden_coding_gain(c16) == want
+
+
 @functools.cache
 def _optimized(ident):
     """(constellation, optimize's r, its gain) at unit power.
@@ -237,6 +254,13 @@ def test_vanishing_probe_psk_shrinks_qam_does_not():
     qam = dict(vanishing_probe("qam"))
     for m in (4, 16, 64):
         assert abs(qam[m] - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("sizes", ([], ()))
+def test_vanishing_probe_refuses_an_empty_size_list(sizes):
+    # an empty list once ran the family's default sizes
+    with pytest.raises(ValueError, match="empty"):
+        vanishing_probe("psk", sizes)
 
 
 def test_gain_report_fields_consistent():
@@ -576,6 +600,24 @@ def test_exact_path_never_enters_the_tiled_sweep(monkeypatch, ident):
         c = cs.constellation_by_id(ident, norm)
         assert gain.coding_gain(c, R_GRID).gain_exact is not None
         assert optimize(c).report.gain_exact is not None
+
+
+def test_exact_window_scores_few_pairs_per_tie(monkeypatch):
+    # qam64 at t = 1/2 scores 4,176 pairs for its 1,068 ties; a W window
+    # opened at every sum S, not only where the floor check is in doubt,
+    # scored far more and took 171 ms
+    trip = exact_triples(cs.constellation_by_id("qam64", MIND))
+    kernel, scored = gain._pair_window, []
+
+    def counted(*args, score, **kwargs):
+        def count(i, j):
+            scored.append(i.size)
+            return score(i, j)
+        return kernel(*args, score=count, **kwargs)
+    monkeypatch.setattr(gain, "_pair_window", counted)
+    _, _, _, ties = search(trip, 1, 2, (2.0 - R_GRID.t ** 2) / 2.0)
+    assert len(ties) == 1068
+    assert sum(scored) < 3 * 4176
 
 
 def test_floor_check_raises_at_a_sum_the_search_pruned():

@@ -388,6 +388,14 @@ def test_lemma1_bound_float_t():
     assert rep.equality_at_half
 
 
+@pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf))
+def test_lemma1_bound_refuses_non_finite_t(t):
+    # NaN once gave a report with offset = nan and bound_met = False
+    c = cs.constellation_by_id("qam16", cs.NORM_INTEGER)
+    with pytest.raises(ValueError, match="finite"):
+        nt.verify_lemma1_bound(c, t)
+
+
 def test_lemma1_bound_needs_grid():
     c = cs.make_psk(8, cs.NORM_UNIT_POWER)
     with pytest.raises(ValueError):

@@ -47,6 +47,14 @@ def test_transmit_rejects_negative_noise():
         sim.transmit(x, x, -0.1, rng)
 
 
+@pytest.mark.parametrize("n0", (math.nan, math.inf))
+def test_transmit_rejects_non_finite_noise(n0):
+    rng = np.random.default_rng(0)
+    x = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="n0 must be finite"):
+        sim.transmit(x, x, n0, rng)
+
+
 def test_transmit_noise_power():
     rng = np.random.default_rng(1)
     x = np.zeros((2, 2), dtype=complex)
@@ -287,6 +295,22 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         sim.SimConfig(constellation=c, r=R_ANALYTIC, decoder="fast",
                       snr_grid_db=(3.0, 3.0), codewords_per_point=1, seed=0)
+
+
+@pytest.mark.parametrize("grid,match", [
+    ((), "empty"),
+    ((math.nan,), "finite"),
+    ((0.0, math.nan), "finite"),
+    ((0.0, math.inf), "finite"),
+    ((-math.inf, 0.0), "finite"),
+])
+def test_sim_config_rejects_empty_or_non_finite_snr_grid(grid, match):
+    # qam4 at 8 codewords once "measured" 36 of 64 bit errors from NaN
+    # receptions, and an empty grid returned no points
+    with pytest.raises(ValueError, match=match):
+        sim.SimConfig(constellation=cs.make_qam(4, UNIT), r=R_ANALYTIC,
+                      decoder="fast", snr_grid_db=grid,
+                      codewords_per_point=8, seed=0)
 
 
 def test_diversity_slope_synthetic():
