@@ -22,13 +22,14 @@ Completing the square in dt gives
 so |det|^2 >= (B-A)^2*(u+v)^2/2 for every tuple (the case II floor),
 which is asserted for every pair of triples.
 
-The exhaustive route supplies a value function to a sweep over index
-pairs i <= j in square tiles of about _TILE_PAIRS pairs, whose
-temporaries stay in cache; only diagonal tiles mask the triangle and
-the zero pair.  Every pair tying the running minimum is kept, so the
-tie set and the reported argmin do not depend on the tiling.
+Every route lists index pairs i <= j in blocks to one fold, _least,
+which keeps each case's minimum and every pair in the tie band, so the
+tie set and the reported argmin do not depend on the blocking; the
+route's score gives each pair's value and case and runs its floor
+check.  The exhaustive route lists all pairs in row blocks of about
+_TILE_PAIRS pairs, masking only each block's leading triangle.
 
-Both aggregated routes score, through one kernel _pair_window, only the
+Both aggregated routes list, through one kernel _pair_window, only the
 pairs of triples that can reach a minimum, its tie band or the floor
 check.  With s = a - b and w = g - (a + b)*t/2 per triple (g its dt), a
 pair is worth c*S^2 + 2*W^2, c = 1 - t^2/2, S and W its sums.  The
@@ -57,7 +58,7 @@ _FLOAT_TIE = 1e-12
 _INT_LIMIT = np.int64(2) ** 62  # exact values stay below it
 _FLOOR_MSG = ("case II lower bound violated; "
               "determinant reduction is inconsistent")
-_TILE_PAIRS = 2 ** 14  # pairs per tile: the temporaries stay in L2
+_TILE_PAIRS = 2 ** 14  # pairs per dense row block: temporaries fit L2
 _BLOCK_PAIRS = 2 ** 18  # difference pairs expanded per dedup block
 # Expansion holds one block at a time, so this bounds time, not memory:
 # psk55's 8,826,841 pairs take 6.5 s and its case-I table 24 s
@@ -138,49 +139,63 @@ def _dt(x, cy, swap, dtype):
 
 
 def _sweep_upper(n, zero_idx, tile, *, bound_coef):
-    """The exhaustive route's tiled sweep over pairs (i, j), i <= j.
+    """_least over every pair (i, j), i <= j, but the zero pair, in row
+    blocks against the columns from their first row on.  tile(rows,
+    cols) gives (val, A - B) on two slices, val the float |det|^2.
+    Returns (case1_min, case2_min, bound_min, ii, jj)."""
+    bound_min = np.inf
 
-    tile(rows, cols) gives (val, A - B) on one block, val the float
-    |det|^2; the zero pair is excluded.  Returns (case1_min, case2_min,
-    bound_min, ii, jj) where (ii, jj) are exactly the pairs with val
-    within the tie tolerance of the minimum, whatever the tiling.
-    """
-    c1_min = c2_min = run = bound_min = np.inf
+    def blocks():
+        i0 = 0
+        while i0 < n:
+            i1 = min(n, i0 + max(1, _TILE_PAIRS // (n - i0)))
+            yield np.arange(i0, i1)[:, None], np.arange(i0, n)
+            i0 = i1
+
+    def score(i, j):
+        nonlocal bound_min
+        i0, rows = int(j[0]), i.shape[0]
+        val, am_b = tile(slice(i0, i0 + rows), slice(i0, n))
+        val[:, :rows][np.tri(rows, k=-1, dtype=bool)] = np.inf
+        if 0 <= zero_idx - i0 < rows:
+            val[zero_idx - i0, zero_idx - i0] = np.inf
+        case1 = np.abs(am_b) <= CASE_TOL
+        # a masked (j, i) has the A - B of its (i, j), listed unmasked
+        bnd = _floor_check(val, am_b, case1, bound_coef)
+        bound_min = min(bound_min, float(np.where(case1, np.inf, bnd).min()))
+        return val, case1
+
+    c1, c2, ii, jj = _least(blocks(), score, _tie_limit)
+    return c1, c2, bound_min, ii, jj
+
+
+def _floor_check(val, am_b, case1, bound_coef):
+    """Each pair's case-II floor (A - B)^2*bound_coef; RuntimeError if a
+    case-II val falls below it by more than 1e-9*max(floor, 1)."""
+    bnd = am_b ** 2 * bound_coef
+    if (~case1 & (val < bnd - 1e-9 * np.maximum(bnd, 1.0))).any():
+        raise RuntimeError(_FLOOR_MSG)
+    return bnd
+
+
+def _least(blocks, score, tie):
+    """(case1_min, case2_min, ii, jj) over blocks of index pairs (i, j)
+    that broadcast, (ii, jj) the pairs within tie(minimum).  score(i, j)
+    gives (value, case1) and runs the floor check; a case's minimum
+    moves only on a block that holds pairs of that case."""
+    c1 = c2 = np.inf
     hits = []
-    side = max(1, math.isqrt(_TILE_PAIRS))
-    for i0 in range(0, n, side):
-        i1 = min(i0 + side, n)
-        for j0 in range(i0, n, side):
-            j1 = min(j0 + side, n)
-            val, am_b = tile(slice(i0, i1), slice(j0, j1))
-            case1 = np.abs(am_b) <= CASE_TOL
-            if j0 == i0:  # diagonal tile: drop (j, i) copies and zero
-                lower = np.tri(i1 - i0, k=-1, dtype=bool)
-                val = np.where(lower, np.inf, val)
-                if i0 <= zero_idx < i1:
-                    val[zero_idx - i0, zero_idx - i0] = np.inf
-                upper = ~lower
-                case1 &= upper
-                case2 = ~case1 & upper
-            else:
-                case2 = ~case1
-            if case2.any():
-                bnd = am_b ** 2 * bound_coef
-                slack = 1e-9 * np.maximum(bnd, 1.0)  # relative above 1
-                if (case2 & (val < bnd - slack)).any():
-                    raise RuntimeError(_FLOOR_MSG)
-                bound_min = min(bound_min, float(bnd[case2].min()))
-                c2_min = min(c2_min, val[case2].min())
-            c1_min = min(c1_min, np.where(case1, val, np.inf).min())
-            m = val.min()
-            if m < np.inf and m <= _tie_limit(run):
-                run = min(run, m)
-                ii, jj = np.nonzero(val <= _tie_limit(run))
-                hits.append((ii + i0, jj + j0, val[ii, jj]))
-    best = min(c1_min, c2_min)
+    for i, j in blocks:
+        val, case1 = score(i, j)
+        if case1.any():
+            c1 = min(c1, val[case1].min())
+        if not case1.all():
+            c2 = min(c2, val[~case1].min())
+        k = np.nonzero(val <= tie(min(c1, c2)))
+        hits.append([x[k] for x in np.broadcast_arrays(i, j, val)])
     ii, jj, vals = (np.concatenate(h) for h in zip(*hits))
-    keep = vals <= _tie_limit(best)
-    return c1_min, c2_min, bound_min, ii[keep], jj[keep]
+    keep = vals <= tie(min(c1, c2))
+    return c1, c2, ii[keep], jj[keep]
 
 
 def _tie_limit(x):
@@ -206,7 +221,6 @@ def _window_pairs(a, b, g, zero_idx, *, t, bound_coef):
     bound from the zero triple's pairs and clear of the floor check; the
     check's doubt window of small |W| opens wide if bound_coef exceeds c.
     """
-    n = a.size
     k2, k4 = 2.0 * t * t, 2.0 * t
     c = (2.0 - t * t) / 2.0 - 2.0 ** -51  # below the exact 1 - t^2/2
     pm, qm = 2.0 * float((a + b).max()), 2.0 * float(np.abs(g).max())
@@ -219,14 +233,8 @@ def _window_pairs(a, b, g, zero_idx, *, t, bound_coef):
         val = am_b * am_b + k2 * (A * B) + 2.0 * (D * D) \
             - k4 * ((A + B) * D)
         case1 = np.abs(am_b) <= CASE_TOL
-        bnd = am_b ** 2 * bound_coef  # slack: relative above 1
-        if (~case1 & (val < bnd - 1e-9 * np.maximum(bnd, 1.0))).any():
-            raise RuntimeError(_FLOOR_MSG)
+        _floor_check(val, am_b, case1, bound_coef)
         return val, case1
-
-    v0, one = score(zero_idx, np.delete(np.arange(n), zero_idx))
-    lim = _tie_limit(max(v0[one].min(initial=np.inf),
-                         v0[~one].min(initial=np.inf)))
 
     # the floor check can fail only where 2*W^2 < d2, and d2 < 0 for all
     # |S| past xd once the relative slack outgrows the doubt
@@ -234,7 +242,7 @@ def _window_pairs(a, b, g, zero_idx, *, t, bound_coef):
     r9 = 1e-9 * (1 - 2.0 ** -40)
     kap = r9 * lo_c + c - hi_c
 
-    def reach(width):
+    def reach(lim, width):
         dlt = 2.0 * width + 3.0 * pad
         xd = math.inf
         if kap > 0 and lo_c > 0:
@@ -243,7 +251,7 @@ def _window_pairs(a, b, g, zero_idx, *, t, bound_coef):
                      pad + 1.0 / math.sqrt(lo_c)) * (1 + 1e-6)
         return max(math.sqrt((lim + err) / c) if c > 0 else math.inf, xd)
 
-    def half(s_lo, s_hi):
+    def half(lim, s_lo, s_hi):
         near = np.maximum(np.maximum(s_lo, -s_hi), 0.0)
         far = np.maximum(-s_lo, s_hi) + pad
         d2 = err + hi_c * far * far - c * near * near - r9 * np.maximum(
@@ -260,18 +268,20 @@ def _window_pairs(a, b, g, zero_idx, *, t, bound_coef):
 
 
 def _pair_window(s, w, key, zero_idx, *, reach, pad, half, score, tie):
-    """Minima and ties over the pairs i <= j of triples that a window on
-    the pair sums S = s_i + s_j and W = w_i + w_j holds.
+    """_least over the pairs i <= j of triples that a window on the pair
+    sums S = s_i + s_j and W = w_i + w_j holds.
 
-    Triples are grouped by key and sorted by w in each group.  Group
-    pairs whose S range, widened by pad, meets [-x, x], x = reach(widest
-    group's s span), get a W half-width from half(s_lo, s_hi) (negative:
-    none), and each triple of the first lists its partners in the second
-    in blocks of about _BLOCK_PAIRS.  score(i, j) gives (value, case1)
-    and runs the floor check; values up to tie(minimum) tie.  Returns
-    (case1_min, case2_min, ii, jj), ii <= jj the tied pairs.
+    lim, the zero triple's larger best pair per case widened by tie,
+    bounds both minima.  Triples are grouped by key and sorted by w.
+    Group pairs whose S range, widened by pad, meets [-x, x], x =
+    reach(lim, widest group's s span), get a W half-width from half(lim,
+    s_lo, s_hi) (negative: none); each triple of the first lists its
+    partners in the second in blocks of about _BLOCK_PAIRS.
     """
     n = s.size
+    others = np.delete(np.arange(n), zero_idx)
+    z1, z2, _, _ = _least([(np.array([zero_idx]), others)], score, tie)
+    lim = tie(max(z1, z2))
     order = np.lexsort((w, key))
     key, s, w = key[order], s[order], w[order]
     start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
@@ -280,35 +290,27 @@ def _pair_window(s, w, key, zero_idx, *, reach, pad, half, score, tie):
     wo = np.sort(w)
     # gk ranks (group, w), so one searchsorted finds a w in a group
     gk = np.repeat(np.arange(start.size), size) * (n + 1) + wo.searchsorted(w)
-    x = reach(float((smax - smin).max()))
+    x = reach(lim, float((smax - smin).max()))
     # group pairs g1 <= g2 whose S range meets [-x, x]
     lo = np.maximum(smax.searchsorted(-x - pad - smax), np.arange(start.size))
     hi = smin.searchsorted(x + pad - smin, side="right")
 
-    c1 = c2 = np.inf
-    hits = []
-    for g1, g2 in _expand(lo, np.maximum(hi - lo, 0)):
-        width = half(smin[g1] + smin[g2] - pad, smax[g1] + smax[g2] + pad)
-        ok = width >= 0
-        g1, base, width = g1[ok], g2[ok] * (n + 1), width[ok]
-        for m, p in _expand(start[g1], size[g1]):
-            jlo = gk.searchsorted(base[m] + wo.searchsorted(-w[p] - width[m]))
-            jhi = gk.searchsorted(
-                base[m] + wo.searchsorted(-w[p] + width[m], "right"))
-            for r, q in _expand(jlo, jhi - jlo):
-                # g1 <= g2 and groups sit in order: p <= q lists each once
-                keep = (p[r] < q) | ((p[r] == q) & (order[q] != zero_idx))
-                i, j = np.sort((order[p[r][keep]], order[q[keep]]), axis=0)
-                val, case1 = score(i, j)
-                if case1.any():
-                    c1 = min(c1, val[case1].min())
-                if not case1.all():
-                    c2 = min(c2, val[~case1].min())
-                k = val <= tie(min(c1, c2))
-                hits.append((i[k], j[k], val[k]))
-    ii, jj, vals = (np.concatenate(h) for h in zip(*hits))
-    keep = vals <= tie(min(c1, c2))
-    return c1, c2, ii[keep], jj[keep]
+    def pairs():
+        for g1, g2 in _expand(lo, np.maximum(hi - lo, 0)):
+            width = half(lim, smin[g1] + smin[g2] - pad,
+                         smax[g1] + smax[g2] + pad)
+            ok = width >= 0
+            g1, base, width = g1[ok], g2[ok] * (n + 1), width[ok]
+            for m, p in _expand(start[g1], size[g1]):
+                jlo = gk.searchsorted(
+                    base[m] + wo.searchsorted(-w[p] - width[m]))
+                jhi = gk.searchsorted(
+                    base[m] + wo.searchsorted(-w[p] + width[m], "right"))
+                for r, q in _expand(jlo, jhi - jlo):
+                    # g1 <= g2 and groups sit in order: p <= q lists once
+                    keep = (p[r] < q) | ((p[r] == q) & (order[q] != zero_idx))
+                    yield np.sort((order[p[r][keep]], order[q[keep]]), axis=0)
+    return _least(pairs(), score, tie)
 
 
 def _bound_min(a, b, pad, bound_coef):
@@ -348,10 +350,9 @@ def _search_pairs(a, b, g, zero_idx, p, q, *, bound_coef):
     (case1_min, case2_min, bound_min, ii, jj) like _sweep_upper, with
     int minima and (ii, jj), ii <= jj, exactly the pairs equal to the
     minimum.  It is _pair_window with no padding: each group is one
-    exact s, and at each sum S it scores W^2 <= 2*lim - c*S^2, lim the
-    larger of the zero triple's best pair per case, and the least |W|
-    that could fail the case-II check.  Raises ValueError up front when
-    a value could reach 2^62.
+    exact s, and at each sum S it scores W^2 <= 2*lim - c*S^2 and the
+    least |W| that could fail the case-II check.  Raises ValueError up
+    front when a value could reach 2^62.
     """
     am, bm, gm = (2 * int(np.abs(x).max()) for x in (a, b, g))
     worst = q * q * max(am, bm) ** 2 + 2 * p * p * am * bm \
@@ -375,10 +376,7 @@ def _search_pairs(a, b, g, zero_idx, p, q, *, bound_coef):
             raise RuntimeError(_FLOOR_MSG)
         return val, S == 0
 
-    v0, one = score(zero_idx, np.delete(np.arange(s.size), zero_idx))
-    lim = max(v0[one].min(), v0[~one].min())
-
-    def half(S, _):
+    def half(lim, S, _):
         # past 2*lim - c*S^2, a W can only matter to the floor check, and
         # only where c*S^2/2 rounded up, the least value at S, fails it
         Sf = S.astype(np.float64)
@@ -389,9 +387,9 @@ def _search_pairs(a, b, g, zero_idx, p, q, *, bound_coef):
         return np.where(w2 >= 0, np.sqrt(np.maximum(w2, 0)).astype(np.int64)
                         + 1, -1)
 
-    c1, c2, ii, jj = _pair_window(s, w, s, zero_idx, reach=lambda _: math.inf,
-                                  pad=0, half=half, score=score,
-                                  tie=lambda v: v)
+    c1, c2, ii, jj = _pair_window(
+        s, w, s, zero_idx, reach=lambda *_: math.inf, pad=0, half=half,
+        score=score, tie=lambda v: v)
     return int(c1), int(c2), _bound_min(a, b, 0.0, bound_coef), ii, jj
 
 

@@ -72,20 +72,20 @@ _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 def bit_labels(c: Constellation) -> np.ndarray:
     """Per-point bit labels (Gray coded), aligned with c.points.
 
-    Square QAM gets the standard per-axis Gray map.  Everything else
-    is Gray coded along the (radius, angle) point ordering, which is
-    the natural tour for PSK and ring-based APSK.
+    Points filling a full n x n lattice, as square QAM's do, get the
+    per-axis Gray map.  Everything else is Gray coded along the (radius,
+    angle) point ordering, the natural tour for PSK and ring-based APSK.
     """
     m = len(c)
     nbits = m.bit_length() - 1
     if (1 << nbits) != m:
         raise ValueError(f"bit mapping needs a power-of-two size, got {m}")
     pts = c.points
-    side = int(round(math.sqrt(m)))
-    if c.name.startswith("qam") and side * side == m:
-        _, kx = np.unique(_tol_keys(pts.real), return_inverse=True)
-        _, ky = np.unique(_tol_keys(pts.imag), return_inverse=True)
-        return ((kx ^ (kx >> 1)) << (nbits // 2)) | (ky ^ (ky >> 1))
+    grid = _lattice(pts)
+    if grid is not None:
+        (_, _, nx, kx), (_, _, ny, ky), _ = grid
+        if nx == ny:
+            return ((kx ^ (kx >> 1)) << (nbits // 2)) | (ky ^ (ky >> 1))
     r2 = np.round(np.abs(pts), 9)
     ang = np.round(np.mod(np.angle(pts), 2.0 * np.pi), 9)
     order = np.lexsort((ang, r2))
@@ -226,8 +226,10 @@ def _nearest_point(vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
 _GEOM_TOL = 1e-9
 
 
-def _lattice_slicer(pts: np.ndarray):
-    """Per-axis rounding if pts fill a rectangular lattice, else None."""
+def _lattice(pts: np.ndarray):
+    """((x0, dx, nx, kx), (y0, dy, ny, ky), table) if pts fill a full
+    nx x ny lattice, point i at (x0 + kx[i]*dx, y0 + ky[i]*dy) and
+    table[kx, ky] = i; else None."""
     axes = []
     for v in (pts.real, pts.imag):
         lo, hi = v.min(), v.max()
@@ -237,13 +239,22 @@ def _lattice_slicer(pts: np.ndarray):
         if np.abs(v - (lo + k * step)).max() > _GEOM_TOL * max(step, 1.0):
             return None
         axes.append((lo, step, count, k))
-    (x0, dx, nx, kx), (y0, dy, ny, ky) = axes
+    (_, _, nx, kx), (_, _, ny, ky) = axes
     if nx * ny != pts.size:
         return None
     table = np.full((nx, ny), -1, dtype=np.intp)
     table[kx, ky] = np.arange(pts.size)
     if (table < 0).any():
         return None
+    return (*axes, table)
+
+
+def _lattice_slicer(pts: np.ndarray):
+    """Per-axis rounding if pts fill a rectangular lattice, else None."""
+    grid = _lattice(pts)
+    if grid is None:
+        return None
+    (x0, dx, nx, _), (y0, dy, ny, _), table = grid
 
     def slice_(vals):
         vr, vi = vals.real, vals.imag

@@ -178,7 +178,8 @@ def _ber_curve(r, grid=None, codewords=1_000_000, seed=1):
     cfg = sim.SimConfig(constellation=c, r=r, decoder="fast",
                         snr_grid_db=grid, codewords_per_point=codewords,
                         seed=seed)
-    return sim.run_ber(cfg)
+    # run_ber is bit-exact across worker counts: one per usable CPU
+    return sim.run_ber(cfg, workers=sim._usable_cpus())
 
 
 def _top_error_window(res, min_errors=100, span=9.0):

@@ -271,6 +271,23 @@ def test_gain_report_fields_consistent():
     assert rep.case2_min >= rep.case2_bound_min - 1e-12
 
 
+def reports_and_ties(monkeypatch, c, r, method, knob, sizes):
+    """coding_gain's report and its sorted tie set at each size of the
+    gain module's blocking constant knob."""
+    ties = []
+    pick = gain._argmin_tuple
+
+    def spy(ii, jj, *args):
+        ties.append(sorted(zip(ii.tolist(), jj.tolist())))
+        return pick(ii, jj, *args)
+    monkeypatch.setattr(gain, "_argmin_tuple", spy)
+    reports = []
+    for size in sizes:
+        monkeypatch.setattr(gain, knob, size)
+        reports.append(gain.coding_gain(c, r, method=method))
+    return reports, ties
+
+
 @pytest.mark.parametrize("ident,norm,r", [
     ("qam64", MIND, R_GRID),
     ("psk22", UNIT, codes.DesignCoefficient(u=math.cos(0.3),
@@ -282,20 +299,30 @@ def test_gain_report_fields_consistent():
 ])
 def test_report_and_ties_do_not_depend_on_tiling(monkeypatch, ident, norm, r):
     c = cs.constellation_by_id(ident, norm)
-    ties = []
-    pick = gain._argmin_tuple
-
-    def spy(ii, jj, *args):
-        ties.append(sorted(zip(ii.tolist(), jj.tolist())))
-        return pick(ii, jj, *args)
-    monkeypatch.setattr(gain, "_argmin_tuple", spy)
-    reports = []
-    for tile, block in ((2 ** 10, 2 ** 10), (2 ** 15, gain._BLOCK_PAIRS)):
-        monkeypatch.setattr(gain, "_TILE_PAIRS", tile)
-        monkeypatch.setattr(gain, "_BLOCK_PAIRS", block)
-        reports.append(gain.coding_gain(c, r, method="aggregated"))
+    reports, ties = reports_and_ties(
+        monkeypatch, c, r, "aggregated", "_BLOCK_PAIRS",
+        (2 ** 10, gain._BLOCK_PAIRS))
     assert reports[0] == reports[1]
     assert ties[0] == ties[1]
+
+
+@pytest.mark.parametrize("ident,r", [
+    ("qam4", R_GRID), ("psk8", R8), ("apsk8-grid", R_GRID),
+    # u = v: the gain is 0 and 320 pairs tie for it
+    ("qam4", codes.DesignCoefficient(u=1 / math.sqrt(2),
+                                     v=1 / math.sqrt(2)))])
+def test_exhaustive_report_and_ties_do_not_depend_on_row_blocks(
+        monkeypatch, ident, r):
+    c = cs.constellation_by_id(ident, UNIT)
+    n = cs.difference_set(c).size ** 2
+    assert n % 7
+    # one row per block; 7 rows in the first block, which no n here is a
+    # multiple of; one block for the whole sweep
+    reports, ties = reports_and_ties(monkeypatch, c, r, "exhaustive",
+                                     "_TILE_PAIRS", (1, 7 * n, n * n))
+    assert reports[0] == reports[1] == reports[2]
+    assert ties[0] == ties[1] == ties[2]
+
 
 
 def test_exact_sweep_overflow_guard():

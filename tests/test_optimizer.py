@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from fdstbc import constellations as cs
 from fdstbc import gain
@@ -207,21 +208,33 @@ PRESETS = ("qam4", "qam16", "qam64", "psk3", "psk8", "psk16", "apsk8",
            "apsk16", "apsk8-grid", "apsk16-grid")
 
 
-def assert_rows_within_the_sqrt2_cone(c):
+def assert_rows_within_the_sqrt2_cone(c, slack=0.0):
     # |dt| = |Im C - Re C| <= sqrt(2)|C| <= sqrt(2)(A + B)/2 = sqrt(2) A
     # on every A = B row, so each row's V reaches 0 on [-sqrt 2, sqrt 2]
     # and no ceiling min(A sqrt 2 + |dt|) can rule a row out
     tab = opt.build_case1_table(c)
     a, e = tab.a.astype(float), tab.e.astype(float)
     assert tab.n_rows and (a > 0).all()
-    assert (np.abs(e) <= SQRT2 * a * (1 + 1e-12)).all()
+    assert (np.abs(e) <= SQRT2 * (a + slack) * (1 + 1e-12)).all()
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(3, 8),
        scale=st.sampled_from([1e-3, 1.0, 1e3]))
+@example(seed=1467, m=8, scale=1e-3)
+@example(seed=2796, m=8, scale=1e-3)
+@example(seed=2940, m=8, scale=1e-3)
+@example(seed=3460, m=8, scale=1e-3)
+@example(seed=5762, m=8, scale=1e-3)
 def test_case1_rows_lie_within_sqrt2_a_on_random_constellations(seed, m,
                                                                  scale):
+    # The table pairs triples whose a - b keys are opposite on the 1e-9
+    # grid, so A - B of a row's pair is at most one key width tol, and
+    # |e| <= sqrt(2)(A + B)/2 <= sqrt(2)(A + tol/2).  Each row then takes
+    # the first A of its key, at most tol from its own A, so only
+    # |e| <= sqrt(2)(a + 1.5 tol) holds: at scale 1e-3 the seeds above
+    # put |e| past sqrt(2) a by up to 3.4e-10.  Rows of the presets keep
+    # the strict bound.
     rng = np.random.default_rng(seed)
     pts = scale * (rng.normal(size=m) + 1j * rng.normal(size=m))
     c = cs.Constellation(name="random", points=pts, normalization="scaled")
@@ -229,11 +242,12 @@ def test_case1_rows_lie_within_sqrt2_a_on_random_constellations(seed, m,
     # a nonzero difference whose |x|^2 keys to 0 on the 1e-9 grid shares
     # the zero triple's key; one of x, -x sorts before 0, so its triple
     # leads the run and the triple expansion refuses the set
+    slack = 1.5 * cs.DEDUP_TOL
     if (np.round(np.abs(d[d != 0]) ** 2 / cs.DEDUP_TOL) == 0).any():
         with pytest.raises(ValueError, match="keys to 0 on the 1e-9"):
-            assert_rows_within_the_sqrt2_cone(c)
+            assert_rows_within_the_sqrt2_cone(c, slack)
     else:
-        assert_rows_within_the_sqrt2_cone(c)
+        assert_rows_within_the_sqrt2_cone(c, slack)
 
 
 @pytest.mark.parametrize("norm", (UNIT, MIND))

@@ -279,6 +279,22 @@ def test_bit_labels_psk8_cyclic_gray():
         assert bin(int(x)).count("1") == 1
 
 
+def test_bit_labels_of_random_points_named_qam16_are_a_permutation():
+    # per-axis Gray keyed on the name alone gave 16 random points 15
+    # distinct labels, from 7 to 61: the points must fill the lattice
+    rng = np.random.default_rng(16)
+    pts = rng.normal(size=16) + 1j * rng.normal(size=16)
+    c = cs.Constellation(name="qam16", points=pts, normalization="scaled")
+    assert sorted(sim.bit_labels(c).tolist()) == list(range(16))
+
+
+def test_bit_labels_of_a_4x4_lattice_under_another_name_are_qam16s():
+    qam16 = cs.make_qam(16, UNIT)
+    c = cs.Constellation(name="grid", points=2.0 * qam16.points + (1 + 1j),
+                         normalization="scaled")
+    assert np.array_equal(sim.bit_labels(c), sim.bit_labels(qam16))
+
+
 def test_bit_labels_need_power_of_two():
     with pytest.raises(ValueError):
         sim.bit_labels(cs.make_psk(6, UNIT))
