@@ -4,9 +4,6 @@ from .codes import (
     DesignCoefficient,
     DifferenceTuple,
     build_codeword,
-    build_codeword_golden,
-    det_closed_form,
-    det_direct,
 )
 from .constellations import (
     Constellation,

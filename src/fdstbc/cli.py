@@ -40,25 +40,6 @@ def _rounded(x, sig: int = 4) -> str:
     return f"{float(x):.{sig}g}"
 
 
-def parse_csv(text: str):
-    """Split CSV text into (comments, header, rows).
-
-    Comment lines start with '#' and may appear anywhere; the first
-    non-comment line is the header.
-    """
-    comments, header, rows = [], None, []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            comments.append(line)
-        elif header is None:
-            header = line.split(",")
-        else:
-            rows.append(line.split(","))
-    return comments, header, rows
-
-
 def _parse_r(spec: str, c) -> DesignCoefficient:
     if spec == "auto":
         if c.integer_grid:  # analytic: no sweep needed to pick it
@@ -74,6 +55,12 @@ def _parse_r(spec: str, c) -> DesignCoefficient:
     mod = math.hypot(u, v)
     if mod == 0.0:
         raise ValueError("--r must be nonzero")
+    if not sys.float_info.min <= mod < math.inf:
+        # hypot overflowed or is subnormal: scale both by one exact
+        # power of two so that it is a normal float
+        e = max(math.frexp(u)[1], math.frexp(v)[1])
+        u, v = math.ldexp(u, -e), math.ldexp(v, -e)
+        mod = math.hypot(u, v)
     return DesignCoefficient(u=u / mod, v=v / mod, provenance="user")
 
 

@@ -1,4 +1,4 @@
-"""2x2 full-rate codeword construction and its determinant split.
+"""2x2 full-rate codeword construction.
 
 The code stacks four symbols into
 
@@ -9,18 +9,8 @@ with a unit-modulus design coefficient r = u + j*v.  X splits as
 X = X_A + X_B where each part is column-orthogonal (X*X^H diagonal),
 which is what the conditional decoder exploits.  build_codeword is the
 package's one codeword builder: it broadcasts over arrays of symbols,
-so the simulator's transmitter, its exhaustive-ML decoder and the
-direct determinant all build X through it.
-
-For a difference tuple (ds1, ds2, ds3, ds4) the determinant reduces to
-
-    det = r*B - j*conj(r)*A + C - j*conj(C)
-
-with A = |ds1|^2 + |ds2|^2, B = |ds3|^2 + |ds4|^2 and
-C = ds1*conj(ds3) + ds2*conj(ds4).  Writing d2_tilde = Im(C) - Re(C),
-the C part equals -d2_tilde*(1 - j), a point on the line x + y = 0.
-When A == B (case I) the r part collapses to A*(u - v)*(1 - j) as well,
-so |det|^2 = 2*(A*(u - v) - d2_tilde)^2.
+so the simulator's transmitter and its exhaustive-ML decoder build X
+through it.
 """
 
 from dataclasses import dataclass
@@ -29,7 +19,6 @@ import math
 
 import numpy as np
 
-CASE_TOL = 1e-9
 UNIT_TOL = 1e-12
 
 
@@ -90,27 +79,6 @@ def build_codeword(s1, s2, s3, s4, r: DesignCoefficient) -> np.ndarray:
     return x.reshape(shape + (2, 2))
 
 
-# Golden code constants.  The leading factor sqrt(2/5) (instead of the
-# customary 1/sqrt(5)) calibrates both codes to the same per-antenna
-# average transmit power of 2 per channel use for unit-power symbols,
-# which is the power the unnormalized main code radiates; coding gains
-# of the two constructions are then directly comparable.
-_GOLDEN_THETA = (1.0 + math.sqrt(5.0)) / 2.0
-_GOLDEN_THETA_BAR = 1.0 - _GOLDEN_THETA
-_GOLDEN_ALPHA = 1.0 + 1j * (1.0 - _GOLDEN_THETA)
-_GOLDEN_ALPHA_BAR = 1.0 + 1j * (1.0 - _GOLDEN_THETA_BAR)
-_GOLDEN_SCALE = math.sqrt(2.0 / 5.0)
-
-
-def build_codeword_golden(s1, s2, s3, s4) -> np.ndarray:
-    th, tb = _GOLDEN_THETA, _GOLDEN_THETA_BAR
-    al, ab = _GOLDEN_ALPHA, _GOLDEN_ALPHA_BAR
-    return _GOLDEN_SCALE * np.array([
-        [al * (s1 + th * s2), al * (s3 + th * s4)],
-        [1j * ab * (s3 + tb * s4), ab * (s1 + tb * s2)],
-    ], dtype=np.complex128)
-
-
 @dataclass(frozen=True)
 class DifferenceTuple:
     """Per-symbol difference of two codewords; not all four may be zero."""
@@ -123,53 +91,3 @@ class DifferenceTuple:
     def __post_init__(self):
         if self.ds1 == 0 and self.ds2 == 0 and self.ds3 == 0 and self.ds4 == 0:
             raise ValueError("all-zero difference tuple")
-
-    @property
-    def A(self) -> float:
-        return abs(self.ds1) ** 2 + abs(self.ds2) ** 2
-
-    @property
-    def B(self) -> float:
-        return abs(self.ds3) ** 2 + abs(self.ds4) ** 2
-
-    @property
-    def C(self) -> complex:
-        return self.ds1 * self.ds3.conjugate() + self.ds2 * self.ds4.conjugate()
-
-    @property
-    def d2_tilde(self) -> float:
-        c = self.C
-        return c.imag - c.real
-
-    @property
-    def case(self) -> str:
-        return "I" if abs(self.A - self.B) <= CASE_TOL else "II"
-
-
-@dataclass(frozen=True)
-class DetSplit:
-    det: complex
-    A: float
-    B: float
-    C: complex
-    d1: complex
-    d2: complex
-    d2_tilde: float
-    case: str
-
-
-def det_closed_form(t: DifferenceTuple, r: DesignCoefficient) -> DetSplit:
-    """Determinant of the difference codeword via the A/B/C reduction."""
-    rr = r.r
-    a, b, c = t.A, t.B, t.C
-    d1 = rr * b - 1j * rr.conjugate() * a
-    d2t = c.imag - c.real
-    d2 = d2t * (1 - 1j)
-    return DetSplit(det=d1 - d2, A=a, B=b, C=c, d1=d1, d2=d2,
-                    d2_tilde=d2t, case=t.case)
-
-
-def det_direct(t: DifferenceTuple, r: DesignCoefficient) -> complex:
-    """Plain 2x2 determinant of the difference codeword (oracle path)."""
-    x = build_codeword(t.ds1, t.ds2, t.ds3, t.ds4, r)
-    return x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]

@@ -49,9 +49,10 @@ import math
 
 import numpy as np
 
-from .codes import CASE_TOL, DesignCoefficient, DifferenceTuple
+from .codes import DesignCoefficient, DifferenceTuple
 from .constellations import Constellation, _first_of_runs, difference_set
 
+CASE_TOL = 1e-9  # |A - B| at or below it is case I
 EXHAUSTIVE_LIMIT = 1e10
 AGG_DEFAULT_ABOVE = 8
 _FLOAT_TIE = 1e-12

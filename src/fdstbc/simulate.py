@@ -116,6 +116,8 @@ class SimConfig:
             raise ValueError(f"snr values must be finite, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr grid must be strictly increasing")
+        for s in grid:
+            noise_variance(s)
         object.__setattr__(self, "snr_grid_db", grid)
 
 
@@ -142,8 +144,19 @@ class SimResult:
 
 
 def noise_variance(snr_db: float) -> float:
-    """N0 for a given SNR in dB under the SNR = 2/N0 convention."""
-    return 2.0 / (10.0 ** (snr_db / 10.0))
+    """N0 for a given SNR in dB under the SNR = 2/N0 convention.
+
+    ValueError unless N0 is a finite positive float: 10^(snr/10)
+    overflows above about 3,082 dB, and N0 below about -3,079 dB.
+    """
+    try:
+        n0 = 2.0 / (10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        n0 = math.nan
+    if not (math.isfinite(n0) and n0 > 0.0):
+        raise ValueError(f"snr {snr_db!r} dB is out of range: N0 = "
+                         "2/10^(snr/10) is not a finite positive float")
+    return n0
 
 
 def transmit(x: np.ndarray, h: np.ndarray, n0: float, rng) -> np.ndarray:
@@ -198,23 +211,6 @@ def _ml_decode_batch(y: np.ndarray, h: np.ndarray, r: complex,
         best[upd] = mbest[upd]
         best_code[upd] = codes[kbest[upd]]
     return np.stack(np.unravel_index(best_code, (m,) * 4), axis=1)
-
-
-def _equivalent_columns(h: np.ndarray, r: complex):
-    """Orthogonal (s1, s2) channel columns for batch h (n, 2, 2).
-
-    After conditioning on (s3, s4) and conjugating the second-time
-    observations, the residual obeys w = g1*s1 + g2*s2 + noise with
-    g1 . conj(g2) = 0 and |g1|^2 = |g2|^2 = ||h||_F^2.
-    """
-    jr = 1j * r
-    g1 = np.stack([h[:, 0, 0], h[:, 0, 1],
-                   jr * np.conj(h[:, 1, 0]), jr * np.conj(h[:, 1, 1])],
-                  axis=1)
-    g2 = np.stack([h[:, 1, 0], h[:, 1, 1],
-                   -jr * np.conj(h[:, 0, 0]), -jr * np.conj(h[:, 0, 1])],
-                  axis=1)
-    return g1, g2
 
 
 def _nearest_point(vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -359,8 +355,9 @@ def _fast_decode_batch(y: np.ndarray, h: np.ndarray, r: complex,
     # With yc = (y00, y01, conj y10, conj y11), w = yc - c3*s3 - c4*s4,
     #   c3 = (r h00, r h01, conj h10, conj h11),
     #   c4 = (r h10, r h11, -conj h00, -conj h01),
-    # and g1, g2 of _equivalent_columns, every inner product over
-    # ||H||^2 is a short polynomial in the h entries.  Projections:
+    # and g1, g2 the orthogonal columns of equivalent_columns in
+    # tests/oracles.py, every inner product over ||H||^2 is a short
+    # polynomial in the h entries.  Projections:
     jr = 1j * np.conj(r)
     b13 = r * p0 - jr * q0
     b23 = (r + jr) * np.conj(x)

@@ -1,0 +1,134 @@
+"""Reference code that only the tests call.
+
+The package keeps what its command line, the paper's claims and the
+benchmark run; the second codeword builder, the determinant split, the
+per-tuple case classifier, the equivalent-channel columns and the CSV
+reader the tests compare against live here.  Test modules import this
+file as ``oracles``: pytest puts ``tests/`` on ``sys.path``.
+"""
+
+from dataclasses import dataclass
+import math
+
+import numpy as np
+
+from fdstbc.codes import DesignCoefficient, DifferenceTuple, build_codeword
+from fdstbc.gain import CASE_TOL
+
+
+# Golden code constants.  The leading factor sqrt(2/5) (instead of the
+# customary 1/sqrt(5)) calibrates both codes to the same per-antenna
+# average transmit power of 2 per channel use for unit-power symbols,
+# which is the power the unnormalized main code radiates; coding gains
+# of the two constructions are then directly comparable.
+_GOLDEN_THETA = (1.0 + math.sqrt(5.0)) / 2.0
+_GOLDEN_THETA_BAR = 1.0 - _GOLDEN_THETA
+_GOLDEN_ALPHA = 1.0 + 1j * (1.0 - _GOLDEN_THETA)
+_GOLDEN_ALPHA_BAR = 1.0 + 1j * (1.0 - _GOLDEN_THETA_BAR)
+_GOLDEN_SCALE = math.sqrt(2.0 / 5.0)
+
+
+def build_codeword_golden(s1, s2, s3, s4) -> np.ndarray:
+    th, tb = _GOLDEN_THETA, _GOLDEN_THETA_BAR
+    al, ab = _GOLDEN_ALPHA, _GOLDEN_ALPHA_BAR
+    return _GOLDEN_SCALE * np.array([
+        [al * (s1 + th * s2), al * (s3 + th * s4)],
+        [1j * ab * (s3 + tb * s4), ab * (s1 + tb * s2)],
+    ], dtype=np.complex128)
+
+
+def A(t: DifferenceTuple) -> float:
+    return abs(t.ds1) ** 2 + abs(t.ds2) ** 2
+
+
+def B(t: DifferenceTuple) -> float:
+    return abs(t.ds3) ** 2 + abs(t.ds4) ** 2
+
+
+def C(t: DifferenceTuple) -> complex:
+    return t.ds1 * t.ds3.conjugate() + t.ds2 * t.ds4.conjugate()
+
+
+def d2_tilde(t: DifferenceTuple) -> float:
+    c = C(t)
+    return c.imag - c.real
+
+
+def case(t: DifferenceTuple) -> str:
+    return "I" if abs(A(t) - B(t)) <= CASE_TOL else "II"
+
+
+@dataclass(frozen=True)
+class DetSplit:
+    det: complex
+    A: float
+    B: float
+    C: complex
+    d1: complex
+    d2: complex
+    d2_tilde: float
+    case: str
+
+
+def det_closed_form(t: DifferenceTuple, r: DesignCoefficient) -> DetSplit:
+    """Determinant of the difference codeword via the A/B/C reduction.
+
+    For a difference tuple (ds1, ds2, ds3, ds4) the determinant reduces to
+
+        det = r*B - j*conj(r)*A + C - j*conj(C)
+
+    with A = |ds1|^2 + |ds2|^2, B = |ds3|^2 + |ds4|^2 and
+    C = ds1*conj(ds3) + ds2*conj(ds4).  Writing d2_tilde = Im(C) - Re(C),
+    the C part equals -d2_tilde*(1 - j), a point on the line x + y = 0.
+    When A == B (case I) the r part collapses to A*(u - v)*(1 - j) as
+    well, so |det|^2 = 2*(A*(u - v) - d2_tilde)^2.
+    """
+    rr = r.r
+    a, b, c = A(t), B(t), C(t)
+    d1 = rr * b - 1j * rr.conjugate() * a
+    d2t = c.imag - c.real
+    d2 = d2t * (1 - 1j)
+    return DetSplit(det=d1 - d2, A=a, B=b, C=c, d1=d1, d2=d2,
+                    d2_tilde=d2t, case=case(t))
+
+
+def det_direct(t: DifferenceTuple, r: DesignCoefficient) -> complex:
+    """Plain 2x2 determinant of the difference codeword (oracle path)."""
+    x = build_codeword(t.ds1, t.ds2, t.ds3, t.ds4, r)
+    return x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]
+
+
+def equivalent_columns(h: np.ndarray, r: complex):
+    """Orthogonal (s1, s2) channel columns for batch h (n, 2, 2).
+
+    After conditioning on (s3, s4) and conjugating the second-time
+    observations, the residual obeys w = g1*s1 + g2*s2 + noise with
+    g1 . conj(g2) = 0 and |g1|^2 = |g2|^2 = ||h||_F^2.
+    """
+    jr = 1j * r
+    g1 = np.stack([h[:, 0, 0], h[:, 0, 1],
+                   jr * np.conj(h[:, 1, 0]), jr * np.conj(h[:, 1, 1])],
+                  axis=1)
+    g2 = np.stack([h[:, 1, 0], h[:, 1, 1],
+                   -jr * np.conj(h[:, 0, 0]), -jr * np.conj(h[:, 0, 1])],
+                  axis=1)
+    return g1, g2
+
+
+def parse_csv(text: str):
+    """Split CSV text into (comments, header, rows).
+
+    Comment lines start with '#' and may appear anywhere; the first
+    non-comment line is the header.
+    """
+    comments, header, rows = [], None, []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            comments.append(line)
+        elif header is None:
+            header = line.split(",")
+        else:
+            rows.append(line.split(","))
+    return comments, header, rows

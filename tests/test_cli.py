@@ -11,7 +11,9 @@ import pytest
 
 import fdstbc
 from fdstbc import optimizer as opt
-from fdstbc.cli import main, parse_csv
+from fdstbc.cli import main
+
+from oracles import parse_csv
 
 
 def run_cli(capsys, *argv):
@@ -212,6 +214,22 @@ def test_bad_arguments_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("spec, same", [("1e308,1.7e308", "1,1.7"),
+                                        ("1e-320,1e-320", "1,1")])
+def test_r_is_normalized_when_its_modulus_is_not_a_normal_float(
+        capsys, spec, same):
+    # hypot overflows on the first and is subnormal on the second
+    outs = []
+    for r in (spec, same):
+        code, out, err = run_cli(capsys, "gain", "--constellation", "qam4",
+                                 "--r", r)
+        assert code == 0, err
+        outs.append([ln for ln in out.splitlines()
+                     if ln.startswith(("u = ", "v = "))])
+    assert len(outs[0]) == 2
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("argv, env, flag", [
     (("simulate", "--constellation", "qam4", "--r", "nan,1",
       "--snr", "0:1:1", "--codewords", "1"), None, "--r"),
@@ -287,6 +305,11 @@ def test_bad_arguments_exit_2(capsys, argv):
       "--config", {"out": "x"}), None, "--out"),
     (("gain", "--constellation", "qam4", "--norm", "bogus"), None, "--norm"),
     ((), None, "command"),
+    # finite SNRs whose N0 = 2/10^(snr/10) overflows or is infinite
+    (("simulate", "--constellation", "qam4", "--snr", "3100:1:3100"), None,
+     "snr 3100.0 dB"),
+    (("simulate", "--constellation", "qam4", "--snr=-3300:1:-3300"), None,
+     "snr -3300.0 dB"),
 ])
 def test_malformed_input_one_line_error(capsys, monkeypatch, tmp_path, argv,
                                         env, flag):

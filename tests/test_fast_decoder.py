@@ -19,6 +19,8 @@ from fdstbc import constellations as cs
 from fdstbc import simulate as sim
 from fdstbc.codes import DesignCoefficient, build_codeword
 
+import oracles
+
 UNIT = cs.NORM_UNIT_POWER
 R_ANALYTIC = complex((1.0 + math.sqrt(7.0)) / 4.0,
                      (-1.0 + math.sqrt(7.0)) / 4.0)
@@ -36,7 +38,7 @@ def reference_fast_decode(y, h, r, pts):
     """
     m = pts.size
     n = y.shape[0]
-    g1, g2 = sim._equivalent_columns(h, r)
+    g1, g2 = oracles.equivalent_columns(h, r)
     hnorm = (np.abs(h) ** 2).reshape(n, 4).sum(axis=1)
     best = np.full(n, np.inf)
     out = np.zeros((n, 4), dtype=np.int64)
@@ -80,7 +82,7 @@ def unpruned_fast_decode(y, h, r, pts):
     earlier row, so among exact metric ties the smallest (k3, k4) wins.
     """
     n = y.shape[0]
-    g1, g2 = sim._equivalent_columns(h, r)
+    g1, g2 = oracles.equivalent_columns(h, r)
     hnorm = (np.abs(h) ** 2).reshape(n, 4).sum(axis=1)
     hnorm[hnorm == 0.0] = 1.0
     yc = np.stack([y[:, 0, 0], y[:, 0, 1],

@@ -10,7 +10,9 @@ count).  A simplification that renames or reshapes any of these breaks
 `perfbench/run.py --trace 1` without failing another test.  These tests
 only read perfbench/.  One more guard keeps the package numpy-only, one
 runs the benchmark's own answer checks on the `design` requests, and one
-holds each of those requests to a traced-memory budget.
+holds each of those requests to a traced-memory budget.  Two more keep
+the package to what the command line, the paper's claims and the
+benchmark run: code only the tests call lives in tests/oracles.py.
 """
 
 import ast
@@ -19,6 +21,7 @@ import json
 from pathlib import Path
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -127,6 +130,68 @@ def test_package_imports_only_the_standard_library_and_numpy():
             assert not bad, f"{path.name}:{node.lineno} imports {bad}"
             seen |= tops
     assert {"numpy", "codes", "math"} <= seen
+
+
+EXPORTS = {
+    "CaseOneInvariantTable", "Constellation", "DesignCoefficient",
+    "DifferenceTuple", "GainReport", "GridApskSpec", "NORMALIZATIONS",
+    "OptimizationResult", "Optimum", "SimConfig", "SimPoint", "SimResult",
+    "analytic_integer_optimum", "build_case1_table", "build_codeword",
+    "coding_gain", "coding_gain_scaled", "constellation_by_id",
+    "difference_set", "diversity_slope", "euler_four_square", "fast_decode",
+    "golden_coding_gain", "make_apsk16_dvbs2", "make_apsk8_conventional",
+    "make_apsk_grid", "make_apsk_grid_preset", "make_psk", "make_qam",
+    "ml_decode_exhaustive", "optimize", "optimize_step1", "run_ber",
+    "run_sweeps", "transmit", "vanishing_probe", "verify_lemma1_bound",
+    "verify_step2",
+}
+
+# the claim analyses that only tests call today: acceptance tests 9
+# (vanishing_probe), 10 (diversity_slope) and 11 (coding_gain_scaled),
+# and the lemma 1 bound check of tests/test_number_theory.py
+CLAIM_ANALYSES = {"coding_gain_scaled", "vanishing_probe", "diversity_slope",
+                  "verify_lemma1_bound"}
+
+
+def test_package_exports_are_pinned():
+    import fdstbc
+
+    names = {k for k, v in vars(fdstbc).items()
+             if not k.startswith("__")
+             and not isinstance(v, types.ModuleType)}
+    assert names == EXPORTS
+
+
+def referenced_names(path, *, strings):
+    """Names and attributes path uses; with strings, also its imported
+    names and string constants (perfbench/spans.py patches by name)."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif strings and isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_package_definition_is_used_outside_the_tests():
+    refs = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            refs |= referenced_names(path, strings=False)
+    for path in PERFBENCH.glob("*.py"):
+        refs |= referenced_names(path, strings=True)
+    unused = {f"{path.name}:{node.name}"
+              for path in PACKAGE.glob("*.py")
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in refs | CLAIM_ANALYSES}
+    assert not unused, sorted(unused)
 
 
 def test_design_answers_pass_the_benchmark_checks(capsys):
