@@ -7,14 +7,12 @@ from .codes import (
 )
 from .constellations import (
     Constellation,
-    GridApskSpec,
     NORMALIZATIONS,
     constellation_by_id,
     difference_set,
     make_apsk16_dvbs2,
     make_apsk8_conventional,
     make_apsk_grid,
-    make_apsk_grid_preset,
     make_psk,
     make_qam,
 )

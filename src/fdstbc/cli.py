@@ -83,7 +83,11 @@ def _parse_snr(spec: str) -> tuple:
     if span >= MAX_SNR_POINTS:
         raise ValueError(f"--snr grid has more than {MAX_SNR_POINTS} points")
     count = math.floor(span) + 1
-    return tuple(round(start + k * step, 9) for k in range(count))
+    grid = tuple(round(start + k * step, 9) for k in range(count))
+    if any(a == b for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"--snr points must differ after rounding to "
+                         f"1e-9 dB, got {spec!r}")
+    return grid
 
 
 def _parse_int(val: str, low: int) -> int:

@@ -7,6 +7,10 @@ square-grid) under one of three normalizations:
 * ``unit-average-power`` mean |p|^2 == 1
 * ``min-dist-1``         minimum Euclidean distance == 1
 
+A square-grid APSK is its set of ring norms |z|^2 = m^2 + n^2: every
+Gaussian integer z whose norm is in the set is a point, so each ring is
+whole.
+
 Constellations that live on a scaled integer grid carry a ``GridInfo``
 record so downstream coding-gain code can switch to exact integer
 arithmetic.  The grid scale is the spacing of the *difference* lattice:
@@ -20,6 +24,7 @@ makes gains like 1/2 come out exact instead of 0.4999999999999999.
 from dataclasses import dataclass
 from fractions import Fraction
 import math
+import re
 
 import numpy as np
 
@@ -121,36 +126,6 @@ class Constellation:
     @property
     def integer_grid(self) -> bool:
         return self.grid is not None
-
-
-@dataclass(frozen=True)
-class Ring:
-    """One ring of a grid APSK layout: radius sqrt(m^2 + n^2), integer points."""
-
-    m: int
-    n: int
-    points: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class GridApskSpec:
-    rings: tuple[Ring, ...]
-
-
-# Square-grid APSK presets.  8 points on radii {sqrt(2), 2}, 16 points on
-# radii {1, sqrt(2), 2, 3}; both have minimum grid distance matching their
-# inner structure and give coding gain 1/2 once rescaled to min-dist-1.
-GRID_APSK_8 = GridApskSpec(rings=(
-    Ring(1, 1, ((1, 1), (-1, 1), (-1, -1), (1, -1))),
-    Ring(2, 0, ((2, 0), (0, 2), (-2, 0), (0, -2))),
-))
-
-GRID_APSK_16 = GridApskSpec(rings=(
-    Ring(1, 0, ((1, 0), (0, 1), (-1, 0), (0, -1))),
-    Ring(1, 1, ((1, 1), (-1, 1), (-1, -1), (1, -1))),
-    Ring(2, 0, ((2, 0), (0, 2), (-2, 0), (0, -2))),
-    Ring(3, 0, ((3, 0), (0, 3), (-3, 0), (0, -3))),
-))
 
 
 def _min_pairwise_distance(pts: np.ndarray) -> float:
@@ -271,56 +246,46 @@ def make_apsk16_dvbs2(norm: str = NORM_UNIT_POWER) -> Constellation:
     return Constellation(name="apsk16", points=pts, normalization=norm)
 
 
-def make_apsk_grid(spec: GridApskSpec, norm: str = NORM_UNIT_POWER,
+# Square-grid APSK presets.  A grid APSK is its ring norms |z|^2 =
+# m^2 + n^2, whole rings of Gaussian integers: 8 points on radii
+# {sqrt(2), 2}, 16 on {1, sqrt(2), 2, 3}; both give coding gain 1/2 once
+# rescaled to min-dist-1.
+_GRID_RINGS = {"apsk8-grid": (2, 4), "apsk16-grid": (1, 2, 4, 9)}
+
+
+def make_apsk_grid(ring_norms, norm: str = NORM_UNIT_POWER,
                    name: str = "apsk-grid") -> Constellation:
-    """APSK whose points are integer grid coordinates grouped into rings."""
-    if not spec.rings:
-        raise ValueError("empty grid APSK spec")
-    coords = []
-    for ring in spec.rings:
-        rsq = ring.m ** 2 + ring.n ** 2
-        if rsq == 0 or not ring.points:
-            raise ValueError("each ring needs a positive radius and points")
-        for (x, y) in ring.points:
-            if x * x + y * y != rsq:
-                raise ValueError(
-                    f"point ({x},{y}) is not on ring radius^2={rsq}")
-            coords.append(complex(x, y))
-    arr = np.array(coords, dtype=np.complex128)
-    if _min_pairwise_distance(arr) < 1.0:
-        raise ValueError("duplicate points in grid APSK spec")
+    """APSK of every Gaussian integer z with |z|^2 in ring_norms."""
+    norms = tuple(ring_norms)
+    if (not norms or not all(type(k) is int and k > 0 for k in norms)
+            or len(set(norms)) != len(norms)):
+        raise ValueError("ring norms must be distinct positive ints, "
+                         f"got {ring_norms!r}")
+    side = math.isqrt(max(norms))
+    x = np.arange(-side, side + 1)
+    on_ring = (x[:, None] ** 2 + x ** 2)[..., None] == np.array(norms)
+    if not on_ring.any((0, 1)).all():
+        raise ValueError(f"some ring norm in {norms} is not m^2 + n^2")
+    re_idx, im_idx = np.nonzero(on_ring.any(-1))
+    arr = x[re_idx] + 1j * x[im_idx]
     # points sorted ring by ring, by angle inside a ring
     order = np.lexsort((np.round(np.mod(np.angle(arr), 2 * np.pi), 12),
                         np.round(np.abs(arr), 12)))
     return _grid_constellation(name, arr[order], norm)
 
 
-_GRID_PRESETS = {"apsk8-grid": GRID_APSK_8, "apsk16-grid": GRID_APSK_16}
-
-
-def make_apsk_grid_preset(which: str, norm: str = NORM_UNIT_POWER) -> Constellation:
-    try:
-        spec = _GRID_PRESETS[which]
-    except KeyError:
-        raise ValueError(f"unknown grid APSK preset {which!r}; "
-                         f"have {sorted(_GRID_PRESETS)}") from None
-    return make_apsk_grid(spec, norm, name=which)
-
-
 def constellation_by_id(ident: str, norm: str = NORM_UNIT_POWER) -> Constellation:
     """Resolve CLI-style constellation ids like qam16, psk8, apsk8-grid."""
-    ident = ident.lower()
-    if ident in _GRID_PRESETS:
-        return make_apsk_grid_preset(ident, norm)
+    # non-ASCII ids match nothing: lower() maps the Kelvin sign to k
+    ident = ident.lower() if ident.isascii() else ident
+    if ident in _GRID_RINGS:
+        return make_apsk_grid(_GRID_RINGS[ident], norm, name=ident)
     if ident == "apsk8":
         return make_apsk8_conventional(norm)
     if ident == "apsk16":
         return make_apsk16_dvbs2(norm)
-    for prefix, make in (("qam", make_qam), ("psk", make_psk)):
-        if ident.startswith(prefix):
-            try:
-                m = int(ident[len(prefix):])
-            except ValueError:
-                break
-            return make(m, norm)
+    sized = re.fullmatch(r"(qam|psk)([1-9][0-9]*)", ident)
+    if sized:
+        make = make_qam if sized[1] == "qam" else make_psk
+        return make(int(sized[2]), norm)
     raise ValueError(f"unknown constellation id {ident!r}")

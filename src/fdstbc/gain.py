@@ -455,7 +455,8 @@ def _exhaustive_gain(c: Constellation, r: DesignCoefficient) -> GainReport:
     if float(nd) ** 4 > EXHAUSTIVE_LIMIT:
         raise ValueError(
             f"|D|^4 = {float(nd) ** 4:.3g} exceeds the exhaustive-search "
-            f"guard ({EXHAUSTIVE_LIMIT:.0e}); use method='aggregated'")
+            f"guard ({EXHAUSTIVE_LIMIT:.0e}); the aggregated method has no "
+            "such guard")
     x = np.repeat(dvals, nd)
     y = np.tile(dvals, nd)
     rr = r.r

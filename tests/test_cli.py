@@ -310,6 +310,20 @@ def test_r_is_normalized_when_its_modulus_is_not_a_normal_float(
      "snr 3100.0 dB"),
     (("simulate", "--constellation", "qam4", "--snr=-3300:1:-3300"), None,
      "snr -3300.0 dB"),
+    # one spelling per id: ASCII only, no sign, space or underscore
+    (("constellation", "--name", "psk8_0"), None, "'psk8_0'"),
+    (("constellation", "--name", "psk+8"), None, "'psk+8'"),
+    (("constellation", "--name", "psk 8"), None, "'psk 8'"),
+    (("constellation", "--name", "psk8 "), None, "'psk8 '"),
+    (("constellation", "--name", "psk\u0668"), None, "'psk\u0668'"),
+    (("constellation", "--name", "qam+16"), None, "'qam+16'"),
+    (("constellation", "--name", "ps\u212a8"), None, "'ps\u212a8'"),
+    # neighbours that the 1e-9 dB rounding would merge
+    (("simulate", "--constellation", "qam4", "--snr", "0:1e-10:1e-9",
+      "--codewords", "1"), None, "--snr points"),
+    # the guard's message reads for CLI users too
+    (("gain", "--constellation", "psk64", "--method", "exhaustive"), None,
+     "exhaustive-search guard"),
 ])
 def test_malformed_input_one_line_error(capsys, monkeypatch, tmp_path, argv,
                                         env, flag):

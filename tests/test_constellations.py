@@ -99,7 +99,7 @@ def test_apsk16_dvbs2_layout():
 
 
 def test_apsk8_grid_preset():
-    c = cs.make_apsk_grid_preset("apsk8-grid", UNIT)
+    c = cs.constellation_by_id("apsk8-grid", UNIT)
     assert abs(cs.min_distance(c) - math.sqrt(2.0 / 3.0)) < 1e-12
     assert abs(cs.avg_power(c) - 1.0) < 1e-12
     assert abs(cs.papr(c) - 4.0 / 3.0) < 1e-12
@@ -112,7 +112,7 @@ def test_apsk8_grid_preset():
 
 
 def test_apsk16_grid_preset():
-    c = cs.make_apsk_grid_preset("apsk16-grid", UNIT)
+    c = cs.constellation_by_id("apsk16-grid", UNIT)
     assert len(c) == 16
     assert abs(cs.min_distance(c) - 0.5) < 1e-12
     assert abs(cs.avg_power(c) - 1.0) < 1e-12
@@ -125,15 +125,26 @@ def test_constellation_rejects_non_finite_points(bad):
         cs.Constellation(name="x", points=[0, 1, bad], normalization=UNIT)
 
 
+@pytest.mark.parametrize("ident,norms", (("apsk8-grid", {2, 4}),
+                                         ("apsk16-grid", {1, 2, 4, 9})))
+@pytest.mark.parametrize("norm", cs.NORMALIZATIONS)
+def test_apsk_grid_presets_are_whole_rings(ident, norms, norm):
+    # the paper's topology: every Gaussian integer on a ring is a point
+    c = cs.constellation_by_id(ident, norm)
+    z = c.points / c.grid.scale
+    assert np.abs(z - np.round(z)).max() < 1e-12
+    got = {(round(p.real), round(p.imag)) for p in z}
+    box = range(-max(norms), max(norms) + 1)
+    want = {(m, n) for m in box for n in box if m * m + n * n in norms}
+    assert got == want and len(c) == len(want)
+
+
 def test_apsk_grid_rejects_bad_specs():
-    with pytest.raises(ValueError):
-        cs.make_apsk_grid(cs.GridApskSpec(rings=()))
-    dup = cs.GridApskSpec(rings=(cs.Ring(m=1, n=0, points=((1, 0), (1, 0))),))
-    with pytest.raises(ValueError):
-        cs.make_apsk_grid(dup)
-    off = cs.GridApskSpec(rings=(cs.Ring(m=1, n=0, points=((2, 0),)),))
-    with pytest.raises(ValueError):
-        cs.make_apsk_grid(off)
+    # empty, duplicate, off-ring (3 is no m^2 + n^2), zero radius, non-int,
+    # and an off-ring norm beside a whole ring
+    for norms in ((), (2, 2), (3,), (0,), (2.5,), (1, 3)):
+        with pytest.raises(ValueError):
+            cs.make_apsk_grid(norms)
 
 
 def test_normalize_qam16_scale_factor():
@@ -222,7 +233,7 @@ def test_grid_differences_are_integer_coordinates():
 
 
 def test_grid_apsk_papr_below_qam16():
-    lhs = cs.papr(cs.make_apsk_grid_preset("apsk8-grid", UNIT))
+    lhs = cs.papr(cs.constellation_by_id("apsk8-grid", UNIT))
     rhs = cs.papr(cs.make_qam(16, UNIT))
     assert lhs < rhs
 

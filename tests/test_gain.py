@@ -179,7 +179,7 @@ def test_degenerate_coefficient_kills_gain():
 
 def test_exhaustive_guard_on_large_sets():
     c = cs.make_psk(32, UNIT)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="aggregated method has no such"):
         gain.coding_gain(c, R8, method="exhaustive")
 
 

@@ -287,8 +287,13 @@ def test_optimize_dispatch():
 
 
 def test_optimize_grid_apsk():
-    rep = opt.optimize(cs.constellation_by_id("apsk16-grid", UNIT)).report
-    assert rep.gain_exact == Fraction(1, 32)
+    for c, size, expected in (
+        (cs.constellation_by_id("apsk16-grid", UNIT), 16, Fraction(1, 32)),
+        # every Gaussian integer with |z|^2 <= 10 but 9: 32 points
+        (cs.make_apsk_grid((1, 2, 4, 5, 8, 10), MIND), 32, Fraction(1, 2)),
+    ):
+        assert len(c) == size
+        assert opt.optimize(c).report.gain_exact == expected
 
 
 def test_step1_rejects_empty_case1():

@@ -134,13 +134,13 @@ def test_package_imports_only_the_standard_library_and_numpy():
 
 EXPORTS = {
     "CaseOneInvariantTable", "Constellation", "DesignCoefficient",
-    "DifferenceTuple", "GainReport", "GridApskSpec", "NORMALIZATIONS",
+    "DifferenceTuple", "GainReport", "NORMALIZATIONS",
     "OptimizationResult", "Optimum", "SimConfig", "SimPoint", "SimResult",
     "analytic_integer_optimum", "build_case1_table", "build_codeword",
     "coding_gain", "coding_gain_scaled", "constellation_by_id",
     "difference_set", "diversity_slope", "euler_four_square", "fast_decode",
     "golden_coding_gain", "make_apsk16_dvbs2", "make_apsk8_conventional",
-    "make_apsk_grid", "make_apsk_grid_preset", "make_psk", "make_qam",
+    "make_apsk_grid", "make_psk", "make_qam",
     "ml_decode_exhaustive", "optimize", "optimize_step1", "run_ber",
     "run_sweeps", "transmit", "vanishing_probe", "verify_lemma1_bound",
     "verify_step2",
