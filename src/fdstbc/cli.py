@@ -44,7 +44,7 @@ def _parse_r(spec: str, c) -> DesignCoefficient:
     if spec == "auto":
         if c.integer_grid:  # analytic: no sweep needed to pick it
             return opt.analytic_integer_optimum()[0]
-        return opt.optimize(c)[0]
+        return opt.optimize_step1(c).r_candidates[0]  # = optimize(c).r
     try:
         u, v = map(float, spec.split(","))
     except ValueError:

@@ -11,14 +11,14 @@ A square-grid APSK is its set of ring norms |z|^2 = m^2 + n^2: every
 Gaussian integer z whose norm is in the set is a point, so each ring is
 whole.
 
-Constellations that live on a scaled integer grid carry a ``GridInfo``
-record so downstream coding-gain code can switch to exact integer
-arithmetic.  The grid scale is the spacing of the *difference* lattice:
-point differences divided by it are exactly Gaussian integers (the
-points themselves may sit on a common half-step translation, as centred
-QAM does).  ``GridInfo.scale_sq``, scale**2 as an exact Fraction, is
-the one stored grid field (``scale`` is its square root); it is what
-makes gains like 1/2 come out exact instead of 0.4999999999999999.
+A constellation on a scaled integer grid carries ``scale_sq``, the
+square of its grid scale as an exact Fraction (None off the grid), so
+downstream coding-gain code can switch to exact integer arithmetic.
+The grid scale is the spacing of the *difference* lattice: point
+differences divided by it are exactly Gaussian integers (the points
+themselves may sit on a common half-step translation, as centred QAM
+does).  Keeping it exact is what makes gains like 1/2 come out exact
+instead of 0.4999999999999999.
 """
 
 from dataclasses import dataclass
@@ -84,30 +84,12 @@ def _first_of_runs(blocks, n_keys) -> list:
     return merged(parts)
 
 
-@dataclass(frozen=True)
-class GridInfo:
-    """Scaling metadata for constellations on an integer grid.
-
-    scale is the difference-lattice spacing: (p - q) / scale is a
-    Gaussian integer for every point pair, and points / scale are
-    Gaussian integers up to one translation shared by all points
-    (centred QAM sits on the half-odd grid, so twice points / scale
-    is always integral).
-    """
-
-    scale_sq: Fraction
-
-    @property
-    def scale(self) -> float:
-        return math.sqrt(self.scale_sq)
-
-
 @dataclass(frozen=True, eq=False)
 class Constellation:
     name: str
     points: np.ndarray
     normalization: str
-    grid: GridInfo | None = None
+    scale_sq: Fraction | None = None
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=np.complex128)
@@ -125,7 +107,7 @@ class Constellation:
 
     @property
     def integer_grid(self) -> bool:
-        return self.grid is not None
+        return self.scale_sq is not None
 
 
 def _min_pairwise_distance(pts: np.ndarray) -> float:
@@ -156,16 +138,18 @@ def difference_set(c: Constellation) -> np.ndarray:
     return vals
 
 
-def _grid_constellation(name, coords, norm, lattice_step=1):
+def _grid_constellation(name, coords, norm):
     """Build a Constellation from exact integer coordinates.
 
-    coords: complex integer array.  lattice_step: spacing of the coord
-    difference lattice in coord units (2 for odd-level QAM and BPSK,
-    1 otherwise); the stored grid scale refers to this lattice, not to
-    the raw coords.
+    coords: complex integer array.  The stored grid scale refers to the
+    coord difference lattice, whose step is the gcd of the integer
+    coordinate differences (2 for odd-level QAM and BPSK, 1 for psk4
+    and the grid APSKs), not to the raw coords.
     """
     coords = np.asarray(coords, dtype=np.complex128)
-    sq = (coords.real ** 2 + coords.imag ** 2).round().astype(np.int64)
+    xy = np.stack([coords.real, coords.imag]).round().astype(np.int64)
+    step = int(np.gcd.reduce(xy - xy[:, :1], axis=None))
+    sq = (xy ** 2).sum(0)
     if norm == NORM_INTEGER:
         point_sq = Fraction(1)
     elif norm == NORM_UNIT_POWER:
@@ -176,9 +160,8 @@ def _grid_constellation(name, coords, norm, lattice_step=1):
         point_sq = Fraction(1, int(dsq[dsq > 0].min()))
     else:
         raise ValueError(f"unknown normalization {norm!r}")
-    scale_sq = point_sq * lattice_step ** 2
     return Constellation(name=name, points=coords * math.sqrt(point_sq),
-                         normalization=norm, grid=GridInfo(scale_sq=scale_sq))
+                         normalization=norm, scale_sq=point_sq * step ** 2)
 
 
 def make_qam(m: int, norm: str = NORM_UNIT_POWER) -> Constellation:
@@ -189,7 +172,7 @@ def make_qam(m: int, norm: str = NORM_UNIT_POWER) -> Constellation:
     levels = np.arange(-(side - 1), side, 2)
     re, im = np.meshgrid(levels, levels)
     coords = (re + 1j * im).ravel()
-    return _grid_constellation(f"qam{m}", coords, norm, lattice_step=2)
+    return _grid_constellation(f"qam{m}", coords, norm)
 
 
 def make_psk(m: int, norm: str = NORM_UNIT_POWER) -> Constellation:
@@ -199,8 +182,7 @@ def make_psk(m: int, norm: str = NORM_UNIT_POWER) -> Constellation:
     name = f"psk{m}"
     if m in (2, 4):
         coords = np.exp(2j * np.pi * np.arange(m) / m).round()
-        return _grid_constellation(name, coords, norm,
-                                   lattice_step=2 if m == 2 else 1)
+        return _grid_constellation(name, coords, norm)
     if norm == NORM_INTEGER:
         raise ValueError(f"psk{m} does not live on an integer grid")
     pts = np.exp(2j * np.pi * np.arange(m) / m)

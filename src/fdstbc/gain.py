@@ -50,7 +50,8 @@ import math
 import numpy as np
 
 from .codes import DesignCoefficient, DifferenceTuple
-from .constellations import Constellation, _first_of_runs, difference_set
+from .constellations import (Constellation, _first_of_runs, _tol_keys,
+                             difference_set)
 
 CASE_TOL = 1e-9  # |A - B| at or below it is case I
 EXHAUSTIVE_LIMIT = 1e10
@@ -87,16 +88,17 @@ def _row_blocks(rows, cols):
         yield r.repeat(cols.size), np.tile(cols, r.size)
 
 
-def _projected_triples(dvals: np.ndarray, as_int: bool, scale: float = 1.0):
+def _projected_triples(dvals: np.ndarray, scale_sq=None):
     """Dedup (a, b, g) with g = Im(x*conj(y)) - Re(x*conj(y)).
 
     Returns (a, b, g, wit_x, wit_y, zero_index), sorted by (a, b, g).
     dvals must be sorted by distinct (re, im) DEDUP_TOL keys, as
     difference_set returns them: D x D then streams through
     _first_of_runs row-major, so each triple's witness, its first (x, y)
-    in the stream, is its smallest (x, y) by keys.  With as_int the
-    triples are exact int64 in grid units (dvals/scale must be Gaussian
-    integers); witnesses stay in constellation units either way.
+    in the stream, is its smallest (x, y) by keys.  Given the grid's
+    scale_sq the triples are exact int64 in grid units (dvals divided by
+    its square root must be Gaussian integers); witnesses stay in
+    constellation units either way.
     ValueError up front if |D|^2 exceeds TRIPLE_PAIR_LIMIT, and if a
     nonzero difference shares the zero triple's 1e-9 keys.
     """
@@ -106,8 +108,8 @@ def _projected_triples(dvals: np.ndarray, as_int: bool, scale: float = 1.0):
         raise ValueError(f"|D|^2 = {n ** 2} difference pairs exceed the "
                          f"limit of {TRIPLE_PAIR_LIMIT}")
     u, sq = d, np.abs(d) ** 2
-    if as_int:
-        ds = d / scale
+    if scale_sq is not None:
+        ds = d / math.sqrt(scale_sq)
         u = np.round(ds.real) + 1j * np.round(ds.imag)
         if np.max(np.abs(ds - u)) > 1e-9:
             raise ValueError("differences are not on the integer grid")
@@ -263,7 +265,7 @@ def _window_pairs(a, b, g, zero_idx, *, t, bound_coef):
 
     s = a - b
     c1, c2, ii, jj = _pair_window(
-        s, g - (a + b) * (t / 2.0), np.round(s * 1e9), zero_idx,
+        s, g - (a + b) * (t / 2.0), _tol_keys(s), zero_idx,
         reach=reach, pad=pad, half=half, score=score, tie=_tie_limit)
     return c1, c2, _bound_min(a, b, pad, bound_coef), ii, jj
 
@@ -421,15 +423,15 @@ def _argmin_tuple(ii, jj, wx, wy, a, b):
 
 def _aggregated_gain(c: Constellation, r: DesignCoefficient,
                      triples=None) -> GainReport:
-    exact = c.grid is not None and r.t_exact is not None
+    exact = c.integer_grid and r.t_exact is not None
     bound_coef = (2.0 - r.t ** 2) / 2.0
     a, b, g, wx, wy, z = triples or _projected_triples(
-        difference_set(c), exact, c.grid.scale if exact else 1.0)
+        difference_set(c), c.scale_sq if exact else None)
     if exact:
         p, q = r.t_exact.numerator, r.t_exact.denominator
         c1, c2, bmin, ii, jj = _search_pairs(a, b, g, z, p, q,
                                              bound_coef=bound_coef)
-        scale4 = c.grid.scale_sq ** 2
+        scale4 = c.scale_sq ** 2
         qq = q * q
         gain_exact = Fraction(int(min(c1, c2)), qq) * scale4
         tup, case = _argmin_tuple(ii, jj, wx, wy, a, b)
@@ -503,7 +505,7 @@ def coding_gain_scaled(c: Constellation, r: DesignCoefficient,
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError("alpha must be finite and positive")
     scaled = Constellation(name=c.name, points=c.points * alpha,
-                           normalization="scaled", grid=None)
+                           normalization="scaled")
     return coding_gain(scaled, r, method=method)
 
 

@@ -73,7 +73,7 @@ def verify_lemma1_bound(c, t) -> Lemma1BoundReport:
     if not (isinstance(t, Fraction) or math.isfinite(t)):
         raise ValueError(f"t must be finite, got {t}")
     tab = build_case1_table(c)
-    if not tab.grid_units:
+    if tab.scale_sq is None:
         raise ValueError("constellation differences are not on an "
                          "integer grid")
     a, e = tab.a, tab.e

@@ -73,16 +73,15 @@ class CaseOneInvariantTable:
 
     a, e: one row per distinct (A, dt) pair (DEDUP_TOL keys), sorted by
     (A, dt); rows that share an A key carry the same A value bit for
-    bit.  grid_units: rows are exact int64 in grid units, and scale_sq
-    (the grid scale squared) converts squared grid quantities back to
-    constellation units; float rows are in constellation units with
-    scale_sq 1.  triples: the projected triples the rows came from.
+    bit.  scale_sq: for exact int64 rows in grid units, the grid scale
+    squared, which converts squared grid quantities back to
+    constellation units; None for float rows in constellation units.
+    triples: the projected triples the rows came from.
     """
 
     a: np.ndarray
     e: np.ndarray
-    grid_units: bool
-    scale_sq: Fraction
+    scale_sq: Fraction | None
     triples: tuple
 
     @property
@@ -125,9 +124,7 @@ def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
     triple's a - b cancels the second's, so the enumeration only visits
     products of opposite-key groups instead of all pairs.
     """
-    exact = c.grid is not None
-    triples = _projected_triples(difference_set(c), exact,
-                                 c.grid.scale if exact else 1.0)
+    triples = _projected_triples(difference_set(c), c.scale_sq)
     a, b, g = triples[:3]
     keys = _tol_keys(a - b)
     order = np.argsort(keys, kind="stable")
@@ -149,9 +146,8 @@ def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
     # of its key, so rows group by exact value.
     first = np.flatnonzero(np.r_[True, ka[1:] != ka[:-1]])
     A = A[first].repeat(np.diff(np.r_[first, A.size]))
-    return CaseOneInvariantTable(
-        a=A, e=E, grid_units=exact,
-        scale_sq=c.grid.scale_sq if exact else Fraction(1), triples=triples)
+    return CaseOneInvariantTable(a=A, e=E, scale_sq=c.scale_sq,
+                                 triples=triples)
 
 
 def _f_at(a, e, ts) -> np.ndarray:
@@ -242,9 +238,9 @@ def optimize_step1(c: Constellation) -> OptimizationResult:
 
     return OptimizationResult(
         t=t_star, r_candidates=_coefficients_at(t_star, "maximin"),
-        case1_gain=2.0 * f_val * f_val * float(table.scale_sq) ** 2,
+        case1_gain=2.0 * f_val * f_val * float(table.scale_sq or 1) ** 2,
         breakpoints_examined=ts.size,
-        triples=None if table.grid_units else table.triples)
+        triples=table.triples if table.scale_sq is None else None)
 
 
 def verify_step2(c: Constellation, result: OptimizationResult) -> Optimum:

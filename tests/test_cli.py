@@ -367,12 +367,34 @@ def test_gain_auto_runs_the_exact_sweep_once(capsys, monkeypatch):
                          "--method", "exhaustive")
     assert code == 0
     assert calls == ["qam4"]
-    # simulate picks the analytic coefficient without any gain sweep
     calls.clear()
-    code, _, _ = run_cli(capsys, "simulate", "--constellation", "qam16",
-                         "--r", "auto", "--snr", "0:1:0", "--codewords", "4")
+    code, _, _ = run_cli(capsys, "gain", "--constellation", "psk8",
+                         "--method", "aggregated")
     assert code == 0
-    assert calls == []
+    assert calls == ["psk8"]
+    # simulate picks the analytic coefficient without any gain sweep, and
+    # off the grid takes optimize's coefficient from step 1 alone
+    for ident in ("qam16", "psk8", "apsk16"):
+        r = opt.optimize(fdstbc.constellation_by_id(ident))[0]
+        calls.clear()
+        code, out, _ = run_cli(capsys, "simulate", "--constellation", ident,
+                               "--r", "auto", "--snr", "0:1:0",
+                               "--codewords", "4")
+        assert code == 0
+        assert calls == []
+        assert f"# u={r.u:.12g}\n# v={r.v:.12g}\n" in out
+
+
+def test_simulate_auto_needs_no_certified_gain(capsys):
+    # optimize psk32 at min-dist-1 refuses its step-1 / sweep mismatch,
+    # but simulate only needs the coefficient
+    c = fdstbc.constellation_by_id("psk32", "min-dist-1")
+    r = opt.optimize_step1(c).r_candidates[0]
+    code, out, err = run_cli(capsys, "simulate", "--constellation", "psk32",
+                             "--norm", "min-dist-1", "--r", "auto",
+                             "--snr", "0:1:0", "--codewords", "4")
+    assert code == 0, err
+    assert f"# u={r.u:.12g}\n# v={r.v:.12g}\n" in out
 
 
 # SHA-256 of `simulate --constellation <id> --emit csv --seed 1

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdstbc import constellations as cs
+from fdstbc.gain import coding_gain
+from fdstbc.optimizer import analytic_integer_optimum
 
 UNIT = cs.NORM_UNIT_POWER
 MIND = cs.NORM_MIN_DIST
@@ -104,7 +106,7 @@ def test_apsk8_grid_preset():
     assert abs(cs.avg_power(c) - 1.0) < 1e-12
     assert abs(cs.papr(c) - 4.0 / 3.0) < 1e-12
     # ring radii in grid units must be sqrt(m^2 + n^2) for integers m, n
-    grid_r2 = {round((abs(p) / c.grid.scale) ** 2) for p in c.points}
+    grid_r2 = {round(abs(p) ** 2 / c.scale_sq) for p in c.points}
     assert grid_r2 == {2, 4}
     for rsq in grid_r2:
         assert any(m * m + n * n == rsq
@@ -116,7 +118,7 @@ def test_apsk16_grid_preset():
     assert len(c) == 16
     assert abs(cs.min_distance(c) - 0.5) < 1e-12
     assert abs(cs.avg_power(c) - 1.0) < 1e-12
-    assert math.isclose(c.grid.scale, 0.5, rel_tol=1e-12)
+    assert math.isclose(math.sqrt(c.scale_sq), 0.5, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, complex(0, math.nan)))
@@ -131,7 +133,7 @@ def test_constellation_rejects_non_finite_points(bad):
 def test_apsk_grid_presets_are_whole_rings(ident, norms, norm):
     # the paper's topology: every Gaussian integer on a ring is a point
     c = cs.constellation_by_id(ident, norm)
-    z = c.points / c.grid.scale
+    z = c.points / math.sqrt(c.scale_sq)
     assert np.abs(z - np.round(z)).max() < 1e-12
     got = {(round(p.real), round(p.imag)) for p in z}
     box = range(-max(norms), max(norms) + 1)
@@ -222,14 +224,30 @@ def test_streaming_dedup_keeps_the_earliest_row_of_each_key(data, n):
 
 
 def test_grid_differences_are_integer_coordinates():
-    for ident in ("qam4", "qam16", "qam64", "psk4", "apsk8-grid",
+    for ident in ("qam4", "qam16", "qam64", "psk2", "psk4", "apsk8-grid",
                   "apsk16-grid"):
         for norm in (UNIT, MIND, GRID):
             c = cs.constellation_by_id(ident, norm)
             assert c.integer_grid
-            d = cs.difference_set(c) / c.grid.scale
-            assert np.abs(d.real - np.round(d.real)).max() < 1e-9
-            assert np.abs(d.imag - np.round(d.imag)).max() < 1e-9
+            d = cs.difference_set(c) / math.sqrt(c.scale_sq)
+            xy = np.stack([d.real, d.imag])
+            assert np.abs(xy - np.round(xy)).max() < 1e-9
+            # the scale is the lattice step, not a multiple of it
+            assert np.gcd.reduce(np.round(xy).astype(np.int64),
+                                 axis=None) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_doubled_grid_points_scale_the_grid_and_the_gain(seed):
+    rng = np.random.default_rng(seed)
+    xy = rng.choice(81, size=6, replace=False)
+    pts = xy // 9 - 4 + 1j * (xy % 9 - 4)
+    r = analytic_integer_optimum()[0]
+    one, two = (cs._grid_constellation("random", k * pts, GRID)
+                for k in (1, 2))
+    assert two.scale_sq == 4 * one.scale_sq
+    assert coding_gain(two, r, method="aggregated").gain_exact == \
+        16 * coding_gain(one, r, method="aggregated").gain_exact
 
 
 def test_grid_apsk_papr_below_qam16():

@@ -86,7 +86,7 @@ def test_projected_triples_match_pair_triples(monkeypatch, ident):
     # one default block, then 40 pairs per block: many blocks and merges
     for block_pairs in (gain._BLOCK_PAIRS, 40):
         monkeypatch.setattr(gain, "_BLOCK_PAIRS", block_pairs)
-        a, b, g, wx, wy, z = gain._projected_triples(d, False)
+        a, b, g, wx, wy, z = gain._projected_triples(d)
         got = [(round(p / 1e-9), round(q / 1e-9), round(e / 1e-9))
                for p, q, e in zip(a.tolist(), b.tolist(), g.tolist())]
         assert len(got) == len(set(got))
@@ -346,7 +346,7 @@ def test_aggregated_equals_exhaustive_on_random_constellations(seed, m,
     pts = rng.normal(size=m) + 1j * rng.normal(size=m)
     pts /= math.sqrt(np.mean(np.abs(pts) ** 2))
     c = cs.Constellation(name="random", points=pts, normalization=UNIT)
-    assert c.grid is None
+    assert not c.integer_grid
     r = codes.DesignCoefficient(u=math.cos(angle), v=math.sin(angle))
     agg = gain.coding_gain(c, r, method="aggregated")
     exh = gain.coding_gain(c, r, method="exhaustive")
@@ -366,15 +366,14 @@ def test_triple_expansion_is_guarded_up_front():
     assert d64.size ** 2 == 4_198_401 <= gain.TRIPLE_PAIR_LIMIT
     big = np.zeros(math.isqrt(gain.TRIPLE_PAIR_LIMIT) + 1, dtype=complex)
     with pytest.raises(ValueError, match=r"\|D\|\^2 = .* limit of 8388608"):
-        gain._projected_triples(big, False)
+        gain._projected_triples(big)
 
 
 def _expansions(c):
-    exact = c.grid is not None
     d = cs.difference_set(c)
-    trips = [gain._projected_triples(d, False)]
-    if exact:
-        trips.append(gain._projected_triples(d, True, c.grid.scale))
+    trips = [gain._projected_triples(d)]
+    if c.integer_grid:
+        trips.append(gain._projected_triples(d, c.scale_sq))
     tab = opt.build_case1_table(c)
     return [np.atleast_1d(x) for t in trips for x in t] + [tab.a, tab.e]
 
@@ -408,7 +407,7 @@ def test_blockwise_triples_round_as_the_whole_product(monkeypatch, ident):
     whole = cc.imag - cc.real
     index = {v: k for k, v in enumerate(d.tolist())}
     monkeypatch.setattr(gain, "_BLOCK_PAIRS", 40)
-    _, _, g, wx, wy, _ = gain._projected_triples(d, False)
+    _, _, g, wx, wy, _ = gain._projected_triples(d)
     at = [index[p] * d.size + index[q]
           for p, q in zip(wx.tolist(), wy.tolist())]
     assert whole[at].tobytes() == g.tobytes()
@@ -421,7 +420,7 @@ def test_triple_expansion_memory_is_one_block():
     assert d.size ** 2 == 1_117_249 > 4 * gain._BLOCK_PAIRS
     tracemalloc.start()
     try:
-        gain._projected_triples(d, False)
+        gain._projected_triples(d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -561,7 +560,7 @@ def oracle(trip, p, q, bound_coef):
 
 
 def exact_triples(c):
-    return gain._projected_triples(cs.difference_set(c), True, c.grid.scale)
+    return gain._projected_triples(cs.difference_set(c), c.scale_sq)
 
 
 GRID_IDS = ("qam4", "qam16", "qam64", "apsk8-grid", "apsk16-grid")
@@ -775,7 +774,7 @@ def test_window_search_equals_float_sweep_on_random_constellations(
     # a difference with |x|^2 below the 1e-9 key shares the zero triple's
     # key, and _projected_triples refuses such a set: no search to test
     assume(np.abs(d[d != 0]).min() ** 2 >= 1e-9)
-    trip = gain._projected_triples(d, False)
+    trip = gain._projected_triples(d)
     r = codes.DesignCoefficient(u=math.cos(angle), v=math.sin(angle))
     # a nudged floor coefficient makes some pairs fail the case-II check:
     # both raise, or neither does and they agree bit for bit
@@ -791,7 +790,7 @@ def _step1_case(ident, norm):
 
 def _edge_case(ident, t):
     c = cs.constellation_by_id(ident, UNIT)
-    return gain._projected_triples(cs.difference_set(c), False), t
+    return gain._projected_triples(cs.difference_set(c)), t
 
 
 WINDOW_CASES = [

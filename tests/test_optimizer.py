@@ -42,7 +42,7 @@ def test_analytic_candidates_share_the_gain():
 
 def as_dict(tab):
     """{A: attainable dt values} of a case-I table."""
-    key = int if tab.grid_units else float
+    key = int if tab.scale_sq is not None else float
     out = {}
     for a, e in zip(tab.a.tolist(), tab.e.tolist()):
         out.setdefault(key(a), []).append(e)
@@ -67,7 +67,7 @@ def brute_force_case1_rows(c):
 def test_case1_table_qam4_integer_grid():
     c = cs.constellation_by_id("qam4", cs.NORM_INTEGER)
     tab = opt.build_case1_table(c)
-    assert tab.grid_units
+    assert tab.scale_sq is not None
     d = as_dict(tab)
     assert sorted(d) == [1, 2, 3, 4]
     assert sorted(d[1].tolist()) == [-1, 0, 1]
@@ -86,9 +86,9 @@ def test_case1_table_qam4_integer_grid():
 def test_case1_table_equals_brute_force_enumeration(ident, norm):
     c = cs.constellation_by_id(ident, norm)
     tab = opt.build_case1_table(c)
-    assert tab.grid_units == (ident == "qam4")
+    assert (tab.scale_sq is not None) == (ident == "qam4")
     a, e = brute_force_case1_rows(c)
-    if tab.grid_units:
+    if tab.scale_sq is not None:
         # rows are exact integers in grid units: constellation units / scale^2
         a, e = a / float(tab.scale_sq), e / float(tab.scale_sq)
         ai, ei = np.round(a).astype(np.int64), np.round(e).astype(np.int64)
@@ -98,7 +98,7 @@ def test_case1_table_equals_brute_force_enumeration(ident, norm):
         assert set(zip(tab.a.tolist(), tab.e.tolist())) == want
         assert tab.n_rows == len(want)
     else:
-        assert tab.scale_sq == 1
+        assert tab.scale_sq is None
         key = lambda x: np.round(x / 1e-9).astype(np.int64)
         want = np.unique(np.stack([key(a), key(e)], axis=1), axis=0)
         # distinct rows, sorted by (A, dt), one per brute-force pair
@@ -320,12 +320,12 @@ def test_optimize_expands_the_triples_once(monkeypatch):
     inner = gain._projected_triples
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[1:])
         return inner(*args, **kwargs)
     monkeypatch.setattr(gain, "_projected_triples", counted)
     monkeypatch.setattr(opt, "_projected_triples", counted)
     best = opt.optimize(cs.constellation_by_id("psk22", UNIT))
-    assert calls == [False]
+    assert calls == [(None,)]
     assert best.report.method == "aggregated"
     assert best.report.case1_min == pytest.approx(best.case1_gain,
                                                   rel=1e-9)
