@@ -244,9 +244,11 @@ def _quadruples(limit: int, ids) -> np.ndarray:
     """The sorted quadruples (a, b, c, d) of quadruple ids, as (n, 4)
     in the narrowest signed integer type that holds +-limit."""
     lo, hi, tail = _pair_runs(limit)
-    ends = np.cumsum(tail)
-    p = ends.searchsorted(ids, side="right")
-    q = ids - ends[p] + lo.size
+    # a gather from an id -> pair table: a binary search of random ids
+    # branches unpredictably
+    owner = np.arange(lo.size, dtype=np.min_scalar_type(lo.size - 1))
+    p = np.repeat(owner, tail)[ids]
+    q = ids - np.cumsum(tail)[p] + lo.size
     pairs = np.stack([lo, hi], axis=1).astype(_signed(limit))
     return np.concatenate([pairs[p], pairs[q]], axis=1)
 

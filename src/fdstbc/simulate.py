@@ -48,9 +48,17 @@ slicer is picked from the geometry of the points: a full rectangular
 lattice is sliced by per-axis rounding, constellations whose rings are
 each evenly spaced in angle (PSK, the APSKs) by per-ring angle
 rounding, and anything else by a full scan.
+
+run_ber runs its chunks on one fork pool per process: the first call
+with more than one worker starts it, later calls reuse it, a call with
+another worker count or one that finds it broken replaces it, and its
+workers exit with the interpreter.  Workers run the modules as they were
+when forked, so a monkeypatch made after the first parallel call does
+not reach them.
 """
 
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 import math
 import os
@@ -495,6 +503,32 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+_pool = None  # (workers, ProcessPoolExecutor): the process's one pool
+
+
+def _pool_map(tasks, workers: int, chunksize: int) -> list:
+    """_run_chunk over tasks on the process's pool, kept for later calls.
+
+    A pool of another size is shut down before the new one forks, so no
+    manager thread is alive at the fork; a kept pool found broken is
+    dropped and the call runs on a fresh one.
+    """
+    global _pool
+    while True:
+        reused = _pool is not None and _pool[0] == workers
+        if not reused:
+            if _pool is not None:
+                _pool[1].shutdown(wait=True)
+            _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+        try:
+            return list(_pool[1].map(_run_chunk, tasks, chunksize=chunksize))
+        except BrokenProcessPool:
+            _pool[1].shutdown(wait=True)
+            _pool = None
+            if not reused:
+                raise
+
+
 def run_ber(cfg: SimConfig, workers=None) -> SimResult:
     """BER over the SNR grid; bit-exact for fixed (cfg, seed).
 
@@ -504,7 +538,11 @@ def run_ber(cfg: SimConfig, workers=None) -> SimResult:
     processes, since a fork pool starts all of them up front; when that
     is 1 (or workers is None) the chunks run serially.  Chunks go out
     in batches of up to 4, but never so large that a worker is left
-    without one.
+    without one.  The pool is started by the first parallel call and
+    reused by later ones in the process; it is replaced when the worker
+    count changes or it is found broken, and its workers exit with the
+    interpreter.  They run the modules as forked, so a monkeypatch made
+    after the first parallel call does not reach them.
     """
     c = cfg.constellation
     m = len(c)
@@ -521,9 +559,8 @@ def run_ber(cfg: SimConfig, workers=None) -> SimResult:
                           pi, ci, n, labels))
     workers = min(workers or 1, len(tasks), _usable_cpus())
     if workers > 1:
-        chunksize = min(4, math.ceil(len(tasks) / workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            errs = list(pool.map(_run_chunk, tasks, chunksize=chunksize))
+        errs = _pool_map(tasks, workers,
+                         min(4, math.ceil(len(tasks) / workers)))
     else:
         errs = [_run_chunk(t) for t in tasks]
     per_point = {}

@@ -1,4 +1,10 @@
 import math
+import multiprocessing
+import os
+from pathlib import Path
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -186,18 +192,19 @@ def test_pool_is_capped_by_chunks_and_cpus(monkeypatch):
         """Stands in for ProcessPoolExecutor; maps in this process."""
 
         def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            self.max_workers = max_workers
 
         def map(self, fn, tasks, chunksize=1):
+            # per call, so a kept pool is counted by every call it serves
+            sizes.append(self.max_workers)
             batches.append(chunksize)
             return map(fn, tasks)
 
+        def shutdown(self, wait=True):
+            pass
+
+    # no real pool from an earlier test is used, and no stand-in is kept
+    monkeypatch.setattr(sim, "_pool", None)
     monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
     c = cs.make_qam(4, UNIT)
     one, three = (sim.SimConfig(constellation=c, r=R_ANALYTIC,
@@ -226,6 +233,91 @@ def test_pool_is_capped_by_chunks_and_cpus(monkeypatch):
     monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
     assert sim.run_ber(four, workers=2).points == sim.run_ber(four).points
     assert (sizes, batches) == ([2], [2])
+
+
+def _worker_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def _three_chunks(c, decoder="fast"):
+    return sim.SimConfig(constellation=c, r=R_ANALYTIC, decoder=decoder,
+                         snr_grid_db=(4.0, 8.0, 12.0),
+                         codewords_per_point=300, seed=11)
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No pool before the test or after it; two usable CPUs."""
+    def drop():
+        if sim._pool is not None:
+            sim._pool[1].shutdown(wait=True)
+            sim._pool = None
+
+    drop()
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    yield
+    drop()
+
+
+def test_pool_is_reused_across_calls(fresh_pool):
+    qam4, psk8 = cs.make_qam(4, UNIT), cs.make_psk(8, UNIT)
+    pids = []
+    for cfg in (_three_chunks(qam4), _three_chunks(psk8),
+                _three_chunks(qam4, "ml")):
+        assert sim.run_ber(cfg, workers=2).points == sim.run_ber(cfg).points
+        pids.append(_worker_pids())
+    assert len(pids[0]) == 2
+    assert pids == [pids[0]] * 3
+
+
+def test_pool_is_replaced_when_the_worker_count_changes(fresh_pool,
+                                                        monkeypatch):
+    cfg = _three_chunks(cs.make_qam(4, UNIT))
+    serial = sim.run_ber(cfg).points
+    assert sim.run_ber(cfg, workers=2).points == serial
+    old = multiprocessing.active_children()
+    assert len(old) == 2
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 3)
+    assert sim.run_ber(cfg, workers=3).points == serial
+    assert not any(p.is_alive() for p in old)
+    new = _worker_pids()
+    assert len(new) == 3 and not set(new) & {p.pid for p in old}
+
+
+def test_broken_pool_is_replaced(fresh_pool):
+    cfg = _three_chunks(cs.make_psk(8, UNIT))
+    serial = sim.run_ber(cfg).points
+    assert sim.run_ber(cfg, workers=2).points == serial
+    old = _worker_pids()
+    os.kill(old[0], signal.SIGKILL)  # an idle worker dies between calls
+    assert sim.run_ber(cfg, workers=2).points == serial
+    new = _worker_pids()
+    assert len(new) == 2 and not set(new) & set(old)
+
+
+def test_pool_workers_exit_with_the_interpreter():
+    code = (
+        "import multiprocessing\n"
+        "from fdstbc import constellations as cs, simulate as sim\n"
+        "from fdstbc.codes import DesignCoefficient\n"
+        "sim._usable_cpus = lambda: 2\n"
+        "cfg = sim.SimConfig(cs.make_qam(4, 'unit-average-power'),\n"
+        "                    DesignCoefficient(u=0.6, v=0.8), 'fast',\n"
+        "                    (0.0, 6.0), 100, 1)\n"
+        "sim.run_ber(cfg, workers=2)\n"
+        "print(*(p.pid for p in multiprocessing.active_children()))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(sim.__file__).parents[1]),
+                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(p) for p in proc.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_run_ber_ml_equals_fast():
