@@ -52,25 +52,59 @@ def _tol_keys(x) -> np.ndarray:
     return k.astype(np.int64)
 
 
+def _ranks(k):
+    """(dense rank of each value of k, number of distinct values)."""
+    s = np.sort(k)
+    distinct = np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
+    return distinct.searchsorted(k), distinct.size
+
+
+def _packed_key(ks) -> np.ndarray:
+    """One int64 per row that orders and compares rows as the tuple of
+    int64 columns ks, most significant first, does.
+
+    Each column packs as its offset from its least value times the spans
+    of the columns after it.  Where the spans' product would reach 2^62,
+    the columns packed so far give way to their dense ranks, and so does
+    the next column if it is still too wide; ranks stay below the row
+    count, so the product then fits.
+    """
+    key, span = None, 1
+    for k in ks:
+        lo = int(k.min())
+        width = int(k.max()) - lo + 1
+        if key is not None and span * width >= 2 ** 62:
+            key, span = _ranks(key)
+        if span * width >= 2 ** 62:
+            (k, width), lo = _ranks(k), 0
+        key = k - lo if key is None else key * width + (k - lo)
+        span *= width
+    return key
+
+
 def _first_of_runs(blocks, n_keys) -> list:
     """One row per distinct key tuple of a stream of column blocks.
 
     A block holds equal-length columns: n_keys keys, most significant
     first, compared by _tol_keys, then payload.  A key keeps its earliest
-    row in the stream; rows come back as columns sorted by key.  A block
-    is deduplicated on arrival and its survivors merge into the kept rows
-    once they outnumber them, so every split of the stream gives the same
-    rows, in about one block plus twice the output.
+    row in the stream; rows come back as columns sorted by key.  Each
+    block packs its key tuple into one int64 (_packed_key) and sorts it
+    once, unstably; the earliest row of each run of equal keys is then
+    the least position in the run, a min-reduce over the sort order.  A
+    block is deduplicated on arrival and its survivors merge into the
+    kept rows once they outnumber them.  Each key appears at most once
+    per part, and parts sit in stream order, so every split of the
+    stream gives the same rows, in about one block plus twice the output.
     """
     def dedup(cols):
-        ks = [_tol_keys(c) for c in cols[:n_keys]]
-        order = np.lexsort(ks[::-1])  # stable: the earliest row leads
-        keep = np.zeros(order.size, dtype=bool)
-        keep[:1] = True
-        for k in ks:
-            k = k[order]
-            keep[1:] |= k[1:] != k[:-1]
-        return [c[order[keep]] for c in cols]
+        if not len(cols[0]):
+            return list(cols)
+        key = _packed_key([_tol_keys(c) for c in cols[:n_keys]])
+        order = np.argsort(key)
+        key = key[order]
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        first = np.minimum.reduceat(order, starts)
+        return [c[first] for c in cols]
 
     def merged(parts):
         return parts[0] if len(parts) == 1 else dedup(

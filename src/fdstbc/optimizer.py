@@ -40,7 +40,7 @@ import numpy as np
 from .codes import DesignCoefficient
 from .constellations import (NORM_MIN_DIST, Constellation, _first_of_runs,
                              _tol_keys, constellation_by_id, difference_set)
-from .gain import GainReport, coding_gain, _projected_triples, _row_blocks
+from .gain import GainReport, coding_gain, _expand, _projected_triples
 
 SQRT2 = math.sqrt(2.0)
 _TIE_TOL = 1e-12
@@ -128,14 +128,23 @@ def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
     a, b, g = triples[:3]
     keys = _tol_keys(a - b)
     order = np.argsort(keys, kind="stable")
-    ks, starts = np.unique(keys[order], return_index=True)
-    groups = dict(zip(ks.tolist(), np.split(order, starts[1:])))
+    keys = keys[order]
+    start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    size = np.diff(np.r_[start, keys.size])
+    gk = keys[start]
+    # group pairs (k, -k), k >= 0 ascending, stream row-major, cut into
+    # blocks of about _BLOCK_PAIRS products across pairs: row n of the
+    # stream pairs triple row_at[n] with the cn[n] from col0[n] on
+    opp = np.minimum(gk.searchsorted(-gk), gk.size - 1)
+    paired = (gk >= 0) & (gk[opp] == -gk)
+    row_at = np.flatnonzero(np.repeat(paired, size))
+    col0, cn = (np.repeat(x[opp], size)[row_at] for x in (start, size))
+    a, g = a[order], g[order]
+    ra, rg = a[row_at], g[row_at]
 
     def products():
-        for k in sorted(groups):
-            if k >= 0 and -k in groups:
-                for i, j in _row_blocks(groups[k], groups[-k]):
-                    yield a[i] + a[j], g[i] + g[j]
+        for n, j in _expand(col0, cn):
+            yield ra[n] + a[j], rg[n] + g[j]
 
     A, E = _first_of_runs(products(), 2)
     ka = _tol_keys(A)
@@ -180,7 +189,9 @@ def _gaps(a, e, lam, glo, ghi):
     """
     left = np.r_[(e - lam) / a, -np.inf, ghi]
     right = np.r_[(e + lam) / a, glo, np.inf]
-    order = np.argsort(left, kind="stable")
+    # a gap opens only at a strict step left[k+1] > reach[k], and reach[k]
+    # spans every interval with left <= left[k]: ties may sort any way
+    order = np.argsort(left)
     left, reach = left[order], np.maximum.accumulate(right[order])
     open_ = left[1:] > reach[:-1]
     return reach[:-1][open_], left[1:][open_]

@@ -2,9 +2,10 @@
 
 The package keeps what its command line, the paper's claims and the
 benchmark run; the second codeword builder, the determinant split, the
-per-tuple case classifier, the equivalent-channel columns and the CSV
-reader the tests compare against live here.  Test modules import this
-file as ``oracles``: pytest puts ``tests/`` on ``sys.path``.
+per-tuple case classifier, the equivalent-channel columns, the CSV
+reader and the stable-sort dedup the tests compare against live here.
+Test modules import this file as ``oracles``: pytest puts ``tests/``
+on ``sys.path``.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from fdstbc.codes import DesignCoefficient, DifferenceTuple, build_codeword
+from fdstbc.constellations import _tol_keys
 from fdstbc.gain import CASE_TOL
 
 
@@ -132,3 +134,19 @@ def parse_csv(text: str):
         else:
             rows.append(line.split(","))
     return comments, header, rows
+
+
+def first_of_runs_oracle(cols, n_keys) -> list:
+    """One row per distinct key tuple of one block of columns, by a
+    stable lexsort: n_keys keys, most significant first, compared by
+    _tol_keys, then payload.  A key keeps its earliest row; rows come
+    back sorted by key, as fdstbc's streaming _first_of_runs gives them.
+    """
+    ks = [_tol_keys(c) for c in cols[:n_keys]]
+    order = np.lexsort(ks[::-1])  # stable: the earliest row leads
+    keep = np.zeros(order.size, dtype=bool)
+    keep[:1] = True
+    for k in ks:
+        k = k[order]
+        keep[1:] |= k[1:] != k[:-1]
+    return [c[order[keep]] for c in cols]

@@ -1,4 +1,8 @@
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from fdstbc import constellations as cs
 from fdstbc.gain import coding_gain
 from fdstbc.optimizer import analytic_integer_optimum
+
+import oracles
 
 UNIT = cs.NORM_UNIT_POWER
 MIND = cs.NORM_MIN_DIST
@@ -221,6 +227,70 @@ def test_streaming_dedup_keeps_the_earliest_row_of_each_key(data, n):
     assert [int(p) for p in whole[2]] == [first[k] for k in got]
     # the kept float is the earliest row's own, not another of its key
     assert np.array_equal(whole[1], k_flt[whole[2]])
+
+
+@st.composite
+def key_column(draw, n):
+    """n int64 or float keys from a few values, so keys repeat; floats
+    get planted near-duplicates well inside DEDUP_TOL.  Spans reach
+    2^61 and past 2^62, where the packed key must fall back to ranks."""
+    if draw(st.booleans()):
+        ints = (st.integers(-2 ** 63, 2 ** 63 - 1)
+                | st.integers(-2 ** 61, 2 ** 61) | st.integers(-3, 3))
+        pool = draw(st.lists(ints, min_size=1, max_size=4))
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=n,
+                                      max_size=n)), dtype=np.int64)
+    mag = draw(st.sampled_from([1.0, 1e3, 2e9, 9e9]))
+    pool = draw(st.lists(st.floats(-mag, mag), min_size=1, max_size=4))
+    base = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    jitter = draw(st.lists(st.floats(-0.2, 0.2), min_size=n, max_size=n))
+    return np.array(base) + np.array(jitter) * _TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 60), n_keys=st.integers(1, 3))
+def test_streaming_dedup_matches_the_stable_sort_oracle(data, n, n_keys):
+    draw = data.draw
+    keys = [draw(key_column(n)) for _ in range(n_keys)]
+    cols = keys + [np.arange(n)]
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=8)))
+    edges = [0] + cuts + [n]
+    splits = [list(zip(edges, edges[1:])),
+              # one row per block, an empty block after each
+              [(k, k + d) for k in range(n) for d in (1, 0)]]
+    want = oracles.first_of_runs_oracle(cols, n_keys)
+    for bounds in splits:
+        blocks = [[c[lo:hi] for c in cols] for lo, hi in bounds]
+        got = cs._first_of_runs(iter(blocks), n_keys)
+        for w, g in zip(want, got, strict=True):
+            assert w.dtype == g.dtype
+            assert np.array_equal(w, g)
+
+
+def test_difference_sets_do_not_import_numpy_ma():
+    # numpy.ma, which np.unique imports on first use, costs 10-20 ms:
+    # more than the difference sets a fresh process builds on start-up
+    code = (
+        "import sys\n"
+        "import fdstbc\n"
+        "from fdstbc import constellations as cs\n"
+        "ids = ['qam4', 'qam16', 'qam64', 'apsk8', 'apsk16', 'apsk8-grid',\n"
+        "       'apsk16-grid'] + [f'psk{m}' for m in range(2, 33)]\n"
+        "for ident in ids:\n"
+        "    for norm in cs.NORMALIZATIONS:\n"
+        "        try:\n"
+        "            c = cs.constellation_by_id(ident, norm)\n"
+        "        except ValueError:\n"
+        "            continue\n"
+        "        cs.difference_set(c)\n"
+        "assert 'numpy.ma' not in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cs.__file__).parents[1]),
+                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_grid_differences_are_integer_coordinates():

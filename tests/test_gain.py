@@ -413,6 +413,20 @@ def test_blockwise_triples_round_as_the_whole_product(monkeypatch, ident):
     assert whole[at].tobytes() == g.tobytes()
 
 
+def test_psk22_triples_match_the_stable_sort_oracle():
+    # the real stream: keys (|x|^2, |y|^2, g) over all of D x D, row-major
+    d = cs.difference_set(cs.constellation_by_id("psk22", UNIT))
+    n = d.size
+    i, j = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    sq = np.abs(d) ** 2
+    g = gain._dt(d[i], np.conj(d[j]), 16 * n * n >= 2 ** 18, sq.dtype)
+    want = oracles.first_of_runs_oracle((sq[i], sq[j], g, d[i], d[j]), 3)
+    got = gain._projected_triples(d)
+    for w, x in zip(want, got[:5], strict=True):
+        assert w.dtype == x.dtype
+        assert np.array_equal(w, x)
+
+
 def test_triple_expansion_memory_is_one_block():
     # psk33's |D|^2 = 1,117,249 pairs span more than four blocks; the
     # whole expansion at once peaked at 145 MiB

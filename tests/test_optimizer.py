@@ -11,6 +11,8 @@ from fdstbc import constellations as cs
 from fdstbc import gain
 from fdstbc import optimizer as opt
 
+import oracles
+
 UNIT = cs.NORM_UNIT_POWER
 MIND = cs.NORM_MIN_DIST
 
@@ -104,6 +106,38 @@ def test_case1_table_equals_brute_force_enumeration(ident, norm):
         # distinct rows, sorted by (A, dt), one per brute-force pair
         got = np.stack([key(tab.a), key(tab.e)], axis=1)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("block_pairs", (2 ** 10, 2 ** 14, 2 ** 18))
+def test_psk22_case1_products_match_the_stable_sort_oracle(monkeypatch,
+                                                           block_pairs):
+    # the real stream: products of opposite a - b key groups, group
+    # pairs by ascending key >= 0, each row-major
+    c = cs.constellation_by_id("psk22", UNIT)
+    a, b, g = gain._projected_triples(cs.difference_set(c))[:3]
+    keys = cs._tol_keys(a - b)
+    groups = {k: np.flatnonzero(keys == k) for k in set(keys.tolist())}
+    ij = [(rows.repeat(groups[-k].size), np.tile(groups[-k], rows.size))
+          for k, rows in sorted(groups.items()) if k >= 0 and -k in groups]
+    i, j = (np.concatenate(x) for x in zip(*ij))
+    stream = (a[i] + a[j], g[i] + g[j])
+    seen = []
+
+    def spy(blocks, n_keys):
+        blocks = list(blocks)
+        seen.append((blocks, cs._first_of_runs(iter(blocks), n_keys)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(gain, "_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(opt, "_first_of_runs", spy)
+    opt.build_case1_table(c)
+    (blocks, got), = seen
+    assert max(x[0].size for x in blocks) <= block_pairs
+    for w, x in zip(stream, zip(*blocks), strict=True):
+        assert np.array_equal(w, np.concatenate(x))
+    for w, x in zip(oracles.first_of_runs_oracle(stream, 2), got,
+                    strict=True):
+        assert np.array_equal(w, x)
 
 
 @functools.cache
