@@ -29,6 +29,7 @@ import math
 
 import numpy as np
 
+from .constellations import _ranks
 from .optimizer import build_case1_table
 
 
@@ -175,10 +176,12 @@ def _cross_term_failures(x, mod: int) -> int:
     on both quadruples mod `mod`, so rows are counted per residue class
     and one class pair stands for all mult_i * mult_j row pairs.
     """
-    r = x % mod
-    cls = ((r[:, 0] * mod + r[:, 1]) * mod + r[:, 2]) * mod + r[:, 3]
-    _, first, mult = np.unique(cls, return_index=True, return_counts=True)
-    r = r[first]
+    res = x % mod
+    cls = ((res[:, 0] * mod + res[:, 1]) * mod + res[:, 2]) * mod + res[:, 3]
+    rank, n = _ranks(cls)
+    mult = np.bincount(rank, minlength=n)
+    r = np.empty((n, 4), dtype=res.dtype)
+    r[rank] = res  # every row of a class carries the class's residues
     w = np.stack([r[:, 0] + r[:, 1], r[:, 1] - r[:, 0],
                   r[:, 2] + r[:, 3], r[:, 3] - r[:, 2]], axis=1)
     bad = ((r @ w.T) % mod != 0).astype(np.int64)

@@ -239,7 +239,8 @@ def optimize_step1(c: Constellation) -> OptimizationResult:
         den = np.concatenate([(A1 + A2).ravel(), (A1 - A2).ravel(), aw])
         ts.append(num[den != 0] / den[den != 0])
     ts = np.concatenate(ts)
-    ts = np.unique(ts[(ts >= -SQRT2) & (ts <= SQRT2)])
+    ts = np.sort(ts[(ts >= -SQRT2) & (ts <= SQRT2)])
+    ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
 
     fs = _f_at(a_all, e_all, ts)
     near = fs >= fs.max() - _TIE_TOL

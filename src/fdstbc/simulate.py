@@ -67,7 +67,7 @@ import time
 import numpy as np
 
 from .codes import DesignCoefficient, build_codeword
-from .constellations import Constellation, _tol_keys
+from .constellations import Constellation, _ranks, _tol_keys
 
 TX_SCALE = 1.0 / math.sqrt(2.0)
 CHUNK = 4096
@@ -237,7 +237,7 @@ def _lattice(pts: np.ndarray):
     axes = []
     for v in (pts.real, pts.imag):
         lo, hi = v.min(), v.max()
-        count = np.unique(_tol_keys(v)).size
+        count = _ranks(_tol_keys(v))[1]
         step = (hi - lo) / (count - 1) if count > 1 else 1.0
         k = np.rint((v - lo) / step).astype(np.intp)
         if np.abs(v - (lo + k * step)).max() > _GEOM_TOL * max(step, 1.0):

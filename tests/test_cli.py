@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import fdstbc
+from fdstbc import constellations as cs
 from fdstbc import optimizer as opt
 from fdstbc.cli import main
 
@@ -375,7 +376,7 @@ def test_gain_auto_runs_the_exact_sweep_once(capsys, monkeypatch):
     # simulate picks the analytic coefficient without any gain sweep, and
     # off the grid takes optimize's coefficient from step 1 alone
     for ident in ("qam16", "psk8", "apsk16"):
-        r = opt.optimize(fdstbc.constellation_by_id(ident))[0]
+        r = opt.optimize(cs.constellation_by_id(ident))[0]
         calls.clear()
         code, out, _ = run_cli(capsys, "simulate", "--constellation", ident,
                                "--r", "auto", "--snr", "0:1:0",
@@ -388,7 +389,7 @@ def test_gain_auto_runs_the_exact_sweep_once(capsys, monkeypatch):
 def test_simulate_auto_needs_no_certified_gain(capsys):
     # optimize psk32 at min-dist-1 refuses its step-1 / sweep mismatch,
     # but simulate only needs the coefficient
-    c = fdstbc.constellation_by_id("psk32", "min-dist-1")
+    c = cs.constellation_by_id("psk32", "min-dist-1")
     r = opt.optimize_step1(c).r_candidates[0]
     code, out, err = run_cli(capsys, "simulate", "--constellation", "psk32",
                              "--norm", "min-dist-1", "--r", "auto",

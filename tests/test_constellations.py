@@ -267,10 +267,22 @@ def test_streaming_dedup_matches_the_stable_sort_oracle(data, n, n_keys):
             assert np.array_equal(w, g)
 
 
+def run_fresh(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cs.__file__).parents[1]),
+                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_difference_sets_do_not_import_numpy_ma():
     # numpy.ma, which np.unique imports on first use, costs 10-20 ms:
-    # more than the difference sets a fresh process builds on start-up
-    code = (
+    # more than the difference sets a fresh process builds on start-up;
+    # nor does importing one module load the package's others or the
+    # process pool that simulate brings
+    run_fresh(
         "import sys\n"
         "import fdstbc\n"
         "from fdstbc import constellations as cs\n"
@@ -283,14 +295,28 @@ def test_difference_sets_do_not_import_numpy_ma():
         "        except ValueError:\n"
         "            continue\n"
         "        cs.difference_set(c)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "own = {m for m in sys.modules if m.split('.')[0] == 'fdstbc'}\n"
+        "assert own == {'fdstbc', 'fdstbc.constellations'}, own\n"
+        "pools = {m for m in sys.modules\n"
+        "         if m.split('.')[0] == 'multiprocessing'\n"
+        "         or m.startswith('concurrent.futures')}\n"
+        "assert not pools, pools\n")
+
+
+def test_cli_requests_do_not_import_numpy_ma():
+    # one-shot requests through step 1 off the grid, simulate's lattice
+    # slicer and the lemma sweeps' residue classes stay clear of numpy.ma
+    run_fresh(
+        "import contextlib, io, sys\n"
+        "from fdstbc import cli\n"
+        "for argv in (['optimize', '--constellation', 'psk8'],\n"
+        "             ['simulate', '--constellation', 'qam16',\n"
+        "              '--snr', '0:1:0', '--codewords', '16'],\n"
+        "             ['lemmas', '--sweep', 'small']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
         "assert 'numpy.ma' not in sys.modules\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(cs.__file__).parents[1]),
-                      env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_grid_differences_are_integer_coordinates():

@@ -12,7 +12,8 @@ only read perfbench/.  One more guard keeps the package numpy-only, one
 runs the benchmark's own answer checks on the `design` requests, and one
 holds each of those requests to a traced-memory budget.  Two more keep
 the package to what the command line, the paper's claims and the
-benchmark run: code only the tests call lives in tests/oracles.py.
+benchmark run: the package exports its modules, not names, and code
+only the tests call lives in tests/oracles.py.
 """
 
 import ast
@@ -132,19 +133,9 @@ def test_package_imports_only_the_standard_library_and_numpy():
     assert {"numpy", "codes", "math"} <= seen
 
 
-EXPORTS = {
-    "CaseOneInvariantTable", "Constellation", "DesignCoefficient",
-    "DifferenceTuple", "GainReport", "NORMALIZATIONS",
-    "OptimizationResult", "Optimum", "SimConfig", "SimPoint", "SimResult",
-    "analytic_integer_optimum", "build_case1_table", "build_codeword",
-    "coding_gain", "coding_gain_scaled", "constellation_by_id",
-    "difference_set", "diversity_slope", "euler_four_square", "fast_decode",
-    "golden_coding_gain", "make_apsk16_dvbs2", "make_apsk8_conventional",
-    "make_apsk_grid", "make_psk", "make_qam",
-    "ml_decode_exhaustive", "optimize", "optimize_step1", "run_ber",
-    "run_sweeps", "transmit", "vanishing_probe", "verify_lemma1_bound",
-    "verify_step2",
-}
+# the package exports its modules, not names: `import fdstbc` defines
+# only __version__, and a caller imports the modules it uses
+EXPORTS = set()
 
 # the claim analyses that only tests call today: acceptance tests 9
 # (vanishing_probe), 10 (diversity_slope) and 11 (coding_gain_scaled),
