@@ -19,6 +19,7 @@ CSV bytes are identical across worker counts.
 
 import argparse
 from dataclasses import astuple
+import functools
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from . import constellations as cs
 from . import number_theory as nt
 from . import optimizer as opt
 from .codes import DesignCoefficient
-from .gain import coding_gain, golden_coding_gain
+from .gain import coding_gain, exhaustive_guard, golden_coding_gain
 from .simulate import SimConfig, run_ber
 
 
@@ -154,6 +155,8 @@ def cmd_constellation(ns):
 def cmd_gain(ns):
     c = cs.constellation_by_id(ns.constellation, ns.norm)
     method = None if ns.method == "auto" else ns.method
+    if method == "exhaustive":
+        exhaustive_guard(c)  # before --r auto runs step 1
     if ns.r == "auto" and method is None:
         # optimize already reports the gain of r under the default method
         r, rep, _ = opt.optimize(c)
@@ -308,7 +311,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args keeps no state."""
     top = _Parser(prog="fdstbc", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
     unit = cs.NORM_UNIT_POWER
@@ -379,12 +384,18 @@ def _config_flags(path) -> list:
             for k, v in cfg.items()]
 
 
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    """The pre-parser that finds --config anywhere in argv."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        pre = _Parser(add_help=False)
-        pre.add_argument("--config")
-        path = pre.parse_known_args(argv)[0].config
+        path = _config_parser().parse_known_args(argv)[0].config
         if path is not None:
             # after the subcommand, before every explicit flag: flags win
             argv[1:1] = _config_flags(path)

@@ -102,7 +102,8 @@ def _first_of_runs(blocks, n_keys) -> list:
         key = _packed_key([_tol_keys(c) for c in cols[:n_keys]])
         order = np.argsort(key)
         key = key[order]
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        starts = np.flatnonzero(
+            np.concatenate(([True], key[1:] != key[:-1])))
         first = np.minimum.reduceat(order, starts)
         return [c[first] for c in cols]
 

@@ -4,9 +4,11 @@ The gain of the code is min |det(dX)|^2 over all nonzero difference
 tuples (ds1, ds2, ds3, ds4) in D^4, D the symbol difference set.  Two
 routes are implemented and must agree:
 
-* ``exhaustive``   walks all |D|^4 tuples through the plain determinant
+* ``exhaustive``   covers all |D|^4 tuples through the plain determinant
   of the difference codeword, det = F(ds1, ds3) + F(ds2, ds4) with
-  F(x, y) = (x + r*y) * (-j*conj(r)*conj(x) + conj(y)); pure oracle.
+  F(x, y) = (x + r*y) * (-j*conj(r)*conj(x) + conj(y)) over D x D; it
+  uses no reduction of det.  Equal terms (F, |x|^2, |y|^2) give equal
+  values, so it scores each pair of distinct terms once.
 
 * ``aggregated``   notes that with r = u + j*v on the unit circle and
   t = u - v,
@@ -26,8 +28,13 @@ Every route lists index pairs i <= j in blocks to one fold, _least,
 which keeps each case's minimum and every pair in the tie band, so the
 tie set and the reported argmin do not depend on the blocking; the
 route's score gives each pair's value and case and runs its floor
-check.  The exhaustive route lists all pairs in row blocks of about
-_TILE_PAIRS pairs, masking only each block's leading triangle.
+check.  The exhaustive route lists all pairs of distinct terms in row
+blocks of about _TILE_PAIRS pairs, masking only each block's leading
+triangle.  A pair's A - B, and with it its case and floor threshold,
+depends only on its two exact (|x|^2, |y|^2) classes, so these come
+from L x L class tables; each tied pair of terms then expands to every
+index pair i <= j of its members' (x, y), as a sweep of all |D|^2
+terms would list them.
 
 Both aggregated routes list, through one kernel _pair_window, only the
 pairs of triples that can reach a minimum, its tie band or the floor
@@ -89,6 +96,15 @@ def _row_blocks(rows, cols):
         yield r.repeat(cols.size), np.tile(cols, r.size)
 
 
+def _runs(cols):
+    """Start of each run of equal rows in sorted columns."""
+    new = np.zeros(cols[0].size, dtype=bool)
+    new[0] = True
+    for x in cols:
+        new[1:] |= x[1:] != x[:-1]
+    return np.flatnonzero(new)
+
+
 def _projected_triples(dvals: np.ndarray, scale_sq=None):
     """Dedup (a, b, g) with g = Im(x*conj(y)) - Re(x*conj(y)).
 
@@ -145,12 +161,23 @@ def _dt(x, cy, swap, dtype):
     return (cc.imag - cc.real).astype(dtype, copy=False)
 
 
-def _sweep_upper(n, zero_idx, tile, *, bound_coef):
-    """_least over every pair (i, j), i <= j, but the zero pair, in row
-    blocks against the columns from their first row on.  tile(rows,
-    cols) gives (val, A - B) on two slices, val the float |det|^2.
-    Returns (case1_min, case2_min, bound_min, ii, jj)."""
-    bound_min = np.inf
+def _sweep_terms(fr, fi, cls, am_b, *, bound_coef):
+    """_least over every pair p <= q of distinct terms but the zero
+    term's (0, 0), in row blocks of about _TILE_PAIRS pairs against the
+    columns from their first row on, each scored (fr_p + fr_q)^2 +
+    (fi_p + fi_q)^2: det.real^2 + det.imag^2 of det = F_p + F_q.
+
+    cls gives each term's (a, b) class and am_b[P, Q] the pair's A - B,
+    so the case, the floor check's threshold and the least case-II floor
+    come from L x L tables.  Returns (case1_min, case2_min, bound_min,
+    pp, qq).
+    """
+    n, nc = fr.size, am_b.shape[0]
+    case1 = np.abs(am_b) <= CASE_TOL
+    bnd = am_b ** 2 * bound_coef
+    bound_min = float(np.where(case1, np.inf, bnd).min())
+    thr = np.where(case1, -np.inf, bnd - 1e-9 * np.maximum(bnd, 1.0)).ravel()
+    case1 = case1.ravel()
 
     def blocks():
         i0 = 0
@@ -160,20 +187,20 @@ def _sweep_upper(n, zero_idx, tile, *, bound_coef):
             i0 = i1
 
     def score(i, j):
-        nonlocal bound_min
         i0, rows = int(j[0]), i.shape[0]
-        val, am_b = tile(slice(i0, i0 + rows), slice(i0, n))
+        p, q = slice(i0, i0 + rows), slice(i0, n)
+        val = (fr[p, None] + fr[None, q]) ** 2 \
+            + (fi[p, None] + fi[None, q]) ** 2
         val[:, :rows][np.tri(rows, k=-1, dtype=bool)] = np.inf
-        if 0 <= zero_idx - i0 < rows:
-            val[zero_idx - i0, zero_idx - i0] = np.inf
-        case1 = np.abs(am_b) <= CASE_TOL
-        # a masked (j, i) has the A - B of its (i, j), listed unmasked
-        bnd = _floor_check(val, am_b, case1, bound_coef)
-        bound_min = min(bound_min, float(np.where(case1, np.inf, bnd).min()))
-        return val, case1
+        if i0 == 0:
+            val[0, 0] = np.inf
+        k = cls[p, None] * nc + cls[None, q]
+        if (val < thr[k]).any():
+            raise RuntimeError(_FLOOR_MSG)
+        return val, case1[k]
 
-    c1, c2, ii, jj = _least(blocks(), score, _tie_limit)
-    return c1, c2, bound_min, ii, jj
+    c1, c2, pp, qq = _least(blocks(), score, _tie_limit)
+    return c1, c2, bound_min, pp, qq
 
 
 def _floor_check(val, am_b, case1, bound_coef):
@@ -291,7 +318,7 @@ def _pair_window(s, w, key, zero_idx, *, reach, pad, half, score, tie):
     lim = tie(max(z1, z2))
     order = np.lexsort((w, key))
     key, s, w = key[order], s[order], w[order]
-    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    start = _runs([key])
     size = np.diff(np.append(start, n))
     smin, smax = np.minimum.reduceat(s, start), np.maximum.reduceat(s, start)
     wo = np.sort(w)
@@ -331,7 +358,7 @@ def _bound_min(a, b, pad, bound_coef):
     rs = a - b
     o = np.lexsort((b, rs))
     a, b, rs = a[o], b[o], rs[o]
-    new = np.concatenate(([True], (rs[1:] != rs[:-1]) | (b[1:] != b[:-1])))
+    new = _runs([rs, b])
     a, b, rs = a[new], b[new], rs[new]
     edge = (rs.searchsorted(CASE_TOL + 2 * pad - rs),
             rs.searchsorted(-CASE_TOL - 2 * pad - rs, "right") - 1)
@@ -354,7 +381,7 @@ def _search_pairs(a, b, g, zero_idx, p, q, *, bound_coef):
 
     a, b, g are int64 triples and t = p/q; c = 2q^2 - p^2, and S, W are
     the pair sums of s = a - b and w = 2q*g - p*(a + b).  Returns
-    (case1_min, case2_min, bound_min, ii, jj) like _sweep_upper, with
+    (case1_min, case2_min, bound_min, ii, jj) like _window_pairs, with
     int minima and (ii, jj), ii <= jj, exactly the pairs equal to the
     minimum.  It is _pair_window with no padding: each group is one
     exact s, and at each sum S it scores W^2 <= 2*lim - c*S^2 and the
@@ -455,31 +482,53 @@ def _aggregated_gain(c: Constellation, r: DesignCoefficient,
                       method="aggregated")
 
 
-def _exhaustive_gain(c: Constellation, r: DesignCoefficient) -> GainReport:
+def exhaustive_guard(c: Constellation) -> np.ndarray:
+    """c's difference set D; ValueError if the |D|^4 tuples of the
+    exhaustive route exceed EXHAUSTIVE_LIMIT."""
     dvals = difference_set(c)
-    nd = dvals.size
-    if float(nd) ** 4 > EXHAUSTIVE_LIMIT:
+    if float(dvals.size) ** 4 > EXHAUSTIVE_LIMIT:
         raise ValueError(
-            f"|D|^4 = {float(nd) ** 4:.3g} exceeds the exhaustive-search "
-            f"guard ({EXHAUSTIVE_LIMIT:.0e}); the aggregated method has no "
-            "such guard")
+            f"|D|^4 = {float(dvals.size) ** 4:.3g} exceeds the "
+            f"exhaustive-search guard ({EXHAUSTIVE_LIMIT:.0e}); the "
+            "aggregated method has no such guard")
+    return dvals
+
+
+def _exhaustive_gain(c: Constellation, r: DesignCoefficient) -> GainReport:
+    dvals = exhaustive_guard(c)
+    nd = dvals.size
     x = np.repeat(dvals, nd)
     y = np.tile(dvals, nd)
     rr = r.r
     F = (x + rr * y) * (-1j * np.conj(rr) * np.conj(x) + np.conj(y))
     a = np.abs(x) ** 2
     b = np.abs(y) ** 2
-    zero = int(np.flatnonzero((x == 0) & (y == 0))[0])
-
-    def tile(rows, cols):
-        det = F[rows, None] + F[None, cols]
-        val = det.real ** 2 + det.imag ** 2
-        return val, (a[rows, None] + a[None, cols]) \
-            - (b[rows, None] + b[None, cols])
-
-    c1, c2, bmin, ii, jj = _sweep_upper(F.size, zero, tile,
+    # distinct terms (a, b, F) by exact value, sorted: equal terms give
+    # equal pair values, so each pair of terms is scored once.  -0.0 and
+    # 0.0 merge, which no square of a sum of F parts can tell apart.
+    order = np.lexsort((F.imag, F.real, b, a))  # stable: members ascend
+    cols = [v[order] for v in (a, b, F.real, F.imag)]
+    first = _runs(cols)
+    count = np.diff(np.append(first, F.size))
+    ta, tb, fr, fi = (v[first] for v in cols)
+    # (a, b) classes: A - B of a pair of terms is the classes' A - B
+    cfirst = _runs([ta, tb])
+    cls = cfirst.searchsorted(np.arange(ta.size), "right") - 1
+    ca, cb = ta[cfirst], tb[cfirst]
+    am_b = (ca[:, None] + ca[None, :]) - (cb[:, None] + cb[None, :])
+    # term 0 is the zero term, the only one with a = b = 0: a nonzero
+    # difference's |x|^2 is at least about 1e-18 on the 1e-9 key grid
+    c1, c2, bmin, pp, qq = _sweep_terms(fr, fi, cls, am_b,
                                         bound_coef=(r.u + r.v) ** 2 / 2.0)
-    tup, case = _argmin_tuple(ii, jj, x, y, a, b)
+    # every index pair i <= j of the tied terms' members, in index order
+    k, m = map(np.concatenate, zip(*_expand(np.zeros_like(pp),
+                                            count[pp] * count[qq])))
+    cq = count[qq[k]]
+    i, j = order[first[pp[k]] + m // cq], order[first[qq[k]] + m % cq]
+    keep = (pp[k] != qq[k]) | (i <= j)
+    ii, jj = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
+    s = np.lexsort((jj, ii))
+    tup, case = _argmin_tuple(ii[s], jj[s], x, y, a, b)
     return GainReport(gain=float(min(c1, c2)), argmin=tup,
                       case_of_argmin=case, case1_min=float(c1),
                       case2_min=float(c2), case2_bound_min=bmin,

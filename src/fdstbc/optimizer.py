@@ -170,7 +170,8 @@ def _f_at(a, e, ts) -> np.ndarray:
     e = np.asarray(e, dtype=np.float64)
     ts = np.asarray(ts, dtype=np.float64)
     f = np.full(ts.shape, np.inf)
-    bounds = np.flatnonzero(np.r_[True, a[1:] != a[:-1], True])
+    bounds = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1],
+                                            [True])))
     for s, stop in zip(bounds[:-1], bounds[1:]):
         es = e[s:stop]
         x = a[s] * ts
@@ -187,8 +188,8 @@ def _gaps(a, e, lam, glo, ghi):
     Rows and the space between old gaps rule out intervals; one sort by
     left end and a running maximum of right ends leave the new gaps.
     """
-    left = np.r_[(e - lam) / a, -np.inf, ghi]
-    right = np.r_[(e + lam) / a, glo, np.inf]
+    left = np.concatenate(((e - lam) / a, [-np.inf], ghi))
+    right = np.concatenate(((e + lam) / a, glo, [np.inf]))
     # a gap opens only at a strict step left[k+1] > reach[k], and reach[k]
     # spans every interval with left <= left[k]: ties may sort any way
     order = np.argsort(left)

@@ -3,7 +3,8 @@
 The package keeps what its command line, the paper's claims and the
 benchmark run; the second codeword builder, the determinant split, the
 per-tuple case classifier, the equivalent-channel columns, the CSV
-reader and the stable-sort dedup the tests compare against live here.
+reader, the stable-sort dedup and the dense exhaustive gain sweep the
+tests compare against live here.
 Test modules import this file as ``oracles``: pytest puts ``tests/``
 on ``sys.path``.
 """
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 
+from fdstbc import gain
 from fdstbc.codes import DesignCoefficient, DifferenceTuple, build_codeword
 from fdstbc.constellations import _tol_keys
 from fdstbc.gain import CASE_TOL
@@ -150,3 +152,64 @@ def first_of_runs_oracle(cols, n_keys) -> list:
         k = k[order]
         keep[1:] |= k[1:] != k[:-1]
     return [c[order[keep]] for c in cols]
+
+
+def sweep_upper(n, zero_idx, tile, *, bound_coef):
+    """gain._least over every pair (i, j), i <= j, but the zero pair, in
+    row blocks of about gain._TILE_PAIRS pairs against the columns from
+    their first row on.  tile(rows, cols) gives (val, A - B) on two
+    slices, val the float |det|^2.  Returns (case1_min, case2_min,
+    bound_min, ii, jj)."""
+    bound_min = np.inf
+
+    def blocks():
+        i0 = 0
+        while i0 < n:
+            i1 = min(n, i0 + max(1, gain._TILE_PAIRS // (n - i0)))
+            yield np.arange(i0, i1)[:, None], np.arange(i0, n)
+            i0 = i1
+
+    def score(i, j):
+        nonlocal bound_min
+        i0, rows = int(j[0]), i.shape[0]
+        val, am_b = tile(slice(i0, i0 + rows), slice(i0, n))
+        val[:, :rows][np.tri(rows, k=-1, dtype=bool)] = np.inf
+        if 0 <= zero_idx - i0 < rows:
+            val[zero_idx - i0, zero_idx - i0] = np.inf
+        case1 = np.abs(am_b) <= CASE_TOL
+        # a masked (j, i) has the A - B of its (i, j), listed unmasked
+        bnd = gain._floor_check(val, am_b, case1, bound_coef)
+        bound_min = min(bound_min, float(np.where(case1, np.inf, bnd).min()))
+        return val, case1
+
+    c1, c2, ii, jj = gain._least(blocks(), score, gain._tie_limit)
+    return c1, c2, bound_min, ii, jj
+
+
+def exhaustive_gain_oracle(c, r) -> "gain.GainReport":
+    """gain's exhaustive route as a dense sweep: every pair of the |D|^2
+    terms F(x, y), x = repeat(D) and y = tile(D), through sweep_upper,
+    with no deduplication of equal terms."""
+    dvals = gain.exhaustive_guard(c)
+    nd = dvals.size
+    x = np.repeat(dvals, nd)
+    y = np.tile(dvals, nd)
+    rr = r.r
+    F = (x + rr * y) * (-1j * np.conj(rr) * np.conj(x) + np.conj(y))
+    a = np.abs(x) ** 2
+    b = np.abs(y) ** 2
+    zero = int(np.flatnonzero((x == 0) & (y == 0))[0])
+
+    def tile(rows, cols):
+        det = F[rows, None] + F[None, cols]
+        val = det.real ** 2 + det.imag ** 2
+        return val, (a[rows, None] + a[None, cols]) \
+            - (b[rows, None] + b[None, cols])
+
+    c1, c2, bmin, ii, jj = sweep_upper(F.size, zero, tile,
+                                       bound_coef=(r.u + r.v) ** 2 / 2.0)
+    tup, case = gain._argmin_tuple(ii, jj, x, y, a, b)
+    return gain.GainReport(gain=float(min(c1, c2)), argmin=tup,
+                           case_of_argmin=case, case1_min=float(c1),
+                           case2_min=float(c2), case2_bound_min=bmin,
+                           method="exhaustive")

@@ -345,6 +345,45 @@ def test_malformed_input_one_line_error(capsys, monkeypatch, tmp_path, argv,
     assert "Traceback" not in err
 
 
+def test_exhaustive_guard_fires_before_r_auto_runs_step_1(capsys,
+                                                         monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("--r auto ran step 1 before the guard")
+    monkeypatch.setattr(opt, "optimize_step1", refuse)
+    code, out, err = run_cli(capsys, "gain", "--constellation", "psk64",
+                             "--method", "exhaustive")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exhaustive-search guard" in err
+
+
+def test_one_parser_per_process_keeps_no_value_between_calls(
+        capsys, monkeypatch, tmp_path):
+    from fdstbc import cli
+
+    monkeypatch.delenv("FDSTBC_WORKERS", raising=False)
+    cfg = tmp_path / "gain.json"
+    cfg.write_text(json.dumps({"constellation": "qam4", "r": "1,0",
+                               "emit": "csv"}))
+    sim = ("simulate", "--constellation", "qam4", "--snr", "0:3:3",
+           "--codewords", "8")
+    calls = [sim + ("--workers", "2"), sim,
+             ("optimize", "--constellation", "psk8"),
+             ("gain", "--config", str(cfg), "--emit", "report")]
+    assert cli._build_parser() is cli._build_parser()
+    cached = [run_cli(capsys, *argv) for argv in calls]
+    # the second simulate runs serially: --workers 2 did not stay behind
+    assert cli._build_parser().parse_args(sim).workers is None
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    monkeypatch.setattr(cli, "_config_parser",
+                        cli._config_parser.__wrapped__)
+    fresh = [run_cli(capsys, *argv) for argv in calls]
+    assert cached == fresh
+    assert all(code == 0 for code, _, _ in cached)
+    assert "method = exhaustive" in cached[3][1]
+
+
 def test_gain_auto_runs_the_exact_sweep_once(capsys, monkeypatch):
     from fdstbc import cli, optimizer
 

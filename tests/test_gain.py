@@ -2,6 +2,7 @@ from dataclasses import dataclass
 import functools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 import tracemalloc
 
 import numpy as np
@@ -326,6 +327,88 @@ def test_exhaustive_report_and_ties_do_not_depend_on_row_blocks(
     assert ties[0] == ties[1] == ties[2]
 
 
+def exhaustive_and_oracle(c, r):
+    """(report, tie list) of the exhaustive route and of the dense
+    oracles.exhaustive_gain_oracle, or the message of the RuntimeError
+    each raised; a tie list is the (ii, jj) handed to _argmin_tuple, in
+    its order."""
+    pick, out = gain._argmin_tuple, []
+    for run in (functools.partial(gain.coding_gain, method="exhaustive"),
+                oracles.exhaustive_gain_oracle):
+        ties = []
+
+        def spy(ii, jj, *args):
+            ties.append(list(zip(ii.tolist(), jj.tolist())))
+            return pick(ii, jj, *args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gain, "_argmin_tuple", spy)
+            try:
+                out.append((run(c, r), ties))
+            except RuntimeError as exc:
+                out.append(str(exc))
+    return out
+
+
+def _step1_r(c):
+    if c.integer_grid:
+        return R_GRID
+    return opt.optimize_step1(c).r_candidates[0]
+
+
+@pytest.mark.parametrize("ident,norm", [
+    (ident, norm)
+    for ident in ["qam4", "apsk8", "apsk8-grid"]
+    + [f"psk{m}" for m in range(2, 9)]
+    for norm in cs.NORMALIZATIONS
+    if norm != cs.NORM_INTEGER or ident in ("qam4", "psk2", "psk4",
+                                             "apsk8-grid")])
+def test_exhaustive_route_equals_the_dense_sweep_on_presets(ident, norm):
+    c = cs.constellation_by_id(ident, norm)
+    for r in (_step1_r(c), R8):
+        got, want = exhaustive_and_oracle(c, r)
+        assert not isinstance(want, str)
+        assert got == want
+
+
+def test_exhaustive_route_equals_the_dense_sweep_at_u_equal_v():
+    # the gain is 0 and 320 pairs tie for it, across repeated terms
+    s = 1 / math.sqrt(2)
+    c = cs.constellation_by_id("qam4", UNIT)
+    got, want = exhaustive_and_oracle(c, codes.DesignCoefficient(u=s, v=s))
+    assert want[0].gain == 0.0 and len(want[1][0]) == 320
+    assert got == want
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 8),
+       shape=st.sampled_from(("free", "symmetric", "grid")),
+       scale=st.sampled_from((1e-3, 1.0, 1e3)),
+       angle=st.floats(0.0, 2.0 * math.pi),
+       nudge=st.sampled_from((0.0, 0.0, 1e-6, 1e-3)))
+def test_exhaustive_route_equals_the_dense_sweep_on_random_constellations(
+        seed, m, shape, scale, angle, nudge):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=m) + 1j * rng.normal(size=m)
+    if shape != "free":
+        # closed under negation, so F(-x, -y) = F(x, y) repeats terms;
+        # on the half-integer grid, many |x|^2 and F values repeat
+        pts = np.concatenate((pts[:(m + 1) // 2], -pts[:m // 2]))
+    if shape == "grid":
+        pts = np.round(2.0 * pts) / 2.0
+        pts = np.unique(pts)
+        assume(pts.size >= 2)
+    c = cs.Constellation(name="random", points=pts * scale,
+                         normalization="scaled")
+    r = codes.DesignCoefficient(u=math.cos(angle), v=math.sin(angle))
+    # a raised floor coefficient (u + v)^2/2 makes some pairs fail the
+    # case-II check: both raise, or neither does and they agree bit for bit
+    k = 1.0 + nudge
+    got, want = exhaustive_and_oracle(
+        c, SimpleNamespace(r=r.r, u=r.u * k, v=r.v * k))
+    assert got == want
+
+
 
 def test_exact_sweep_overflow_guard():
     c = cs.constellation_by_id("qam64", MIND)
@@ -636,8 +719,8 @@ def test_search_equals_int_sweep_on_random_gaussian_integers(coords, t,
 @pytest.mark.parametrize("ident", ("qam16", "qam64", "apsk16-grid"))
 def test_exact_path_never_enters_the_tiled_sweep(monkeypatch, ident):
     def refuse(*args, **kwargs):
-        raise AssertionError("the exact path swept pairs")
-    monkeypatch.setattr(gain, "_sweep_upper", refuse)
+        raise AssertionError("the exact path took the exhaustive route")
+    monkeypatch.setattr(gain, "_exhaustive_gain", refuse)
     for norm in (UNIT, MIND):
         c = cs.constellation_by_id(ident, norm)
         assert gain.coding_gain(c, R_GRID).gain_exact is not None
@@ -738,7 +821,7 @@ def test_differences_below_the_key_grid_raise_a_value_error():
 def float_sweep_oracle(a, b, g, zero_idx, *, t, bound_coef):
     """The float aggregated route's former search, kept as the reference
     for gain._window_pairs: every pair i <= j of triples, tile by tile
-    through gain._sweep_upper, scored by the expanded form with the
+    through oracles.sweep_upper, scored by the expanded form with the
     case-II floor checked on each pair."""
     k2, k4 = 2.0 * t * t, 2.0 * t
 
@@ -751,7 +834,8 @@ def float_sweep_oracle(a, b, g, zero_idx, *, t, bound_coef):
             - k4 * ((A + B) * D)
         return val, am_b
 
-    return gain._sweep_upper(a.size, zero_idx, tile, bound_coef=bound_coef)
+    return oracles.sweep_upper(a.size, zero_idx, tile,
+                               bound_coef=bound_coef)
 
 
 def window_and_oracle(trip, t, bound_coef):
@@ -831,8 +915,9 @@ def test_window_search_equals_float_sweep_on_presets(make, args):
 @pytest.mark.parametrize("ident", ("psk16", "psk22", "apsk16"))
 def test_float_route_never_enters_the_tiled_sweep(monkeypatch, ident):
     def refuse(*args, **kwargs):
-        raise AssertionError("the float aggregated route swept pairs")
-    monkeypatch.setattr(gain, "_sweep_upper", refuse)
+        raise AssertionError(
+            "the float aggregated route took the exhaustive route")
+    monkeypatch.setattr(gain, "_exhaustive_gain", refuse)
     for norm in (UNIT, MIND):
         c = cs.constellation_by_id(ident, norm)
         r = optimize(c)[0]
