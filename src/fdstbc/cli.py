@@ -275,16 +275,16 @@ def cmd_simulate(ns):
     res = run_ber(sim_cfg, workers=ns.workers or _env_workers())
     lines = _echo([("constellation", c.name), ("norm", c.normalization),
                    ("u", _fmt(r.u)), ("v", _fmt(r.v)),
-                   ("decoder", res.decoder), ("snr", ns.snr),
+                   ("decoder", sim_cfg.decoder), ("snr", ns.snr),
                    ("codewords", sim_cfg.codewords_per_point),
-                   ("seed", res.seed)])
+                   ("seed", sim_cfg.seed)])
     if ns.emit == "csv":
         lines.append("snr_db,codewords,bits,bit_errors,ber,decoder,seed")
         for p in res.points:
             lines.append(",".join([
                 _fmt(p.snr_db), str(p.codewords), str(p.bits),
-                str(p.bit_errors), _fmt(p.ber), res.decoder,
-                str(res.seed)]))
+                str(p.bit_errors), _fmt(p.ber), sim_cfg.decoder,
+                str(sim_cfg.seed)]))
     else:
         for p in res.points:
             lines.append(f"snr={_fmt(p.snr_db)} ber={_fmt(p.ber)} "

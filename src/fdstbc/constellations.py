@@ -52,10 +52,19 @@ def _tol_keys(x) -> np.ndarray:
     return k.astype(np.int64)
 
 
+def _runs(cols):
+    """Start of each run of equal rows in sorted columns."""
+    new = np.zeros(cols[0].size, dtype=bool)
+    new[:1] = True
+    for x in cols:
+        new[1:] |= x[1:] != x[:-1]
+    return np.flatnonzero(new)
+
+
 def _ranks(k):
     """(dense rank of each value of k, number of distinct values)."""
     s = np.sort(k)
-    distinct = np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
+    distinct = s[_runs([s])]
     return distinct.searchsorted(k), distinct.size
 
 
@@ -101,10 +110,7 @@ def _first_of_runs(blocks, n_keys) -> list:
             return list(cols)
         key = _packed_key([_tol_keys(c) for c in cols[:n_keys]])
         order = np.argsort(key)
-        key = key[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], key[1:] != key[:-1])))
-        first = np.minimum.reduceat(order, starts)
+        first = np.minimum.reduceat(order, _runs([key[order]]))
         return [c[first] for c in cols]
 
     def merged(parts):

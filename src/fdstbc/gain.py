@@ -57,7 +57,7 @@ import math
 import numpy as np
 
 from .codes import DesignCoefficient, DifferenceTuple
-from .constellations import (Constellation, _first_of_runs, _ranks,
+from .constellations import (Constellation, _first_of_runs, _ranks, _runs,
                              _tol_keys, difference_set)
 
 CASE_TOL = 1e-9  # |A - B| at or below it is case I
@@ -87,6 +87,7 @@ class GainReport:
     gain_exact: Fraction | None = None
 
 
+# repeat/tile: _expand's searchsorted made psk22-28 triples 1.4-1.5x slower
 def _row_blocks(rows, cols):
     """(rows[i], cols[j]) over rows x cols in row-major order, in blocks
     of about _BLOCK_PAIRS pairs."""
@@ -94,15 +95,6 @@ def _row_blocks(rows, cols):
     for i0 in range(0, rows.size, step):
         r = rows[i0:i0 + step]
         yield r.repeat(cols.size), np.tile(cols, r.size)
-
-
-def _runs(cols):
-    """Start of each run of equal rows in sorted columns."""
-    new = np.zeros(cols[0].size, dtype=bool)
-    new[0] = True
-    for x in cols:
-        new[1:] |= x[1:] != x[:-1]
-    return np.flatnonzero(new)
 
 
 def _projected_triples(dvals: np.ndarray, scale_sq=None):
@@ -452,34 +444,33 @@ def _argmin_tuple(ii, jj, wx, wy, a, b):
     return tup, case
 
 
+def _report(c1, c2, bmin, ii, jj, wx, wy, a, b, method, gain_exact=None):
+    """A route's GainReport from its case minima, least case-II floor
+    and tie list (ii, jj), whose argmin _argmin_tuple picks."""
+    tup, case = _argmin_tuple(ii, jj, wx, wy, a, b)
+    return GainReport(gain=float(min(c1, c2)), argmin=tup,
+                      case_of_argmin=case, case1_min=float(c1),
+                      case2_min=float(c2), case2_bound_min=bmin,
+                      method=method, gain_exact=gain_exact)
+
+
 def _aggregated_gain(c: Constellation, r: DesignCoefficient,
                      triples=None) -> GainReport:
     exact = c.integer_grid and r.t_exact is not None
     bound_coef = (2.0 - r.t ** 2) / 2.0
     a, b, g, wx, wy, z = triples or _projected_triples(
         difference_set(c), c.scale_sq if exact else None)
-    if exact:
-        p, q = r.t_exact.numerator, r.t_exact.denominator
-        c1, c2, bmin, ii, jj = _search_pairs(a, b, g, z, p, q,
+    if not exact:
+        c1, c2, bmin, ii, jj = _window_pairs(a, b, g, z, t=r.t,
                                              bound_coef=bound_coef)
-        scale4 = c.scale_sq ** 2
-        qq = q * q
-        gain_exact = Fraction(int(min(c1, c2)), qq) * scale4
-        tup, case = _argmin_tuple(ii, jj, wx, wy, a, b)
-        f4 = float(scale4)
-        return GainReport(
-            gain=float(gain_exact), argmin=tup, case_of_argmin=case,
-            case1_min=float(Fraction(int(c1), qq) * scale4),
-            case2_min=float(Fraction(int(c2), qq) * scale4),
-            case2_bound_min=bmin * f4,
-            method="aggregated", gain_exact=gain_exact)
-    c1, c2, bmin, ii, jj = _window_pairs(a, b, g, z, t=r.t,
+        return _report(c1, c2, bmin, ii, jj, wx, wy, a, b, "aggregated")
+    p, q = r.t_exact.numerator, r.t_exact.denominator
+    c1, c2, bmin, ii, jj = _search_pairs(a, b, g, z, p, q,
                                          bound_coef=bound_coef)
-    tup, case = _argmin_tuple(ii, jj, wx, wy, a, b)
-    return GainReport(gain=float(min(c1, c2)), argmin=tup,
-                      case_of_argmin=case, case1_min=float(c1),
-                      case2_min=float(c2), case2_bound_min=bmin,
-                      method="aggregated")
+    unit = c.scale_sq ** 2 / q ** 2  # grid-unit q^2*|det|^2 -> |det|^2
+    c1, c2 = c1 * unit, c2 * unit
+    return _report(c1, c2, bmin * float(c.scale_sq ** 2), ii, jj, wx, wy,
+                   a, b, "aggregated", gain_exact=min(c1, c2))
 
 
 def exhaustive_guard(c: Constellation) -> np.ndarray:
@@ -528,11 +519,7 @@ def _exhaustive_gain(c: Constellation, r: DesignCoefficient) -> GainReport:
     keep = (pp[k] != qq[k]) | (i <= j)
     ii, jj = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
     s = np.lexsort((jj, ii))
-    tup, case = _argmin_tuple(ii[s], jj[s], x, y, a, b)
-    return GainReport(gain=float(min(c1, c2)), argmin=tup,
-                      case_of_argmin=case, case1_min=float(c1),
-                      case2_min=float(c2), case2_bound_min=bmin,
-                      method="exhaustive")
+    return _report(c1, c2, bmin, ii[s], jj[s], x, y, a, b, "exhaustive")
 
 
 def coding_gain(c: Constellation, r: DesignCoefficient,

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .constellations import _ranks
+from .constellations import _ranks, _runs
 from .optimizer import build_case1_table
 
 
@@ -204,12 +204,10 @@ def sweep_cross_term_exhaustive(limit: int = 8,
     narrow = s.astype(np.min_scalar_type(4 * limit * limit))
     order = np.argsort(narrow, kind="stable")
     quads, s = quads[order], s[order]
-    bounds = np.flatnonzero(np.diff(s)) + 1
-    starts = np.concatenate(([0], bounds)).tolist()
-    stops = np.concatenate((bounds, [s.size])).tolist()
+    bounds = np.append(_runs([s]), s.size).tolist()
     checked = 0
     failures = 0
-    for lo, hi in zip(starts, stops):
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         sval = int(s[lo])
         if sval == 0:
             continue

@@ -39,7 +39,8 @@ import numpy as np
 
 from .codes import DesignCoefficient
 from .constellations import (NORM_MIN_DIST, Constellation, _first_of_runs,
-                             _tol_keys, constellation_by_id, difference_set)
+                             _runs, _tol_keys, constellation_by_id,
+                             difference_set)
 from .gain import GainReport, coding_gain, _expand, _projected_triples
 
 SQRT2 = math.sqrt(2.0)
@@ -129,8 +130,8 @@ def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
     keys = _tol_keys(a - b)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    size = np.diff(np.r_[start, keys.size])
+    start = _runs([keys])
+    size = np.diff(np.append(start, keys.size))
     gk = keys[start]
     # group pairs (k, -k), k >= 0 ascending, stream row-major, cut into
     # blocks of about _BLOCK_PAIRS products across pairs: row n of the
@@ -153,8 +154,8 @@ def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
     # Float sums can share a 1e-9 key yet differ in the last bits
     # ((2-sqrt(2)) + (2+sqrt(2)) vs 2 + 2); every row takes the first A
     # of its key, so rows group by exact value.
-    first = np.flatnonzero(np.r_[True, ka[1:] != ka[:-1]])
-    A = A[first].repeat(np.diff(np.r_[first, A.size]))
+    first = _runs([ka])
+    A = A[first].repeat(np.diff(np.append(first, A.size)))
     return CaseOneInvariantTable(a=A, e=E, scale_sq=c.scale_sq,
                                  triples=triples)
 
@@ -170,8 +171,7 @@ def _f_at(a, e, ts) -> np.ndarray:
     e = np.asarray(e, dtype=np.float64)
     ts = np.asarray(ts, dtype=np.float64)
     f = np.full(ts.shape, np.inf)
-    bounds = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1],
-                                            [True])))
+    bounds = np.append(_runs([a]), a.size)
     for s, stop in zip(bounds[:-1], bounds[1:]):
         es = e[s:stop]
         x = a[s] * ts
@@ -241,7 +241,7 @@ def optimize_step1(c: Constellation) -> OptimizationResult:
         ts.append(num[den != 0] / den[den != 0])
     ts = np.concatenate(ts)
     ts = np.sort(ts[(ts >= -SQRT2) & (ts <= SQRT2)])
-    ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
+    ts = ts[_runs([ts])]
 
     fs = _f_at(a_all, e_all, ts)
     near = fs >= fs.max() - _TIE_TOL

@@ -62,7 +62,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 import math
 import os
-import time
 
 import numpy as np
 
@@ -143,12 +142,7 @@ class SimPoint:
 
 @dataclass(frozen=True)
 class SimResult:
-    constellation: str
-    normalization: str
-    decoder: str
-    seed: int
     points: tuple
-    wall_clock: float
 
 
 def noise_variance(snr_db: float) -> float:
@@ -550,7 +544,6 @@ def run_ber(cfg: SimConfig, workers=None) -> SimResult:
         raise ValueError(f"{m}^4 exceeds the exhaustive-ML guard")
     labels = bit_labels(c)
     nbits = m.bit_length() - 1
-    t0 = time.perf_counter()
     tasks = []
     for pi, snr in enumerate(cfg.snr_grid_db):
         n0 = noise_variance(snr)
@@ -571,9 +564,7 @@ def run_ber(cfg: SimConfig, workers=None) -> SimResult:
                  bits=cfg.codewords_per_point * 4 * nbits,
                  bit_errors=per_point[pi])
         for pi, snr in enumerate(cfg.snr_grid_db))
-    return SimResult(constellation=c.name, normalization=c.normalization,
-                     decoder=cfg.decoder, seed=cfg.seed, points=points,
-                     wall_clock=time.perf_counter() - t0)
+    return SimResult(points)
 
 
 def diversity_slope(res: SimResult, window) -> float:

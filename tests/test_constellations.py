@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 from pathlib import Path
@@ -265,6 +266,46 @@ def test_streaming_dedup_matches_the_stable_sort_oracle(data, n, n_keys):
         for w, g in zip(want, got, strict=True):
             assert w.dtype == g.dtype
             assert np.array_equal(w, g)
+
+
+@st.composite
+def sorted_columns(draw, n):
+    """1-3 columns of n rows, each int or float from a few values so
+    rows repeat, sorted together as rows."""
+    cols = []
+    for _ in range(draw(st.integers(1, 3))):
+        vals, dtype = draw(st.sampled_from([
+            (st.integers(-2, 2), np.int64),
+            (st.sampled_from([-1.5, -0.0, 0.0, 5e-324, 2.0 ** 0.5]),
+             np.float64)]))
+        cols.append(np.array(draw(st.lists(vals, min_size=n, max_size=n)),
+                             dtype=dtype))
+    order = np.lexsort(cols[::-1])
+    return [c[order] for c in cols]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(0, 40))
+def test_runs_start_where_sorted_rows_change(data, n):
+    cols = data.draw(sorted_columns(n))
+    rows = list(zip(*(c.tolist() for c in cols)))
+    want, at = [], 0
+    for _, run in itertools.groupby(rows):
+        want.append(at)
+        at += len(list(run))
+    got = cs._runs(cols)
+    assert got.dtype == np.intp
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("cols, want", [
+    ([np.array([], dtype=np.int64)], []),
+    ([np.array([]), np.array([], dtype=np.int64)], []),
+    ([np.array([7])], [0]),
+    ([np.array([1.5]), np.array([2]), np.array([-0.0])], [0]),
+])
+def test_runs_of_empty_and_single_rows(cols, want):
+    assert cs._runs(cols).tolist() == want
 
 
 def run_fresh(code):

@@ -430,17 +430,14 @@ def test_diversity_slope_synthetic():
         ber = 0.1 * 10.0 ** (-4.0 * snr / 10.0)
         pts.append(sim.SimPoint(snr_db=snr, codewords=1, bits=bits,
                                 bit_errors=round(ber * bits)))
-    res = sim.SimResult(constellation="qam4", normalization=UNIT,
-                        decoder="fast", seed=0, points=tuple(pts),
-                        wall_clock=0.0)
+    res = sim.SimResult(points=tuple(pts))
     assert abs(sim.diversity_slope(res, (10.0, 19.0)) - 4.0) < 1e-3
 
 
 def test_diversity_slope_needs_errors():
     pts = (sim.SimPoint(snr_db=10.0, codewords=1, bits=100, bit_errors=0),
            sim.SimPoint(snr_db=13.0, codewords=1, bits=100, bit_errors=0))
-    res = sim.SimResult(constellation="qam4", normalization=UNIT,
-                        decoder="fast", seed=0, points=pts, wall_clock=0.0)
+    res = sim.SimResult(points=pts)
     with pytest.raises(ValueError):
         sim.diversity_slope(res, (10.0, 13.0))
 

@@ -13,7 +13,9 @@ runs the benchmark's own answer checks on the `design` requests, and one
 holds each of those requests to a traced-memory budget.  Two more keep
 the package to what the command line, the paper's claims and the
 benchmark run: the package exports its modules, not names, and code
-only the tests call lives in tests/oracles.py.
+only the tests call lives in tests/oracles.py.  Another keeps each fact
+in one place: one run splitter, one GainReport builder, and a SimResult
+that holds only its points.
 """
 
 import ast
@@ -183,6 +185,49 @@ def test_every_package_definition_is_used_outside_the_tests():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name not in refs | CLAIM_ANALYSES}
     assert not unused, sorted(unused)
+
+
+def _neighbour_compare(node):
+    """Whether node compares x[1:] with y[:-1] for (in)equality."""
+    def cut(x, lower, upper):
+        return (isinstance(x, ast.Subscript) and isinstance(x.slice, ast.Slice)
+                and ast.dump(x.slice) == ast.dump(ast.Slice(lower, upper)))
+    one = ast.Constant(1)
+    return (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], (ast.Eq, ast.NotEq))
+            and cut(node.left, one, None)
+            and cut(node.comparators[0], None,
+                    ast.UnaryOp(ast.USub(), one)))
+
+
+def test_each_fact_has_one_home():
+    # one run splitter (constellations._runs), one GainReport builder
+    # (gain._report), and a SimResult that holds only its points
+    from dataclasses import fields
+    from fdstbc import simulate
+
+    splits, r_joins, reports, imports = [], [], [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            where = f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+            for node in ast.walk(top):
+                if _neighbour_compare(node):
+                    splits.append(where)
+                elif isinstance(node, ast.Attribute) and node.attr == "r_":
+                    r_joins.append(where)
+                elif isinstance(node, ast.Call) and getattr(
+                        node.func, "id", None) == "GainReport":
+                    reports.append(where)
+                elif path.stem == "simulate" and isinstance(
+                        node, (ast.Import, ast.ImportFrom)):
+                    imports |= {getattr(node, "module", None),
+                                *(a.name for a in node.names)}
+    assert splits == ["constellations._runs"]
+    assert r_joins == []
+    assert reports == ["gain._report"]
+    assert "time" not in imports
+    assert [f.name for f in fields(simulate.SimResult)] == ["points"]
 
 
 def test_design_answers_pass_the_benchmark_checks(capsys):
