@@ -11,10 +11,10 @@ long option names of the invoked subcommand, and each entry goes to the
 parser as the flag --key=value, so config values are checked exactly
 like flags (the config and out keys are refused).  Precedence is
 built-in default < config file < explicit flag.  Every parse error is
-one 'error: ...' line on stderr with exit status 2.  The default worker
-count for simulate comes from the FDSTBC_WORKERS environment variable;
---workers overrides it.  The worker count never appears in output, so
-CSV bytes are identical across worker counts.
+one 'error: ...' line on stderr with exit status 2.  simulate runs
+serially unless --workers, or a config file's "workers" key, gives it
+more workers.  The worker count never appears in output, so CSV bytes
+are identical across worker counts.
 """
 
 import argparse
@@ -22,15 +22,14 @@ from dataclasses import astuple
 import functools
 import json
 import math
-import os
 import sys
 
 from . import constellations as cs
 from . import number_theory as nt
 from . import optimizer as opt
 from .codes import DesignCoefficient
-from .gain import coding_gain, exhaustive_guard, golden_coding_gain
-from .simulate import SimConfig, run_ber
+from .gain import METHODS, coding_gain, exhaustive_guard, golden_coding_gain
+from .simulate import DECODERS, SimConfig, run_ber
 
 
 def _fmt(x) -> str:
@@ -107,15 +106,6 @@ def _parse_int(val: str, low: int) -> int:
     return num
 
 
-def _env_workers():
-    """Worker count from FDSTBC_WORKERS, else None (serial)."""
-    val = os.environ.get("FDSTBC_WORKERS") or None
-    try:
-        return None if val is None else _parse_int(val, 1)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"FDSTBC_WORKERS {exc}") from None
-
-
 def _emit(lines, out):
     text = "\n".join(lines) + "\n"
     if out is None:
@@ -154,15 +144,14 @@ def cmd_constellation(ns):
 
 def cmd_gain(ns):
     c = cs.constellation_by_id(ns.constellation, ns.norm)
-    method = None if ns.method == "auto" else ns.method
-    if method == "exhaustive":
+    if ns.method == "exhaustive":
         exhaustive_guard(c)  # before --r auto runs step 1
-    if ns.r == "auto" and method is None:
+    if ns.r == "auto" and ns.method == "auto":
         # optimize already reports the gain of r under the default method
         r, rep, _ = opt.optimize(c)
     else:
         r = _parse_r(ns.r, c)
-        rep = coding_gain(c, r, method=method)
+        rep = coding_gain(c, r, method=ns.method)
     argmin = [x for s in astuple(rep.argmin) for x in (s.real, s.imag)]
     if ns.emit == "csv":
         lines = _echo([("constellation", c.name), ("norm", c.normalization),
@@ -272,7 +261,7 @@ def cmd_simulate(ns):
     sim_cfg = SimConfig(constellation=c, r=r, decoder=ns.decoder,
                         snr_grid_db=_parse_snr(ns.snr),
                         codewords_per_point=ns.codewords, seed=ns.seed)
-    res = run_ber(sim_cfg, workers=ns.workers or _env_workers())
+    res = run_ber(sim_cfg, workers=ns.workers)
     lines = _echo([("constellation", c.name), ("norm", c.normalization),
                    ("u", _fmt(r.u)), ("v", _fmt(r.v)),
                    ("decoder", sim_cfg.decoder), ("snr", ns.snr),
@@ -293,14 +282,20 @@ def cmd_simulate(ns):
     return 0
 
 
+# name: (handler, help, its options before --config and --out)
 _COMMANDS = {
-    "constellation": cmd_constellation,
-    "gain": cmd_gain,
-    "optimize": cmd_optimize,
-    "lemmas": cmd_lemmas,
-    "table1": cmd_table1,
-    "table2": cmd_table2,
-    "simulate": cmd_simulate,
+    "constellation": (cmd_constellation, "list points and stats",
+                      ("name", "norm", "emit")),
+    "gain": (cmd_gain, "coding gain for a coefficient",
+             ("constellation", "norm", "r", "method", "emit")),
+    "optimize": (cmd_optimize, "best design coefficient",
+                 ("constellation", "norm", "emit")),
+    "lemmas": (cmd_lemmas, "integer-identity sweeps", ("sweep",)),
+    "table1": (cmd_table1, "coding-gain comparison rows", ()),
+    "table2": (cmd_table2, "APSK comparison rows", ()),
+    "simulate": (cmd_simulate, "Monte Carlo BER over an SNR grid",
+                 ("constellation", "norm", "r", "decoder", "snr",
+                  "codewords", "seed", "workers", "emit")),
 }
 
 
@@ -316,58 +311,30 @@ def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: parse_args keeps no state."""
     top = _Parser(prog="fdstbc", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
-    unit = cs.NORM_UNIT_POWER
-
-    def common(p):
-        p.add_argument("--config", help="JSON file presetting options")
-        p.add_argument("--out", help="write output to this path")
-
-    p = sub.add_parser("constellation", help="list points and stats")
-    p.add_argument("--name", required=True)
-    p.add_argument("--norm", choices=cs.NORMALIZATIONS, default=unit)
-    p.add_argument("--emit", choices=("report", "csv"), default="report")
-    common(p)
-
-    p = sub.add_parser("gain", help="coding gain for a coefficient")
-    p.add_argument("--constellation", required=True)
-    p.add_argument("--norm", choices=cs.NORMALIZATIONS, default=unit)
-    p.add_argument("--r", default="auto",
-                   help="'auto' or 'u,v' (normalized to |r|=1)")
-    p.add_argument("--method", choices=("auto", "aggregated", "exhaustive"),
-                   default="auto")
-    p.add_argument("--emit", choices=("report", "csv"), default="report")
-    common(p)
-
-    p = sub.add_parser("optimize", help="best design coefficient")
-    p.add_argument("--constellation", required=True)
-    p.add_argument("--norm", choices=cs.NORMALIZATIONS, default=unit)
-    p.add_argument("--emit", choices=("report", "csv"), default="report")
-    common(p)
-
-    p = sub.add_parser("lemmas", help="integer-identity sweeps")
-    p.add_argument("--sweep", choices=("small", "full"), default="small")
-    common(p)
-
-    p = sub.add_parser("table1", help="coding-gain comparison rows")
-    common(p)
-
-    p = sub.add_parser("table2", help="APSK comparison rows")
-    common(p)
-
-    p = sub.add_parser("simulate", help="Monte Carlo BER over an SNR grid")
-    p.add_argument("--constellation", required=True)
-    p.add_argument("--norm", choices=cs.NORMALIZATIONS, default=unit)
-    p.add_argument("--r", default="auto",
-                   help="'auto' or 'u,v' (normalized to |r|=1)")
-    p.add_argument("--decoder", choices=("ml", "fast"), default="fast")
-    p.add_argument("--snr", default="0:3:21", help="start:step:stop in dB")
-    p.add_argument("--codewords", type=lambda v: _parse_int(v, 1),
-                   default=10000)
-    p.add_argument("--seed", type=lambda v: _parse_int(v, 0), default=1)
-    p.add_argument("--workers", type=lambda v: _parse_int(v, 1))
-    p.add_argument("--emit", choices=("report", "csv"), default="csv")
-    common(p)
-
+    # every option, declared once: name -> add_argument keywords
+    options = {
+        "name": {"required": True},
+        "constellation": {"required": True},
+        "norm": {"choices": cs.NORMALIZATIONS,
+                 "default": cs.NORM_UNIT_POWER},
+        "r": {"default": "auto",
+              "help": "'auto' or 'u,v' (normalized to |r|=1)"},
+        "method": {"choices": METHODS, "default": "auto"},
+        "sweep": {"choices": nt.SWEEP_SIZES, "default": "small"},
+        "decoder": {"choices": DECODERS, "default": "fast"},
+        "snr": {"default": "0:3:21", "help": "start:step:stop in dB"},
+        "codewords": {"type": lambda v: _parse_int(v, 1), "default": 10000},
+        "seed": {"type": lambda v: _parse_int(v, 0), "default": 1},
+        "workers": {"type": lambda v: _parse_int(v, 1)},
+        "emit": {"choices": ("report", "csv"), "default": "report"},
+        "config": {"help": "JSON file presetting options"},
+        "out": {"help": "write output to this path"},
+    }
+    for name, (_, text, opts) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for opt in (*opts, "config", "out"):
+            p.add_argument(f"--{opt}", **options[opt])
+    sub.choices["simulate"].set_defaults(emit="csv")
     return top
 
 
@@ -400,7 +367,7 @@ def main(argv=None) -> int:
             # after the subcommand, before every explicit flag: flags win
             argv[1:1] = _config_flags(path)
         ns = _build_parser().parse_args(argv)
-        return _COMMANDS[ns.command](ns)
+        return _COMMANDS[ns.command][0](ns)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -168,7 +168,7 @@ def _sweep_terms(fr, fi, cls, am_b, *, bound_coef):
     case1 = np.abs(am_b) <= CASE_TOL
     bnd = am_b ** 2 * bound_coef
     bound_min = float(np.where(case1, np.inf, bnd).min())
-    thr = np.where(case1, -np.inf, bnd - 1e-9 * np.maximum(bnd, 1.0)).ravel()
+    thr = np.where(case1, -np.inf, _floor_threshold(bnd)).ravel()
     case1 = case1.ravel()
 
     def blocks():
@@ -195,13 +195,10 @@ def _sweep_terms(fr, fi, cls, am_b, *, bound_coef):
     return c1, c2, bound_min, pp, qq
 
 
-def _floor_check(val, am_b, case1, bound_coef):
-    """Each pair's case-II floor (A - B)^2*bound_coef; RuntimeError if a
-    case-II val falls below it by more than 1e-9*max(floor, 1)."""
-    bnd = am_b ** 2 * bound_coef
-    if (~case1 & (val < bnd - 1e-9 * np.maximum(bnd, 1.0))).any():
-        raise RuntimeError(_FLOOR_MSG)
-    return bnd
+def _floor_threshold(bnd):
+    """The float routes' case-II check: a value below its floor bnd by
+    more than 1e-9*max(bnd, 1) violates it."""
+    return bnd - 1e-9 * np.maximum(bnd, 1.0)
 
 
 def _least(blocks, score, tie):
@@ -259,7 +256,8 @@ def _window_pairs(a, b, g, zero_idx, *, t, bound_coef):
         val = am_b * am_b + k2 * (A * B) + 2.0 * (D * D) \
             - k4 * ((A + B) * D)
         case1 = np.abs(am_b) <= CASE_TOL
-        _floor_check(val, am_b, case1, bound_coef)
+        if (~case1 & (val < _floor_threshold(am_b ** 2 * bound_coef))).any():
+            raise RuntimeError(_FLOOR_MSG)
         return val, case1
 
     # the floor check can fail only where 2*W^2 < d2, and d2 < 0 for all
@@ -398,6 +396,9 @@ def _search_pairs(a, b, g, zero_idx, p, q, *, bound_coef):
         S, W = s[i] + s[j], w[i] + w[j]
         val = (c * S * S + W * W) // 2
         bnd = S.astype(np.float64) ** 2 * bound_coef
+        # absolute 1e-9 in grid units, not _floor_threshold: val is exact
+        # here, so only bnd's rounding is in doubt, and half's doubt
+        # window below is built on this same threshold
         if ((S != 0) & (val.astype(np.float64) / q2 < bnd - 1e-9)).any():
             raise RuntimeError(_FLOOR_MSG)
         return val, S == 0
@@ -522,25 +523,30 @@ def _exhaustive_gain(c: Constellation, r: DesignCoefficient) -> GainReport:
     return _report(c1, c2, bmin, ii[s], jj[s], x, y, a, b, "exhaustive")
 
 
+# coding_gain's method names
+METHODS = ("auto", "aggregated", "exhaustive")
+
+
 def coding_gain(c: Constellation, r: DesignCoefficient,
-                method: str | None = None, triples=None) -> GainReport:
+                method: str = "auto", triples=None) -> GainReport:
     """Minimum |det|^2 over all nonzero difference tuples of c under r.
 
-    method None picks exhaustive for small constellations (<= 8 points)
-    and the aggregated triple-pair search otherwise, which uses triples
-    (the _projected_triples of c's difference set it needs) if given.
+    method "auto" picks exhaustive for small constellations (<= 8
+    points) and the aggregated triple-pair search otherwise, which uses
+    triples (the _projected_triples of c's difference set it needs) if
+    given.
     """
-    if method is None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method == "auto":
         method = "exhaustive" if len(c) <= AGG_DEFAULT_ABOVE else "aggregated"
     if method == "aggregated":
         return _aggregated_gain(c, r, triples)
-    if method == "exhaustive":
-        return _exhaustive_gain(c, r)
-    raise ValueError(f"unknown method {method!r}")
+    return _exhaustive_gain(c, r)
 
 
 def coding_gain_scaled(c: Constellation, r: DesignCoefficient,
-                       alpha: float, method: str | None = None) -> GainReport:
+                       alpha: float, method: str = "auto") -> GainReport:
     """Gain of the constellation scaled by alpha (quartic in alpha)."""
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError("alpha must be finite and positive")

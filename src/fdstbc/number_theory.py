@@ -314,20 +314,19 @@ def sweep_cross_term_random(n: int = 100_000, limit: int = 64,
     return SweepResult("cross-term divisibility (random)", n, failures)
 
 
+# run_sweeps' named sizes: each lemma sweep's arguments, in run order
+SWEEP_SIZES = {
+    "small": ({"limit": 16, "k_max": 3}, {"n": 1_000},
+              {"limit": 4, "k_max": 3}, {"n": 10_000, "limit": 16}),
+    "full": ({"limit": 64, "k_max": 5}, {"n": 10_000},
+             {"limit": 8, "k_max": 4}, {"n": 100_000}),
+}
+
+
 def run_sweeps(size: str = "full") -> list:
-    """All lemma sweeps at a named size ("small" or "full")."""
-    if size == "full":
-        return [
-            sweep_dichotomy(limit=64, k_max=5),
-            sweep_euler_identity(n=10_000),
-            sweep_cross_term_exhaustive(limit=8, k_max=4),
-            sweep_cross_term_random(n=100_000),
-        ]
-    if size == "small":
-        return [
-            sweep_dichotomy(limit=16, k_max=3),
-            sweep_euler_identity(n=1_000),
-            sweep_cross_term_exhaustive(limit=4, k_max=3),
-            sweep_cross_term_random(n=10_000, limit=16),
-        ]
-    raise ValueError(f"unknown sweep size {size!r}")
+    """All lemma sweeps at one of SWEEP_SIZES."""
+    if size not in SWEEP_SIZES:
+        raise ValueError(f"unknown sweep size {size!r}")
+    sweeps = (sweep_dichotomy, sweep_euler_identity,
+              sweep_cross_term_exhaustive, sweep_cross_term_random)
+    return [f(**kw) for f, kw in zip(sweeps, SWEEP_SIZES[size])]

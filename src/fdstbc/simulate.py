@@ -51,10 +51,10 @@ rounding, and anything else by a full scan.
 
 run_ber runs its chunks on one fork pool per process: the first call
 with more than one worker starts it, later calls reuse it, a call with
-another worker count or one that finds it broken replaces it, and its
-workers exit with the interpreter.  Workers run the modules as they were
-when forked, so a monkeypatch made after the first parallel call does
-not reach them.
+another worker count replaces it, a call that finds it broken runs again
+on a fresh one, and its workers exit with the interpreter.  Workers run
+the modules as they were when forked, so a monkeypatch made after the
+first parallel call does not reach them.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -112,7 +112,7 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.decoder not in ("ml", "fast"):
+        if self.decoder not in DECODERS:
             raise ValueError(f"unknown decoder {self.decoder!r}")
         if self.codewords_per_point < 1:
             raise ValueError("codewords_per_point must be >= 1")
@@ -447,6 +447,10 @@ def _fast_decode_batch(y: np.ndarray, h: np.ndarray, r: complex,
     return out
 
 
+# SimConfig.decoder -> batch decoder: (y, h, r, points) -> (n, 4) indices
+DECODERS = {"ml": _ml_decode_batch, "fast": _fast_decode_batch}
+
+
 def ml_decode_exhaustive(y, h, r: DesignCoefficient, c: Constellation):
     """Brute-force ML decision (s1, s2, s3, s4) for one reception."""
     idx = _ml_decode_batch(np.asarray(y)[None], np.asarray(h)[None],
@@ -476,8 +480,7 @@ def _run_chunk(args):
     h *= math.sqrt(0.5)
     heff = TX_SCALE * h
     y = transmit(build_codeword(*pts[tx].T, r), heff, n0, rng)
-    decode = _fast_decode_batch if decoder == "fast" else _ml_decode_batch
-    rx = decode(y, heff, r.r, pts)
+    rx = DECODERS[decoder](y, heff, r.r, pts)
     return _bit_count(labels[tx] ^ labels[rx])
 
 
@@ -501,11 +504,10 @@ _pool = None  # (workers, ProcessPoolExecutor): the process's one pool
 
 
 def _pool_map(tasks, workers: int, chunksize: int) -> list:
-    """_run_chunk over tasks on the process's pool, kept for later calls.
+    """_run_chunk over tasks on the process's kept pool.
 
     A pool of another size is shut down before the new one forks, so no
-    manager thread is alive at the fork; a kept pool found broken is
-    dropped and the call runs on a fresh one.
+    manager thread is alive at the fork.
     """
     global _pool
     while True:
@@ -532,16 +534,10 @@ def run_ber(cfg: SimConfig, workers=None) -> SimResult:
     processes, since a fork pool starts all of them up front; when that
     is 1 (or workers is None) the chunks run serially.  Chunks go out
     in batches of up to 4, but never so large that a worker is left
-    without one.  The pool is started by the first parallel call and
-    reused by later ones in the process; it is replaced when the worker
-    count changes or it is found broken, and its workers exit with the
-    interpreter.  They run the modules as forked, so a monkeypatch made
-    after the first parallel call does not reach them.
+    without one.
     """
     c = cfg.constellation
     m = len(c)
-    if cfg.decoder == "ml" and m ** 4 > ML_TUPLE_GUARD:
-        raise ValueError(f"{m}^4 exceeds the exhaustive-ML guard")
     labels = bit_labels(c)
     nbits = m.bit_length() - 1
     tasks = []

@@ -177,8 +177,12 @@ def sweep_upper(n, zero_idx, tile, *, bound_coef):
         if 0 <= zero_idx - i0 < rows:
             val[zero_idx - i0, zero_idx - i0] = np.inf
         case1 = np.abs(am_b) <= CASE_TOL
-        # a masked (j, i) has the A - B of its (i, j), listed unmasked
-        bnd = gain._floor_check(val, am_b, case1, bound_coef)
+        # a masked (j, i) has the A - B of its (i, j), listed unmasked;
+        # the floor check is the oracle's own, shared with no route
+        bnd = am_b ** 2 * bound_coef
+        if (~case1 & (val < bnd - 1e-9 * np.maximum(bnd, 1.0))).any():
+            raise RuntimeError("case II lower bound violated; "
+                               "determinant reduction is inconsistent")
         bound_min = min(bound_min, float(np.where(case1, np.inf, bnd).min()))
         return val, case1
 

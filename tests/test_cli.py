@@ -155,13 +155,24 @@ def test_simulate_more_than_256_points(capsys):
     assert 0 < int(errors) <= 72
 
 
-def test_simulate_workers_env(capsys, monkeypatch):
+def test_simulate_workers_env(capsys, monkeypatch, tmp_path):
+    # a config file presets the worker count; the CSV is the serial one
+    from fdstbc import cli
+
+    seen, run_ber = [], cli.run_ber
+
+    def spy(sim_cfg, workers):
+        seen.append(workers)
+        return run_ber(sim_cfg, workers)
+    monkeypatch.setattr(cli, "run_ber", spy)
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"workers": 2}))
     argv = ("simulate", "--constellation", "qam4", "--snr", "0:6:6",
             "--codewords", "200", "--seed", "4")
-    _, out1, _ = run_cli(capsys, *argv)
-    monkeypatch.setenv("FDSTBC_WORKERS", "2")
-    _, out2, _ = run_cli(capsys, *argv)
-    assert out1 == out2
+    serial = run_cli(capsys, *argv)
+    pooled = run_cli(capsys, *argv, "--config", str(cfg))
+    assert seen == [None, 2]
+    assert pooled == serial and serial[0] == 0
 
 
 def test_simulate_config_precedence(capsys, tmp_path):
@@ -231,7 +242,8 @@ def test_r_is_normalized_when_its_modulus_is_not_a_normal_float(
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("argv, env, flag", [
+# workers, if not None, is preset by a config file {"workers": workers}
+@pytest.mark.parametrize("argv, workers, flag", [
     (("simulate", "--constellation", "qam4", "--r", "nan,1",
       "--snr", "0:1:1", "--codewords", "1"), None, "--r"),
     (("gain", "--constellation", "qam4", "--r", "nan,1"), None, "--r"),
@@ -250,9 +262,9 @@ def test_r_is_normalized_when_its_modulus_is_not_a_normal_float(
     (("simulate", "--constellation", "qam4", "--workers", "0",
       "--codewords", "1"), None, "--workers"),
     (("simulate", "--constellation", "qam4", "--codewords", "1"), "x2",
-     "FDSTBC_WORKERS"),
-    (("simulate", "--constellation", "qam4", "--codewords", "1"), "-1",
-     "FDSTBC_WORKERS"),
+     "--workers"),
+    (("simulate", "--constellation", "qam4", "--codewords", "1"), -1,
+     "--workers"),
     (("simulate", "--constellation", "qam4", "--r", "abc,1",
       "--codewords", "1"), None, "--r"),
     (("simulate", "--constellation", "qam4", "--snr", "oops:1:2"), None,
@@ -325,12 +337,27 @@ def test_r_is_normalized_when_its_modulus_is_not_a_normal_float(
     # the guard's message reads for CLI users too
     (("gain", "--constellation", "psk64", "--method", "exhaustive"), None,
      "exhaustive-search guard"),
+    # names that simulate, gain and number_theory own
+    (("simulate", "--constellation", "qam4", "--decoder", "bogus"), None,
+     "--decoder"),
+    (("gain", "--constellation", "qam4", "--method", "bogus"), None,
+     "--method"),
+    (("lemmas", "--sweep", "huge"), None, "--sweep"),
+    (("simulate", "--constellation", "qam4", "--codewords", "1"), 0,
+     "--workers"),
+    # one exhaustive-ML guard, serially and (given two CPUs) in a pool
+    # worker; --r auto would stop psk128 at TRIPLE_PAIR_LIMIT first
+    (("simulate", "--constellation", "psk128", "--decoder", "ml", "--r",
+      "1,0", "--codewords", "1"), None, "exhaustive-ML guard"),
+    (("simulate", "--constellation", "psk128", "--decoder", "ml", "--r",
+      "1,0", "--codewords", "1", "--workers", "2"), None,
+     "exhaustive-ML guard"),
 ])
-def test_malformed_input_one_line_error(capsys, monkeypatch, tmp_path, argv,
-                                        env, flag):
-    if env is not None:
-        monkeypatch.setenv("FDSTBC_WORKERS", env)
+def test_malformed_input_one_line_error(capsys, tmp_path, argv, workers,
+                                        flag):
     argv = list(argv)
+    if workers is not None:
+        argv += ["--config", {"workers": workers}]
     for k, arg in enumerate(argv):
         if isinstance(arg, dict):
             path = tmp_path / "config.json"
@@ -362,7 +389,6 @@ def test_one_parser_per_process_keeps_no_value_between_calls(
         capsys, monkeypatch, tmp_path):
     from fdstbc import cli
 
-    monkeypatch.delenv("FDSTBC_WORKERS", raising=False)
     cfg = tmp_path / "gain.json"
     cfg.write_text(json.dumps({"constellation": "qam4", "r": "1,0",
                                "emit": "csv"}))

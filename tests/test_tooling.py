@@ -15,7 +15,7 @@ the package to what the command line, the paper's claims and the
 benchmark run: the package exports its modules, not names, and code
 only the tests call lives in tests/oracles.py.  Another keeps each fact
 in one place: one run splitter, one GainReport builder, and a SimResult
-that holds only its points.
+that holds only its points; and one more gives each option one home.
 """
 
 import ast
@@ -228,6 +228,48 @@ def test_each_fact_has_one_home():
     assert reports == ["gain._report"]
     assert "time" not in imports
     assert [f.name for f in fields(simulate.SimResult)] == ["points"]
+
+
+def test_each_option_has_one_home():
+    # one way to preset each option: src/ reads no environment variable,
+    # one exhaustive-ML guard, each shared flag declared by one
+    # add_argument call, and the decoder, method and sweep names taken
+    # from the modules that dispatch on them
+    from fdstbc import cli, gain, number_theory as nt, simulate
+
+    env, guards, flags = [], [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            where = f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+            for node in ast.walk(top):
+                name = getattr(node, "attr", getattr(node, "name", None))
+                if isinstance(node, (ast.Attribute, ast.alias)) and name in (
+                        "environ", "environb", "getenv", "getenvb"):
+                    env.append(where)
+                elif isinstance(node, ast.Compare) and any(
+                        getattr(x, "id", getattr(x, "attr", None))
+                        == "ML_TUPLE_GUARD" for x in ast.walk(node)):
+                    guards.append(where)
+                elif isinstance(node, ast.Call) and getattr(
+                        node.func, "attr", None) == "add_argument" \
+                        and isinstance(node.args[0], ast.Constant):
+                    flags.append(node.args[0].value)
+    assert env == []
+    assert guards == ["simulate._ml_decode_batch"]
+    for flag in ("--constellation", "--norm", "--emit", "--r"):
+        assert flags.count(flag) <= 1, flag
+    owners = {"--decoder": simulate.DECODERS, "--method": gain.METHODS,
+              "--sweep": nt.SWEEP_SIZES}
+    subs = next(a.choices for a in cli._build_parser()._actions
+                if a.dest == "command")
+    seen = set()
+    for sub in subs.values():
+        for action in sub._actions:
+            for flag in set(action.option_strings) & set(owners):
+                assert action.choices is owners[flag], flag
+                seen.add(flag)
+    assert seen == set(owners)
 
 
 def test_design_answers_pass_the_benchmark_checks(capsys):
