@@ -87,16 +87,6 @@ class GainReport:
     gain_exact: Fraction | None = None
 
 
-# repeat/tile: _expand's searchsorted made psk22-28 triples 1.4-1.5x slower
-def _row_blocks(rows, cols):
-    """(rows[i], cols[j]) over rows x cols in row-major order, in blocks
-    of about _BLOCK_PAIRS pairs."""
-    step = max(1, _BLOCK_PAIRS // max(cols.size, 1))
-    for i0 in range(0, rows.size, step):
-        r = rows[i0:i0 + step]
-        yield r.repeat(cols.size), np.tile(cols, r.size)
-
-
 def _projected_triples(dvals: np.ndarray, scale_sq=None):
     """Dedup (a, b, g) with g = Im(x*conj(y)) - Re(x*conj(y)).
 
@@ -129,11 +119,19 @@ def _projected_triples(dvals: np.ndarray, scale_sq=None):
     # (a, b) keys as one column: the pair of |x|^2, |y|^2 key ranks
     rk, nr = _ranks(_tol_keys(sq))
 
+    ids, cu = np.arange(n, dtype=np.int32), np.conj(u)
+    step = max(1, _BLOCK_PAIRS // max(n, 1))
+
     def blocks():
-        ids = np.arange(n, dtype=np.int32)
-        for i, j in _row_blocks(ids, ids):
-            g = _dt(u[i], np.conj(u[j]), swap, sq.dtype)
-            yield rk[i] * nr + rk[j], g, i, j
+        # D x D row-major in blocks of about _BLOCK_PAIRS pairs: each
+        # column repeats a row table or tiles a column table rather than
+        # gather through (i, j), and no column outlives its block
+        for r in range(0, n, step):
+            rows = slice(r, r + step)
+            m = ids[rows].size
+            g = _dt(u[rows].repeat(n), np.tile(cu, m), swap, sq.dtype)
+            yield ((rk[rows] * nr).repeat(n) + np.tile(rk, m), g,
+                   ids[rows].repeat(n), np.tile(ids, m))
 
     _, g, i, j = _first_of_runs(blocks(), 2)
     a, b = sq[i], sq[j]
@@ -227,12 +225,16 @@ def _tie_limit(x):
 
 def _expand(starts, counts):
     """(k, starts[k] + m) for every m < counts[k], in blocks of about
-    _BLOCK_PAIRS items however wide a single range is."""
+    _BLOCK_PAIRS items however wide a single range is.  A block repeats
+    each range it meets by its share of the block: no per-item search."""
     ends, total = np.cumsum(counts), int(np.sum(counts))
     for lo in range(0, total, _BLOCK_PAIRS):
-        at = np.arange(lo, min(lo + _BLOCK_PAIRS, total))
-        k = ends.searchsorted(at, side="right")
-        yield k, starts[k] + (at - ends[k] + counts[k])
+        hi = min(lo + _BLOCK_PAIRS, total)
+        first, last = ends.searchsorted([lo, hi - 1], side="right")
+        k = np.arange(first, last + 1)
+        n = np.minimum(ends[k], hi) - np.maximum(ends[k] - counts[k], lo)
+        yield (k.repeat(n),
+               (starts[k] - ends[k] + counts[k]).repeat(n) + np.arange(lo, hi))
 
 
 def _window_pairs(a, b, g, zero_idx, *, t, bound_coef):

@@ -16,11 +16,23 @@ at 1/2.  ``verify_lemma1_bound`` re-derives that cap from an
 enumerated row table.
 
 Facts 1 and 3 depend only on residues mod a power of 2, so their
-sweeps count the box by residue class: one histogram of the classes
-that decide the claim, then one lookup or bilinear form per class
-instead of one test per tuple.  Every tuple in the box is still
-counted, and ``checked`` is the same tuple count a one-by-one loop
-reports.
+exhaustive sweeps count the box by residue class instead of testing
+one tuple at a time.  Every tuple in the box is still counted, and
+``checked`` is the same tuple count a one-by-one loop reports.  How
+each sweep counts:
+
+  * ``sweep_dichotomy``: per k, one histogram of the (a, b) pairs by
+    sum of squares mod 2^(2k) and how many of the two 2^k and 2^(k-1)
+    divide, read at residues r and -r for (a, b) and (c, d);
+  * ``sweep_euler_identity``: the identity on random 8-tuples, checked
+    tuple by tuple in one vectorised pass;
+  * ``sweep_cross_term_exhaustive``: one sort of (norm, residues mod
+    2^k) keys over the whole box gives every class and its size, and
+    each pair of classes of one norm is one bilinear form for all its
+    quadruple pairs;
+  * ``sweep_cross_term_random``: each random quadruple picks a partner
+    of its norm from a norm-sorted table of ids, built by a blockwise
+    counting sort, and only t1 + t2 is formed, in int32.
 """
 
 from dataclasses import dataclass
@@ -29,13 +41,9 @@ import math
 
 import numpy as np
 
-from .constellations import _ranks, _runs
+from .constellations import _runs
+from .gain import _expand
 from .optimizer import build_case1_table
-
-
-def _v2(n: int) -> int:
-    """2-adic valuation of a positive integer."""
-    return (n & -n).bit_length() - 1
 
 
 def euler_four_square(a, b, c, d, e, f, g, h):
@@ -169,53 +177,79 @@ def sweep_euler_identity(n: int = 10_000, limit: int = 64,
                        int((lhs != rhs).sum()))
 
 
-def _cross_term_failures(x, mod: int) -> int:
-    """Count ordered pairs of rows of x with t1 + t2 not 0 mod `mod`.
+def _cross_term(x, y):
+    """t1 + t2 of euler_four_square from the columns (a, b, c, d) of x
+    and (e, f, g, h) of y: a(e+f) + b(f-e) + c(g+h) + d(h-g)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return a * (e + f) + b * (f - e) + c * (g + h) + d * (h - g)
 
-    t1 + t2 = a(e+f) + b(f-e) + c(g+h) + d(h-g) mod `mod` depends only
-    on both quadruples mod `mod`, so rows are counted per residue class
-    and one class pair stands for all mult_i * mult_j row pairs.
+
+def _box(v, w: int) -> np.ndarray:
+    """v[a] << 3w + v[b] << 2w + v[c] << w + v[d] for every (a, b, c, d)
+    of the box, a-major: sums of four table values at w = 0."""
+    return sum(v.reshape((-1,) + (1,) * (3 - i)) << (w * (3 - i))
+               for i in range(4)).ravel()
+
+
+def _cross_term_counts(limit: int, k_max: int, shift: int = 0):
+    """(checked, failures) of cross-term divisibility over |values| <=
+    limit: every ordered pair of quadruples of one norm S, with v2(S) >= 1,
+    fails if 2^(min(v2(S), k_max) + shift) does not divide t1 + t2.
+
+    t1 + t2 mod 2^k depends only on both quadruples mod 2^k, so one sort
+    of (S, residues mod 2^k) keys over the box gives every class and its
+    multiplicity, and each pair of classes of one norm is scored once
+    for all its mult_i * mult_j quadruple pairs.  Residues take w bits a
+    coordinate; once 2^w covers the box, a class is a single quadruple.
     """
-    res = x % mod
-    cls = ((res[:, 0] * mod + res[:, 1]) * mod + res[:, 2]) * mod + res[:, 3]
-    rank, n = _ranks(cls)
-    mult = np.bincount(rank, minlength=n)
-    r = np.empty((n, 4), dtype=res.dtype)
-    r[rank] = res  # every row of a class carries the class's residues
-    w = np.stack([r[:, 0] + r[:, 1], r[:, 1] - r[:, 0],
-                  r[:, 2] + r[:, 3], r[:, 3] - r[:, 2]], axis=1)
-    bad = ((r @ w.T) % mod != 0).astype(np.int64)
-    return int(mult @ bad @ mult)
+    s = np.arange(4 * limit * limit + 1)
+    k = np.zeros(s.size, np.int64)  # min(v2(S), k_max), 0 at S = 0
+    for j in range(1, k_max + 1):
+        k += s % (1 << j) == 0
+    k[0] = 0
+    k = np.where(k > 0, k + shift, 0)
+    w = min(k_max + shift, (2 * limit).bit_length())
+    r = np.arange(-limit, limit + 1)
+    norm = _box(r * r, 0)
+    sel = k[norm] > 0
+    norm = norm[sel]
+    ones = sum(1 << (w * i) for i in range(4))
+    mask = ((1 << np.minimum(k[norm], w)) - 1) * ones  # residues of S
+    key = np.sort(norm << (4 * w) | _box(r & ((1 << w) - 1), w)[sel] & mask)
+    if not key.size:
+        return 0, 0
+    first = _runs([key])
+    mult = np.diff(np.append(first, key.size))
+    key = key[first]
+    kc = k[key >> (4 * w)]
+    g = _runs([key >> (4 * w)])
+    size = np.diff(np.append(g, key.size))
+    checked = int((np.add.reduceat(mult, g) ** 2).sum())
+    # each class as signed values: its residues, or those less 2^w, so
+    # the same mod 2^k for k <= w, and the quadruple itself for k > w
+    # (then 2^w covers the box and the residues are unmasked)
+    cols = [key >> (w * (3 - i)) & ((1 << w) - 1) for i in range(4)]
+    cols = [np.where(c > limit, c - (1 << w), c).astype(np.int32)
+            for c in cols]
+    low = (1 << kc) - 1
+    failures = 0
+    for i, j in _expand(np.repeat(g, size), np.repeat(size, size)):
+        cross = _cross_term([c[i] for c in cols], [c[j] for c in cols])
+        bad = cross & low[i] != 0
+        failures += int(mult[i][bad] @ mult[j][bad])
+    return checked, failures
 
 
 def sweep_cross_term_exhaustive(limit: int = 8,
                                 k_max: int = 4) -> SweepResult:
     """Exhaust cross-term divisibility over |values| <= limit, k <= k_max.
 
-    Groups all quadruples by norm S.  In each group with v2(S) >= 1
-    every ordered pair is checked, counted per residue class mod 2^k
-    (``_cross_term_failures``) rather than one pair at a time.
+    Every ordered pair of quadruples that share a norm S with v2(S) >= 1
+    is checked, counted per residue class mod 2^min(v2(S), k_max) in one
+    pass over the box (``_cross_term_counts``).
     """
-    r = np.arange(-limit, limit + 1, dtype=np.int64)
-    quads = np.stack(np.meshgrid(r, r, r, r, indexing="ij"),
-                     axis=-1).reshape(-1, 4)
-    s = (quads * quads).sum(axis=1)
-    # in 16 bits (limit <= 127) a stable argsort is a radix sort
-    narrow = s.astype(np.min_scalar_type(4 * limit * limit))
-    order = np.argsort(narrow, kind="stable")
-    quads, s = quads[order], s[order]
-    bounds = np.append(_runs([s]), s.size).tolist()
-    checked = 0
-    failures = 0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        sval = int(s[lo])
-        if sval == 0:
-            continue
-        k = min(_v2(sval), k_max)
-        if k == 0:
-            continue
-        checked += (hi - lo) ** 2
-        failures += _cross_term_failures(quads[lo:hi], 1 << k)
+    checked, failures = _cross_term_counts(limit, k_max)
     return SweepResult("cross-term divisibility (exhaustive)",
                        checked, failures)
 
@@ -251,7 +285,11 @@ def _quadruples(limit: int, ids) -> np.ndarray:
     p = np.repeat(owner, tail)[ids]
     q = ids - np.cumsum(tail)[p] + lo.size
     pairs = np.stack([lo, hi], axis=1).astype(_signed(limit))
-    return np.concatenate([pairs[p], pairs[q]], axis=1)
+    # each pair as one opaque item: a 1-D gather, not a row gather
+    item = pairs.view(np.dtype((np.void, pairs.strides[0]))).ravel()
+    out = np.empty((ids.size, 2), item.dtype)
+    out[:, 0], out[:, 1] = item[p], item[q]
+    return out.view(pairs.dtype).reshape(ids.size, 4)
 
 
 def _norm_index(limit: int):
@@ -262,7 +300,9 @@ def _norm_index(limit: int):
     _quadruples) of every sorted quadruple 0 <= a <= b <= c <= d <=
     limit with a^2+b^2+c^2+d^2 = S.  One norm per id, 16 bits for
     limit <= 127, goes through a stable counting sort in blocks of
-    _SORT_BLOCK ids, so no sort index wider than a block exists.
+    _SORT_BLOCK ids, so no sort index wider than a block exists: each
+    block sorts its (norm, id within the block) keys, unique, in one
+    word, and its ids of norm S go to the next free slots of S.
     """
     lo, hi, tail = _pair_runs(limit)
     smax = 4 * limit * limit
@@ -273,15 +313,37 @@ def _norm_index(limit: int):
     count = sum(np.bincount(b, minlength=smax + 1) for b in blocks)
     start = np.cumsum(count) - count
     order = np.empty(s.size, np.int32 if s.size < 2 ** 31 else np.int64)
+    bits = (_SORT_BLOCK - 1).bit_length()
+    word = np.min_scalar_type(((smax + 1) << bits) - 1)  # largest key
+    local = np.arange(_SORT_BLOCK, dtype=word)
     at = start.copy()  # where the next id of each norm goes
     for i, b in enumerate(blocks):
-        ob = np.argsort(b, kind="stable")
+        key = np.sort(b.astype(word) << bits | local[:b.size])
         nb = np.bincount(b, minlength=smax + 1)
         # the m-th id of norm S in this block goes to at[S] + m
         shift = at - (np.cumsum(nb) - nb)
-        order[shift[b[ob]] + np.arange(b.size)] = ob + i * _SORT_BLOCK
+        order[shift[key >> bits] + np.arange(b.size)] = \
+            (key & (_SORT_BLOCK - 1)) + i * _SORT_BLOCK
         at += nb
     return order, start, count
+
+
+def _shuffled(y, u) -> np.ndarray:
+    """Each row of y in the order np.argsort(u, axis=1) gives (ties by
+    position): entry i of a row goes to its rank among the row of u."""
+    n, m = y.shape
+    rank = np.zeros((m, n), np.int32 if n * m < 2 ** 31 else np.int64)
+    for i in range(m):
+        for j in range(i + 1, m):
+            later = u[:, i] > u[:, j]
+            rank[i] += later
+            rank[j] += ~later
+    out = np.empty_like(y)
+    flat = out.reshape(-1)
+    rank += np.arange(0, n * m, m, dtype=rank.dtype)
+    for i in range(m):
+        flat[rank[i]] = y[:, i]
+    return out
 
 
 def sweep_cross_term_random(n: int = 100_000, limit: int = 64,
@@ -291,8 +353,9 @@ def sweep_cross_term_random(n: int = 100_000, limit: int = 64,
     Draws (a, b, c, d) uniformly in the +-limit box, then picks a
     second quadruple of the same norm from a representation table,
     with random signs and a random coordinate order.  Only the picked
-    rows of the table are spelled out, and the samples stay in the
-    narrowest integer type until the int64 products.
+    rows of the table are spelled out, the samples stay in the
+    narrowest integer type, and t1 + t2 (|t1 + t2| <= 8*limit^2) is
+    formed alone in int32; 2^k of S = 2^k*m (m odd) is S & -S.
     """
     rng = np.random.default_rng(seed)
     order, start, count = _norm_index(limit)
@@ -303,14 +366,9 @@ def sweep_cross_term_random(n: int = 100_000, limit: int = 64,
     y = _quadruples(limit, order[pick])
     del order, pick
     y *= rng.integers(0, 2, size=(n, 4)).astype(narrow) * 2 - 1
-    perm = np.argsort(rng.random((n, 4)), axis=1).astype(np.int8)
-    y = np.take_along_axis(y, perm, axis=1)
-    t1, t2, _, _ = euler_four_square(*x.astype(np.int64).T, *y.T)
-    cross = t1 + t2
-    nz = s > 0
-    k = np.zeros(n, dtype=np.int64)
-    k[nz] = np.log2(s[nz] & -s[nz]).astype(np.int64)
-    failures = int((cross % (1 << k) != 0).sum())
+    y = _shuffled(y, rng.random((n, 4)))
+    cross = _cross_term(x.T.astype(np.int32), y.T.astype(np.int32))
+    failures = int(np.count_nonzero(cross & ((s & -s) - 1)))
     return SweepResult("cross-term divisibility (random)", n, failures)
 
 

@@ -15,10 +15,12 @@ t = (dt1 + dt2)/(A1 + A2), at a same-slope switch (dt1 - dt2)/(A1 - A2),
 at a kink dt/A, or at an interval endpoint.  The search is the decision
 version of parametric search (Megiddo, J. ACM 30(4), 1983): f(t) >= lam
 exactly when t lies outside every interval ((dt - lam)/A, (dt + lam)/A),
-so one sort finds the gaps where a level lam is reached.  Bisecting lam
-shrinks those gaps around the maximum and drops every row that can no
-longer bind; the breakpoints of the few rows left in each gap are then
-scored against the complete row table in one _f_at call.
+so one sort finds the gaps where a level lam is reached.  Bisecting lam,
+from the best f on a _LO_GRID-point grid up to the row ceiling, shrinks
+those gaps around the maximum and drops every row that can no longer
+bind; the breakpoints of the few rows left in each gap are then scored
+against the complete row table in one _f_at call.  The table streams
+the self-paired a - b = 0 group of triples once per unordered pair.
 
 Constellations with integer coordinates take the closed form instead
 of the search: the maximin solution there is t = +-1/2, giving the four
@@ -45,6 +47,7 @@ from .gain import GainReport, coding_gain, _expand, _projected_triples
 
 SQRT2 = math.sqrt(2.0)
 _TIE_TOL = 1e-12
+_LO_GRID = 513  # points of optimize_step1's starting grid
 
 
 def analytic_integer_optimum() -> tuple[DesignCoefficient, ...]:
@@ -123,7 +126,11 @@ def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
 
     Pairs of projected triples satisfy A = B exactly when the first
     triple's a - b cancels the second's, so the enumeration only visits
-    products of opposite-key groups instead of all pairs.
+    products of opposite-key groups instead of all pairs.  The a - b = 0
+    group pairs with itself, and there (i, j) and (j, i) give the same
+    sums bit for bit (float addition commutes), so it streams i <= j
+    only: each (j, i) would follow (i, j) in the row-major stream, and
+    _first_of_runs keeps the earliest row of a key.
     """
     triples = _projected_triples(difference_set(c), c.scale_sq)
     a, b, g = triples[:3]
@@ -135,11 +142,14 @@ def build_case1_table(c: Constellation) -> CaseOneInvariantTable:
     gk = keys[start]
     # group pairs (k, -k), k >= 0 ascending, stream row-major, cut into
     # blocks of about _BLOCK_PAIRS products across pairs: row n of the
-    # stream pairs triple row_at[n] with the cn[n] from col0[n] on
+    # stream pairs triple row_at[n] with the cn[n] from col0[n] on, and
+    # a row of group 0 starts at its own column
     opp = np.minimum(gk.searchsorted(-gk), gk.size - 1)
     paired = (gk >= 0) & (gk[opp] == -gk)
     row_at = np.flatnonzero(np.repeat(paired, size))
     col0, cn = (np.repeat(x[opp], size)[row_at] for x in (start, size))
+    skip = np.where(keys[row_at] == 0, row_at - col0, 0)
+    col0, cn = col0 + skip, cn - skip
     a, g = a[order], g[order]
     ra, rg = a[row_at], g[row_at]
 
@@ -201,16 +211,18 @@ def _gaps(a, e, lam, glo, ghi):
 def optimize_step1(c: Constellation) -> OptimizationResult:
     """Maximize the worst-case |A*t - dt| over t in [-sqrt(2), sqrt(2)].
 
-    Bisects the level between a coarse grid's best (lo) and the row
-    ceiling (hi); lo's gaps hold the maximum, rows missing them go.
+    Bisects the level between a grid's best (lo) and the row ceiling
+    (hi); lo's gaps hold the maximum, rows missing them go.  The grid
+    has _LO_GRID points: a fine one starts lo near the maximum, so the
+    first levels already cut few gaps and drop most rows.
     """
     table = build_case1_table(c)
     if table.n_rows == 0:
         raise ValueError("empty A = B table; nothing to optimize")
     a_all, e_all = af, ef = table.a.astype(float), table.e.astype(float)
     hi = float(np.min(af * SQRT2 + np.abs(ef)))
-    for lo in (float(_f_at(af, ef, np.linspace(-SQRT2, SQRT2, 33)).max()),
-               0.0):
+    grid = np.linspace(-SQRT2, SQRT2, _LO_GRID)
+    for lo in (float(_f_at(af, ef, grid).max()), 0.0):
         glo, ghi = _gaps(af, ef, lo, [-SQRT2], [SQRT2])
         if glo.size:
             break

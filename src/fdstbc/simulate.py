@@ -57,8 +57,6 @@ the modules as they were when forked, so a monkeypatch made after the
 first parallel call does not reach them.
 """
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 import math
 import os
@@ -125,6 +123,8 @@ class SimConfig:
             raise ValueError("snr grid must be strictly increasing")
         for s in grid:
             noise_variance(s)
+        if self.decoder == "ml":
+            _check_ml_size(len(self.constellation))
         object.__setattr__(self, "snr_grid_db", grid)
 
 
@@ -175,6 +175,13 @@ def transmit(x: np.ndarray, h: np.ndarray, n0: float, rng) -> np.ndarray:
     return np.einsum("...it,...ij->...tj", x, h) + math.sqrt(n0 / 2.0) * w
 
 
+def _check_ml_size(m: int) -> None:
+    """ValueError if exhaustive ML over m points scores more than
+    ML_TUPLE_GUARD tuples; SimConfig refuses such a run before any work."""
+    if m ** 4 > ML_TUPLE_GUARD:
+        raise ValueError(f"{m}^4 = {m ** 4} exceeds the exhaustive-ML guard")
+
+
 def _ml_decode_batch(y: np.ndarray, h: np.ndarray, r: complex,
                      pts: np.ndarray) -> np.ndarray:
     """Exhaustive ML over all tuples for a batch: (n, 2, 2) -> (n, 4).
@@ -185,9 +192,8 @@ def _ml_decode_batch(y: np.ndarray, h: np.ndarray, r: complex,
     lexicographic by constellation index.
     """
     m = pts.size
+    _check_ml_size(m)
     total = m ** 4
-    if total > ML_TUPLE_GUARD:
-        raise ValueError(f"{m}^4 = {total} exceeds the exhaustive-ML guard")
     n = y.shape[0]
     coef = DesignCoefficient.from_complex(r)
     z = np.einsum("nij,ntj->nit", h, np.conj(y)).reshape(n, 4)
@@ -507,8 +513,12 @@ def _pool_map(tasks, workers: int, chunksize: int) -> list:
     """_run_chunk over tasks on the process's kept pool.
 
     A pool of another size is shut down before the new one forks, so no
-    manager thread is alive at the fork.
+    manager thread is alive at the fork.  The pool modules (and with them
+    multiprocessing) load here, on the first parallel call.
     """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     global _pool
     while True:
         reused = _pool is not None and _pool[0] == workers

@@ -345,8 +345,8 @@ def test_r_is_normalized_when_its_modulus_is_not_a_normal_float(
     (("lemmas", "--sweep", "huge"), None, "--sweep"),
     (("simulate", "--constellation", "qam4", "--codewords", "1"), 0,
      "--workers"),
-    # one exhaustive-ML guard, serially and (given two CPUs) in a pool
-    # worker; --r auto would stop psk128 at TRIPLE_PAIR_LIMIT first
+    # one exhaustive-ML guard, in SimConfig, serially and at two
+    # workers; --r auto would stop psk128 at TRIPLE_PAIR_LIMIT first
     (("simulate", "--constellation", "psk128", "--decoder", "ml", "--r",
       "1,0", "--codewords", "1"), None, "exhaustive-ML guard"),
     (("simulate", "--constellation", "psk128", "--decoder", "ml", "--r",
@@ -383,6 +383,27 @@ def test_exhaustive_guard_fires_before_r_auto_runs_step_1(capsys,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "exhaustive-search guard" in err
+
+
+def test_exhaustive_ml_guard_fires_before_any_simulation_work(
+        capsys, monkeypatch):
+    # the refusal comes from SimConfig: no bit labels, no chunk drawn and
+    # no pool forked, even at two workers
+    from fdstbc import simulate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate did work before the guard")
+    monkeypatch.setattr(simulate, "_pool", None)
+    monkeypatch.setattr(simulate, "bit_labels", refuse)
+    monkeypatch.setattr(simulate, "_run_chunk", refuse)
+    code, out, err = run_cli(capsys, "simulate", "--constellation", "psk128",
+                             "--decoder", "ml", "--r", "1,0",
+                             "--codewords", "1", "--workers", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exhaustive-ML guard" in err
+    assert simulate._pool is None
 
 
 def test_one_parser_per_process_keeps_no_value_between_calls(

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import tracemalloc
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -453,12 +454,23 @@ def test_dichotomy_counts_failures_one_power_up(limit, k_max):
 @pytest.mark.parametrize("limit,k_max", CROSS_TERM_BOXES)
 def test_cross_term_counts_failures_one_power_up(limit, k_max):
     # 2^(k+1) need not divide t1 + t2
-    failures = 0
-    for x, k in norm_groups(limit, k_max):
-        f = nt._cross_term_failures(x, 1 << (k + 1))
-        assert type(f) is int
-        failures += f
-    assert failures == cross_term_oracle(limit, k_max, shift=1).failures
+    checked, failures = nt._cross_term_counts(limit, k_max, shift=1)
+    assert type(checked) is int and type(failures) is int
+    want = cross_term_oracle(limit, k_max, shift=1)
+    assert (checked, failures) == (want.checked, want.failures)
+    assert failures > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(limit=st.integers(1, 5), k_max=st.integers(1, 4))
+def test_one_pass_cross_term_counts_match_the_oracle(limit, k_max):
+    # the one-pass class count against one matmul per norm group, as
+    # the lemma claims it and one power of 2 above it
+    got = nt.sweep_cross_term_exhaustive(limit, k_max)
+    assert got == cross_term_oracle(limit, k_max)
+    checked, failures = nt._cross_term_counts(limit, k_max, shift=1)
+    want = cross_term_oracle(limit, k_max, shift=1)
+    assert (checked, failures) == (want.checked, want.failures)
     assert failures > 0
 
 
@@ -488,12 +500,12 @@ def test_representations_by_norm_match_itertools_table(limit):
 def test_random_sweep_picks_the_spelled_out_tables_quadruples(
         monkeypatch, limit):
     seen = []
-    euler = nt.euler_four_square
+    cross_term = nt._cross_term
 
-    def spy(*cols):
-        seen.append(np.stack(cols, axis=1))
-        return euler(*cols)
-    monkeypatch.setattr(nt, "euler_four_square", spy)
+    def spy(x, y):
+        seen.append(np.concatenate([x, y]).T)
+        return cross_term(x, y)
+    monkeypatch.setattr(nt, "_cross_term", spy)
     got = nt.sweep_cross_term_random(n=100_000, limit=limit)
     assert got.checked == 100_000 and got.failures == 0
     x, y0, y = random_picks_oracle(100_000, limit, 0)

@@ -112,15 +112,22 @@ def test_case1_table_equals_brute_force_enumeration(ident, norm):
 def test_psk22_case1_products_match_the_stable_sort_oracle(monkeypatch,
                                                            block_pairs):
     # the real stream: products of opposite a - b key groups, group
-    # pairs by ascending key >= 0, each row-major
+    # pairs by ascending key >= 0, each row-major, and group 0 with
+    # itself as i <= j only
     c = cs.constellation_by_id("psk22", UNIT)
     a, b, g = gain._projected_triples(cs.difference_set(c))[:3]
     keys = cs._tol_keys(a - b)
     groups = {k: np.flatnonzero(keys == k) for k in set(keys.tolist())}
-    ij = [(rows.repeat(groups[-k].size), np.tile(groups[-k], rows.size))
-          for k, rows in sorted(groups.items()) if k >= 0 and -k in groups]
+    pairs = sorted((k, rows, groups[-k]) for k, rows in groups.items()
+                   if k >= 0 and -k in groups)
+    ordered = [(rows.repeat(cols.size), np.tile(cols, rows.size))
+               for _, rows, cols in pairs]
+    ij = [(i[i <= j], j[i <= j]) if k == 0 else (i, j)
+          for (k, _, _), (i, j) in zip(pairs, ordered)]
     i, j = (np.concatenate(x) for x in zip(*ij))
     stream = (a[i] + a[j], g[i] + g[j])
+    i, j = (np.concatenate(x) for x in zip(*ordered))
+    full = (a[i] + a[j], g[i] + g[j])
     seen = []
 
     def spy(blocks, n_keys):
@@ -135,9 +142,89 @@ def test_psk22_case1_products_match_the_stable_sort_oracle(monkeypatch,
     assert max(x[0].size for x in blocks) <= block_pairs
     for w, x in zip(stream, zip(*blocks), strict=True):
         assert np.array_equal(w, np.concatenate(x))
-    for w, x in zip(oracles.first_of_runs_oracle(stream, 2), got,
-                    strict=True):
-        assert np.array_equal(w, x)
+    # the halved stream keeps every row of every ordered pair's stream
+    for part in (stream, full):
+        for w, x in zip(oracles.first_of_runs_oracle(part, 2), got,
+                        strict=True):
+            assert np.array_equal(w, x)
+
+
+# float.hex of optimize_step1's (t, case1_gain), recorded before group 0
+# was halved and the starting grid refined: both leave every answer as
+# it was, bit for bit
+STEP1_PINNED = [
+    ("psk3", UNIT, "0x1.2ed9eba16132bp-1", "0x1.34ad6ea72a6f0p-1"),
+    ("psk3", MIND, "0x1.2ed9eba16132bp-1", "0x1.126145e9ecd5bp-4"),
+    ("psk4", UNIT, "0x1.0000000000000p-1", "0x1.0000000000000p+1"),
+    ("psk4", MIND, "0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    ("psk5", UNIT, "0x1.bebd6e882f8e0p-1", "0x1.8879114246a38p-6"),
+    ("psk5", MIND, "0x1.bebd6e882f8dfp-1", "0x1.9b00c31e4f25ap-7"),
+    ("psk6", UNIT, "0x1.f3bf26b9621e8p-4", "0x1.e7c95fd8c1680p-6"),
+    ("psk6", MIND, "0x1.f3bf26b9621ebp-4", "0x1.e7c95fd8c169fp-6"),
+    ("psk7", UNIT, "0x1.48f7005516ec5p+0", "0x1.3e84d106dc848p-10"),
+    ("psk7", MIND, "0x1.48f7005516ec5p+0", "0x1.18dc7208f9c15p-9"),
+    ("psk8", UNIT, "0x1.9733de90f4c4ep-2", "0x1.d7130dd3b41f4p-6"),
+    ("psk8", MIND, "0x1.9733de90f4c51p-2", "0x1.5733ef7c33b9fp-4"),
+    ("psk9", UNIT, "0x1.555001a51b734p-1", "0x1.3c8c1b9a79f33p-13"),
+    ("psk9", MIND, "0x1.555001a51b733p-1", "0x1.6973fb31cde0bp-11"),
+    ("psk10", UNIT, "0x1.2cbbb7628fee5p+0", "0x1.569d230a0d86cp-11"),
+    ("psk10", MIND, "0x1.2cbbb7628fee5p+0", "0x1.2589ebc28190dp-8"),
+    ("psk11", UNIT, "0x1.0e74ba7675dd8p+0", "0x1.c4e20f374eb69p-15"),
+    ("psk11", MIND, "0x1.0e74ba7675dd8p+0", "0x1.18ccf0a6977b6p-11"),
+    ("psk12", UNIT, "0x1.7b0510af293fap-1", "0x1.edad24af72713p-10"),
+    ("psk12", MIND, "0x1.7b0510af293fap-1", "0x1.adc063f963fa8p-6"),
+    ("psk13", UNIT, "0x1.ce1b181325cdep-2", "0x1.ab6a31e02fe17p-17"),
+    ("psk13", MIND, "0x1.ce1b181325ce0p-2", "0x1.fd0232e29f808p-13"),
+    ("psk14", UNIT, "0x1.3ba7948c7cc7ap+0", "0x1.ff1b465fc7371p-15"),
+    ("psk14", MIND, "0x1.3ba7948c7cc7ap+0", "0x1.972740232a3d1p-10"),
+    ("psk15", UNIT, "0x1.5956bd1ee18ebp+0", "0x1.dabf9ee9d24a6p-19"),
+    ("psk15", MIND, "0x1.5956bd1ee18eap+0", "0x1.f0396ada81305p-14"),
+    ("psk16", UNIT, "0x1.657766e303942p-2", "0x1.8d40cb9280978p-13"),
+    ("psk16", MIND, "0x1.657766e303942p-2", "0x1.0bcefd5352d09p-7"),
+    ("psk17", UNIT, "0x1.0f11cb8f45b8fp+0", "0x1.5c2da7acf4cb8p-20"),
+    ("psk17", MIND, "0x1.0f11cb8f45b8ep+0", "0x1.2a42e703682acp-14"),
+    ("psk18", UNIT, "0x1.4d8d38aac2121p-1", "0x1.81b6b765991e0p-18"),
+    ("psk18", MIND, "0x1.4d8d38aac2121p-1", "0x1.9e454d3c4a7dfp-12"),
+    ("psk19", UNIT, "0x1.3cef99492e90ep+0", "0x1.1dd312b377cfbp-21"),
+    ("psk19", MIND, "0x1.3cef99492e90cp+0", "0x1.7c4f41163e517p-15"),
+    ("psk20", UNIT, "0x1.2c927aed3cc78p+0", "0x1.3fe5ad662c1b9p-15"),
+    ("psk20", MIND, "0x1.2c927aed3cc77p+0", "0x1.04d36d368c9a1p-8"),
+    ("psk21", UNIT, "0x1.543ec2f1d93fbp-1", "0x1.d62eecf562093p-23"),
+    ("psk21", MIND, "0x1.543ec2f1d93fdp-1", "0x1.d14396d499626p-16"),
+    ("psk22", UNIT, "0x1.68fb4d56e960cp-1", "0x1.6b337f0ab6763p-19"),
+    ("psk22", MIND, "0x1.68fb4d56e960bp-1", "0x1.b054c6d21d58fp-12"),
+    ("psk23", UNIT, "0x1.4f0b5d38a249ep+0", "0x1.2a7c0f1ef7bddp-23"),
+    ("psk23", MIND, "0x1.4f0b5d38a249ep+0", "0x1.a7f1c96d9eba8p-16"),
+    ("psk24", UNIT, "0x1.1c7807a241016p-1", "0x1.0f9d81d057108p-17"),
+    ("psk24", MIND, "0x1.1c7807a241015p-1", "0x1.c8e9bc418dff7p-10"),
+    ("psk25", UNIT, "0x1.0b7c449ae13c3p+0", "0x1.25a6562fb686fp-24"),
+    ("psk25", MIND, "0x1.0b7c449ae13c2p+0", "0x1.228a080055251p-16"),
+    ("psk26", UNIT, "0x1.6075dc939801bp+0", "0x1.bb1089c2af76dp-22"),
+    ("psk26", MIND, "0x1.6075dc939801bp+0", "0x1.00366234166a5p-13"),
+    ("psk27", UNIT, "0x1.55b975dc81850p+0", "0x1.b70aeb4d2d65ep-26"),
+    ("psk27", MIND, "0x1.55b975dc81850p+0", "0x1.270c811b481f0p-17"),
+    ("psk28", UNIT, "0x1.487b9f77bf492p+0", "0x1.f1e303900d46dp-19"),
+    ("psk28", MIND, "0x1.487b9f77bf493p+0", "0x1.82bd90567c910p-10"),
+    ("psk29", UNIT, "0x1.3f2c933debb32p+0", "0x1.29f29635f2754p-26"),
+    ("psk29", MIND, "0x1.3f2c933debb32p+0", "0x1.0a28c52608734p-17"),
+    ("psk30", UNIT, "0x1.60c150f4fd2bdp+0", "0x1.23a0b4582e96cp-23"),
+    ("psk30", MIND, "0x1.60c150f4fd2bep+0", "0x1.2a31f86a8de3fp-14"),
+    ("psk31", UNIT, "0x1.6c70f3ab424b4p-1", "0x1.ac2e3bd5a40e5p-27"),
+    ("psk31", MIND, "0x1.6c70f3ab424b5p-1", "0x1.f2f3bcf35cae9p-18"),
+    ("psk32", UNIT, "0x1.42d457ffcd5fdp+0", "0x1.0e3206eeb20b9p-20"),
+    ("psk32", MIND, "0x1.42d457ffcd5fcp+0", "0x1.6556ae2e34acfp-11"),
+    ("apsk8", UNIT, "0x1.3d3e35834faccp-1", "0x1.786bfe3be81cbp-6"),
+    ("apsk8", MIND, "0x1.3d3e35834facdp-1", "0x1.07679f46f7d68p-5"),
+    ("apsk16", UNIT, "0x1.152523dfe8a95p-2", "0x1.be274677f76adp-12"),
+    ("apsk16", MIND, "0x1.152523dfe8a94p-2", "0x1.dcd38f1615fe1p-9"),
+]
+
+
+def test_step1_answers_are_pinned_bit_for_bit():
+    for ident, norm, t, gain_ in STEP1_PINNED:
+        res = opt.optimize_step1(cs.constellation_by_id(ident, norm))
+        assert (res.t.hex(), res.case1_gain.hex()) == (t, gain_), \
+            (ident, norm)
 
 
 @functools.cache

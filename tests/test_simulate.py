@@ -163,10 +163,10 @@ def test_exhaustive_ml_guard():
     y = np.zeros((2, 2), dtype=complex)
     with pytest.raises(ValueError):
         sim.ml_decode_exhaustive(y, y, R_ANALYTIC, c)
-    cfg = sim.SimConfig(constellation=c, r=R_ANALYTIC, decoder="ml",
-                        snr_grid_db=(0.0,), codewords_per_point=1, seed=0)
-    with pytest.raises(ValueError):
-        sim.run_ber(cfg)
+    # a run is refused when it is configured, before any chunk is drawn
+    with pytest.raises(ValueError, match="exhaustive-ML guard"):
+        sim.SimConfig(constellation=c, r=R_ANALYTIC, decoder="ml",
+                      snr_grid_db=(0.0,), codewords_per_point=1, seed=0)
 
 
 def test_run_ber_deterministic_and_worker_independent():
@@ -205,7 +205,8 @@ def test_pool_is_capped_by_chunks_and_cpus(monkeypatch):
 
     # no real pool from an earlier test is used, and no stand-in is kept
     monkeypatch.setattr(sim, "_pool", None)
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        RecordingPool)
     c = cs.make_qam(4, UNIT)
     one, three = (sim.SimConfig(constellation=c, r=R_ANALYTIC,
                                 decoder="fast", snr_grid_db=grid,

@@ -15,13 +15,17 @@ the package to what the command line, the paper's claims and the
 benchmark run: the package exports its modules, not names, and code
 only the tests call lives in tests/oracles.py.  Another keeps each fact
 in one place: one run splitter, one GainReport builder, and a SimResult
-that holds only its points; and one more gives each option one home.
+that holds only its points; one more gives each option one home; and
+a last one keeps the process pool's modules out of a fresh import of
+the command line.
 """
 
 import ast
 import importlib.util
 import json
+import os
 from pathlib import Path
+import subprocess
 import sys
 import tracemalloc
 import types
@@ -256,7 +260,7 @@ def test_each_option_has_one_home():
                         and isinstance(node.args[0], ast.Constant):
                     flags.append(node.args[0].value)
     assert env == []
-    assert guards == ["simulate._ml_decode_batch"]
+    assert guards == ["simulate._check_ml_size"]
     for flag in ("--constellation", "--norm", "--emit", "--r"):
         assert flags.count(flag) <= 1, flag
     owners = {"--decoder": simulate.DECODERS, "--method": gain.METHODS,
@@ -270,6 +274,21 @@ def test_each_option_has_one_home():
                 assert action.choices is owners[flag], flag
                 seen.add(flag)
     assert seen == set(owners)
+
+
+def test_the_cli_loads_no_pool_modules():
+    # only simulate --workers above 1 uses the process pool; a fresh
+    # process that imports the command line loads neither its modules
+    # nor multiprocessing (11-14 ms of start-up)
+    code = ("import sys\n"
+            "import fdstbc.cli\n"
+            "pools = {'concurrent.futures.process', 'multiprocessing'}\n"
+            "assert not pools & set(sys.modules), pools & set(sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_design_answers_pass_the_benchmark_checks(capsys):
