@@ -1,7 +1,9 @@
 """Integer identities behind the worst-case gain analysis.
 
-Three executable facts about sums of four squares, checked
-exhaustively over bounded ranges rather than proved for all integers:
+Three executable facts about sums of four squares, checked over
+bounded ranges rather than proved for all integers: fact 1 over a
+whole box, fact 2 on random tuples, and fact 3 both over a whole box
+and on random pairs from a larger one:
 
   1. dichotomy: if 2^(2k) | a^2+b^2+c^2+d^2 then 2^k divides either
      all of a, b, c, d or none of them;
@@ -30,9 +32,9 @@ each sweep counts:
     2^k) keys over the whole box gives every class and its size, and
     each pair of classes of one norm is one bilinear form for all its
     quadruple pairs;
-  * ``sweep_cross_term_random``: each random quadruple picks a partner
-    of its norm from a norm-sorted table of ids, built by a blockwise
-    counting sort, and only t1 + t2 is formed, in int32.
+  * ``sweep_cross_term_random``: one stable sort of the random
+    quadruples by norm pairs each with the next one of its norm, and
+    only t1 + t2 is formed, in int32.
 """
 
 from dataclasses import dataclass
@@ -148,7 +150,7 @@ def _dichotomy_counts(limit: int, pre: int, full: int):
     return int(quads.sum()), int((quads * bad).sum())
 
 
-def sweep_dichotomy(limit: int = 64, k_max: int = 5) -> SweepResult:
+def sweep_dichotomy(limit: int, k_max: int) -> SweepResult:
     """Exhaust the dichotomy over 0 <= a,b,c,d <= limit, k <= k_max.
 
     Signs are irrelevant (only squares and |x| divisibility enter), so
@@ -164,8 +166,7 @@ def sweep_dichotomy(limit: int = 64, k_max: int = 5) -> SweepResult:
     return SweepResult("four-square dichotomy", checked, failures)
 
 
-def sweep_euler_identity(n: int = 10_000, limit: int = 64,
-                         seed: int = 0) -> SweepResult:
+def sweep_euler_identity(n: int, limit: int, seed: int = 0) -> SweepResult:
     """Check the product identity on n random integer 8-tuples."""
     rng = np.random.default_rng(seed)
     v = rng.integers(-limit, limit + 1, size=(n, 8)).astype(np.int64)
@@ -241,8 +242,7 @@ def _cross_term_counts(limit: int, k_max: int, shift: int = 0):
     return checked, failures
 
 
-def sweep_cross_term_exhaustive(limit: int = 8,
-                                k_max: int = 4) -> SweepResult:
+def sweep_cross_term_exhaustive(limit: int, k_max: int) -> SweepResult:
     """Exhaust cross-term divisibility over |values| <= limit, k <= k_max.
 
     Every ordered pair of quadruples that share a norm S with v2(S) >= 1
@@ -252,80 +252,6 @@ def sweep_cross_term_exhaustive(limit: int = 8,
     checked, failures = _cross_term_counts(limit, k_max)
     return SweepResult("cross-term divisibility (exhaustive)",
                        checked, failures)
-
-
-_SORT_BLOCK = 2 ** 16  # quadruple norms placed per counting-sort block
-
-
-def _pair_runs(limit: int):
-    """Pairs 0 <= a <= b <= limit, lexicographic, and their id runs.
-
-    Returns (lo, hi, tail).  Pair (c, d) may follow pair p = (a, b) in a
-    sorted quadruple iff c >= b: the last tail[p] pairs of the list.
-    Quadruple ids number the (p, q) p-major, so pair p owns tail[p]
-    consecutive ids, and its last one pairs it with the last pair.
-    """
-    n = limit + 1
-    lo, hi = np.triu_indices(n)
-    return lo, hi, lo.size - np.searchsorted(lo, np.arange(n))[hi]
-
-
-def _signed(limit: int):
-    """The narrowest signed integer type that holds +-limit."""
-    return np.min_scalar_type(-limit - 1)
-
-
-def _quadruples(limit: int, ids) -> np.ndarray:
-    """The sorted quadruples (a, b, c, d) of quadruple ids, as (n, 4)
-    in the narrowest signed integer type that holds +-limit."""
-    lo, hi, tail = _pair_runs(limit)
-    # a gather from an id -> pair table: a binary search of random ids
-    # branches unpredictably
-    owner = np.arange(lo.size, dtype=np.min_scalar_type(lo.size - 1))
-    p = np.repeat(owner, tail)[ids]
-    q = ids - np.cumsum(tail)[p] + lo.size
-    pairs = np.stack([lo, hi], axis=1).astype(_signed(limit))
-    # each pair as one opaque item: a 1-D gather, not a row gather
-    item = pairs.view(np.dtype((np.void, pairs.strides[0]))).ravel()
-    out = np.empty((ids.size, 2), item.dtype)
-    out[:, 0], out[:, 1] = item[p], item[q]
-    return out.view(pairs.dtype).reshape(ids.size, 4)
-
-
-def _norm_index(limit: int):
-    """Sorted non-negative quadruples by norm, as quadruple ids.
-
-    Returns (order, start, count): order[start[S]:start[S] + count[S]]
-    lists, in lexicographic order, the ids (see _pair_runs and
-    _quadruples) of every sorted quadruple 0 <= a <= b <= c <= d <=
-    limit with a^2+b^2+c^2+d^2 = S.  One norm per id, 16 bits for
-    limit <= 127, goes through a stable counting sort in blocks of
-    _SORT_BLOCK ids, so no sort index wider than a block exists: each
-    block sorts its (norm, id within the block) keys, unique, in one
-    word, and its ids of norm S go to the next free slots of S.
-    """
-    lo, hi, tail = _pair_runs(limit)
-    smax = 4 * limit * limit
-    norm = (lo * lo + hi * hi).astype(np.min_scalar_type(smax))
-    s = np.repeat(norm, tail)
-    s += np.concatenate([norm[-t:] for t in tail.tolist()])
-    blocks = [s[i:i + _SORT_BLOCK] for i in range(0, s.size, _SORT_BLOCK)]
-    count = sum(np.bincount(b, minlength=smax + 1) for b in blocks)
-    start = np.cumsum(count) - count
-    order = np.empty(s.size, np.int32 if s.size < 2 ** 31 else np.int64)
-    bits = (_SORT_BLOCK - 1).bit_length()
-    word = np.min_scalar_type(((smax + 1) << bits) - 1)  # largest key
-    local = np.arange(_SORT_BLOCK, dtype=word)
-    at = start.copy()  # where the next id of each norm goes
-    for i, b in enumerate(blocks):
-        key = np.sort(b.astype(word) << bits | local[:b.size])
-        nb = np.bincount(b, minlength=smax + 1)
-        # the m-th id of norm S in this block goes to at[S] + m
-        shift = at - (np.cumsum(nb) - nb)
-        order[shift[key >> bits] + np.arange(b.size)] = \
-            (key & (_SORT_BLOCK - 1)) + i * _SORT_BLOCK
-        at += nb
-    return order, start, count
 
 
 def _shuffled(y, u) -> np.ndarray:
@@ -346,25 +272,38 @@ def _shuffled(y, u) -> np.ndarray:
     return out
 
 
-def sweep_cross_term_random(n: int = 100_000, limit: int = 64,
+def _next_of_norm(s, smax: int) -> np.ndarray:
+    """For each i, the next j > i with s[j] == s[i], or else the first
+    j with s[j] == s[i] (i itself when s[i] is unique); 0 <= s <= smax."""
+    # keys of 16 bits or less (smax < 2^16) sort by radix
+    by_s = np.argsort(s.astype(np.min_scalar_type(smax)), kind="stable")
+    first = _runs([s[by_s]])
+    nxt = np.roll(by_s, -1)
+    nxt[np.roll(first, -1) - 1] = by_s[first]  # each run's last wraps
+    out = np.empty_like(by_s)
+    out[by_s] = nxt
+    return out
+
+
+def sweep_cross_term_random(n: int, limit: int,
                             seed: int = 0) -> SweepResult:
     """Cross-term divisibility on n random preconditioned pairs.
 
-    Draws (a, b, c, d) uniformly in the +-limit box, then picks a
-    second quadruple of the same norm from a representation table,
-    with random signs and a random coordinate order.  Only the picked
-    rows of the table are spelled out, the samples stay in the
-    narrowest integer type, and t1 + t2 (|t1 + t2| <= 8*limit^2) is
-    formed alone in int32; 2^k of S = 2^k*m (m odd) is S & -S.
+    Draws n quadruples uniformly in the +-limit box.  Each draw's
+    partner is the next draw of the same norm, in draw order, and the
+    last draw of a norm pairs with the first; a draw alone at its norm
+    pairs with itself.  The draws are independent, so a partner is a
+    uniform box quadruple of that norm.  The partner then gets random
+    signs and a random coordinate order, so even a lone draw meets a
+    signed permutation of itself.  The samples stay in the narrowest
+    integer type, and t1 + t2 (|t1 + t2| <= 8*limit^2) is formed alone
+    in int32; 2^k of S = 2^k*m (m odd) is S & -S.
     """
     rng = np.random.default_rng(seed)
-    order, start, count = _norm_index(limit)
-    narrow = _signed(limit)
+    narrow = np.min_scalar_type(-limit - 1)  # holds +-limit
     x = rng.integers(-limit, limit + 1, size=(n, 4)).astype(narrow)
-    s = np.einsum("ij,ij->i", x, x, dtype=np.int64)
-    pick = start[s] + (rng.random(n) * count[s]).astype(np.int64)
-    y = _quadruples(limit, order[pick])
-    del order, pick
+    s = np.einsum("ij,ij->i", x, x, dtype=np.int32)
+    y = x[_next_of_norm(s, 4 * limit * limit)]
     y *= rng.integers(0, 2, size=(n, 4)).astype(narrow) * 2 - 1
     y = _shuffled(y, rng.random((n, 4)))
     cross = _cross_term(x.T.astype(np.int32), y.T.astype(np.int32))
@@ -372,16 +311,17 @@ def sweep_cross_term_random(n: int = 100_000, limit: int = 64,
     return SweepResult("cross-term divisibility (random)", n, failures)
 
 
-# run_sweeps' named sizes: each lemma sweep's arguments, in run order
+# run_sweeps' named sizes: every size argument of each lemma sweep, in
+# run order; the sweeps take no size defaults
 SWEEP_SIZES = {
-    "small": ({"limit": 16, "k_max": 3}, {"n": 1_000},
+    "small": ({"limit": 16, "k_max": 3}, {"n": 1_000, "limit": 64},
               {"limit": 4, "k_max": 3}, {"n": 10_000, "limit": 16}),
-    "full": ({"limit": 64, "k_max": 5}, {"n": 10_000},
-             {"limit": 8, "k_max": 4}, {"n": 100_000}),
+    "full": ({"limit": 64, "k_max": 5}, {"n": 10_000, "limit": 64},
+             {"limit": 8, "k_max": 4}, {"n": 100_000, "limit": 64}),
 }
 
 
-def run_sweeps(size: str = "full") -> list:
+def run_sweeps(size: str) -> list:
     """All lemma sweeps at one of SWEEP_SIZES."""
     if size not in SWEEP_SIZES:
         raise ValueError(f"unknown sweep size {size!r}")

@@ -1,4 +1,3 @@
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,19 +160,6 @@ def cross_term_oracle(limit, k_max, shift=0):
                           checked, failures)
 
 
-def representations_oracle(limit):
-    """itertools table of sorted quadruples, stably sorted by norm."""
-    quads = np.array(
-        list(itertools.combinations_with_replacement(range(limit + 1), 4)),
-        dtype=np.int64)
-    s = (quads * quads).sum(axis=1)
-    order = np.argsort(s, kind="stable")
-    quads, s = quads[order], s[order]
-    count = np.bincount(s, minlength=4 * limit * limit + 1)
-    start = np.concatenate(([0], np.cumsum(count)[:-1]))
-    return quads, start, count
-
-
 def dichotomy_counts_cube(limit, pre, full):
     """nt._dichotomy_counts by one bincount over the (b, c, d) cube.
 
@@ -198,44 +184,23 @@ def dichotomy_counts_cube(limit, pre, full):
     return int(rows.sum()), int((rows * bad).sum())
 
 
-def representations_by_norm(limit):
-    """The random cross-term sweep's former table, spelled out.
-
-    Every (p, q) pair-index row is built at once, stably argsorted by
-    norm and expanded to quadruples: the reference for nt._norm_index's
-    counting sort and nt._quadruples' id lookup.  Returns (quads, start,
-    count) as representations_oracle does.
-    """
-    n = limit + 1
-    lo, hi = np.triu_indices(n)
-    pairs = np.stack([lo, hi], axis=1).astype(np.int64)
-    first = np.searchsorted(lo, np.arange(n))
-    tail = lo.size - first[hi]
-    p = np.repeat(np.arange(lo.size), tail)
-    q = np.repeat(first[hi] - np.cumsum(tail) + tail, tail)
-    q += np.arange(p.size)
-    norm = lo * lo + hi * hi
-    s = norm[p] + norm[q]
-    order = np.argsort(s, kind="stable")
-    count = np.bincount(s, minlength=4 * limit * limit + 1)
-    start = np.concatenate(([0], np.cumsum(count)[:-1]))
-    quads = np.concatenate([pairs[p[order]], pairs[q[order]]], axis=1)
-    return quads, start, count
-
-
-def random_picks_oracle(n, limit, seed):
-    """(x, y0, y) as sweep_cross_term_random drew them from the spelled-
-    out table: x the drawn quadruples, y0 the picked table rows and y
-    those rows after random signs and a random coordinate order."""
+def random_pairs_oracle(n, limit, seed):
+    """(x, y) as sweep_cross_term_random pairs its draws, spelled out:
+    x the drawn quadruples; y their partners, each the next draw of its
+    norm in draw order (the last of a norm wraps to the first), after
+    random signs and a random coordinate order."""
     rng = np.random.default_rng(seed)
-    quads, start, count = representations_by_norm(limit)
     x = rng.integers(-limit, limit + 1, size=(n, 4)).astype(np.int64)
-    s = (x * x).sum(axis=1)
-    pick = start[s] + (rng.random(n) * count[s]).astype(np.int64)
-    y0 = quads[pick]
-    y = y0 * (rng.integers(0, 2, size=(n, 4)) * 2 - 1)
+    by_norm = {}
+    for i, row in enumerate(x.tolist()):
+        by_norm.setdefault(sum(v * v for v in row), []).append(i)
+    partner = [0] * n
+    for ids in by_norm.values():
+        for j, i in enumerate(ids):
+            partner[i] = ids[(j + 1) % len(ids)]
+    y = x[partner] * (rng.integers(0, 2, size=(n, 4)) * 2 - 1)
     perm = np.argsort(rng.random((n, 4)), axis=1)
-    return x, y0, np.take_along_axis(y, perm, axis=1)
+    return x, np.take_along_axis(y, perm, axis=1)
 
 
 def test_classify_none_divisible():
@@ -483,50 +448,72 @@ def test_dichotomy_counts_match_the_cube_histogram(limit):
             assert type(got[0]) is int and type(got[1]) is int
 
 
-@pytest.mark.parametrize("limit", [0, 1, 4, 16])
-def test_representations_by_norm_match_itertools_table(limit):
-    want = representations_oracle(limit)
-    for g, w in zip(representations_by_norm(limit), want):
-        assert g.dtype == w.dtype
-        assert np.array_equal(g, w)
-    order, start, count = nt._norm_index(limit)
-    quads = nt._quadruples(limit, order)
-    assert quads.dtype == np.int8
-    for g, w in zip((quads, start, count), want):
-        assert np.array_equal(g, w)
+def spy_cross_term(monkeypatch, shift=0):
+    """Patch nt._cross_term to record each call's (x, y) rows as one
+    (n, 8) array and to add shift to its result."""
+    seen = []
+    cross_term = nt._cross_term
+
+    def spy(x, y):
+        seen.append(np.concatenate([x, y]).T.astype(np.int64))
+        return cross_term(x, y) + shift
+    monkeypatch.setattr(nt, "_cross_term", spy)
+    return seen
 
 
 @pytest.mark.parametrize("limit", [1, 4, 16, 64])
 def test_random_sweep_picks_the_spelled_out_tables_quadruples(
         monkeypatch, limit):
-    seen = []
-    cross_term = nt._cross_term
-
-    def spy(x, y):
-        seen.append(np.concatenate([x, y]).T)
-        return cross_term(x, y)
-    monkeypatch.setattr(nt, "_cross_term", spy)
+    # the partner table spelled out in plain Python: each draw pairs
+    # with the next draw of its norm
+    seen = spy_cross_term(monkeypatch)
     got = nt.sweep_cross_term_random(n=100_000, limit=limit)
     assert got.checked == 100_000 and got.failures == 0
-    x, y0, y = random_picks_oracle(100_000, limit, 0)
+    x, y = random_pairs_oracle(100_000, limit, 0)
     (xy,) = seen
     assert np.array_equal(xy[:, :4], x)
-    # the table rows are sorted and non-negative: undo signs and order
-    assert np.array_equal(np.sort(np.abs(xy[:, 4:]), axis=1), y0)
     assert np.array_equal(xy[:, 4:], y)
 
 
-def test_norm_index_builds_in_narrow_integers():
-    # limit 64 gives 814,385 quadruple ids.  Built in int64 with its
-    # temporaries the table peaked at 49.8 MiB, as int32 (p, q) rows
-    # from one argsort at 25.1 MiB, as int32 ids by the blockwise
-    # counting sort at 7.3 MiB
+def sorted_rows(q):
+    """Rows of |q|, each sorted, in lexicographic row order."""
+    q = np.sort(np.abs(q), axis=1)
+    return q[np.lexsort(q.T[::-1])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 2_000), limit=st.integers(1, 64),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_random_sweep_pairs_each_draw_once_within_its_norm(n, limit, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        seen = spy_cross_term(mp)
+        got = nt.sweep_cross_term_random(n, limit, seed)
+    assert (got.checked, got.failures) == (n, 0)
+    (xy,) = seen
+    x, y = xy[:, :4], xy[:, 4:]
+    assert np.array_equal((x * x).sum(axis=1), (y * y).sum(axis=1))
+    # up to signs and order the partners are the draws, each once
+    assert np.array_equal(sorted_rows(y), sorted_rows(x))
+
+
+def test_random_sweep_counts_what_the_cross_term_gives(monkeypatch):
+    # t1 + t2 + 1 is odd, so every draw of even norm fails
+    seen = spy_cross_term(monkeypatch, shift=1)
+    got = nt.sweep_cross_term_random(n=10_000, limit=16)
+    (xy,) = seen
+    even = int(((xy[:, :4] ** 2).sum(axis=1) % 2 == 0).sum())
+    assert got.checked == 10_000
+    assert got.failures == even > 0
+
+
+def test_random_sweep_stays_within_a_memory_budget():
+    # the full-size sweep (n = 100,000, limit 64) traces about 7.3 MiB
+    # on x86-64 with numpy 2.4
     tracemalloc.start()
     try:
-        order, start, count = nt._norm_index(64)
+        got = nt.sweep_cross_term_random(**nt.SWEEP_SIZES["full"][3])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert order.shape == (814_385,) and order.dtype == np.int32
-    assert count.sum() == order.size and start[-1] + count[-1] == 814_385
+    assert got.checked == 100_000 and got.ok
     assert peak < 9 * 2 ** 20

@@ -15,9 +15,10 @@ the package to what the command line, the paper's claims and the
 benchmark run: the package exports its modules, not names, and code
 only the tests call lives in tests/oracles.py.  Another keeps each fact
 in one place: one run splitter, one GainReport builder, and a SimResult
-that holds only its points; one more gives each option one home; and
-a last one keeps the process pool's modules out of a fresh import of
-the command line.
+that holds only its points; one more gives each option one home, and
+one states each lemma sweep's size only in its named sizes; and a last
+one keeps the process pool's modules out of a fresh import of the
+command line.
 """
 
 import ast
@@ -274,6 +275,20 @@ def test_each_option_has_one_home():
                 assert action.choices is owners[flag], flag
                 seen.add(flag)
     assert seen == set(owners)
+
+
+def test_each_lemma_size_is_stated_once():
+    # SWEEP_SIZES spells every size argument of every lemma sweep: no
+    # sweep and no run_sweeps has a default but its seed
+    import inspect
+    from fdstbc import number_theory as nt
+
+    sweeps = [f for name, f in vars(nt).items() if name.startswith("sweep_")]
+    assert len(sweeps) == 4
+    for f in sweeps + [nt.run_sweeps]:
+        defaults = {p.name for p in inspect.signature(f).parameters.values()
+                    if p.default is not p.empty}
+        assert defaults <= {"seed"}, (f.__name__, defaults)
 
 
 def test_the_cli_loads_no_pool_modules():
